@@ -15,6 +15,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import train as training
 from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thresholds
 from .flow import optical_flow
@@ -161,7 +163,7 @@ def cmd_segment(args, opts) -> int:
                 f"input width {model.config.input_dim}",
             )
         with _stage("forward"):
-            probs = forward(model, feats.values)
+            probs = forward(model, feats.values, dtype=np.float32)
         with _stage("decode"):
             tiers = {tier: decode(probs[tier] * 100.0, dparams)
                      for tier in SEGMENTS_TIERS}
@@ -247,7 +249,7 @@ def cmd_tune(args, opts) -> int:
     with _stage("forward"):
         dev = []
         for clip in clips:
-            probs = forward(model, clip.features)
+            probs = forward(model, clip.features, dtype=np.float32)
             gold = decode_gold_tags(clip.gold[args.tier], TagScheme.BIO)
             dev.append((probs[args.tier] * 100.0, gold))
     with _stage("tune"):

@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from .metrics import _frame_mask
 from .tags import B, I, O, Segment
 
 DEFAULT_GRID = tuple(range(10, 91, 10))
@@ -124,29 +125,22 @@ def tune_thresholds(dev_set, grid=DEFAULT_GRID, strict_bio: bool = False):
     """
     if not dev_set:
         raise ValueError("dev set is empty")
-    dev = [(_check_rows(p), sorted(g)) for p, g in dev_set]
-    if sum(len(g) for _, g in dev) == 0:
+    dev = [(_check_rows(p), _frame_mask(g, len(p))) for p, g in dev_set]
+    n_gold = sum(len(g) for _, g in dev_set)
+    if n_gold == 0:
         raise ValueError("dev set has no gold segments")
     table = []
     best = None
     best_key = None
     for tb, to in product(grid, repeat=2):
         params = DecodeParams(tb, to, DecodeMode.THRESHOLD, strict_bio)
-        inter = union = 0
-        n_pred = n_gold = 0
-        for probs, gold in dev:
-            t_len = len(probs)
+        inter = union = n_pred = 0
+        for probs, gmask in dev:
             pred = greedy_decode(probs, params)
-            pmask = np.zeros(t_len, dtype=bool)
-            gmask = np.zeros(t_len, dtype=bool)
-            for s in pred:
-                pmask[s.start:s.end] = True
-            for s in gold:
-                gmask[s.start:s.end] = True
+            pmask = _frame_mask(pred, len(probs))
             inter += int((pmask & gmask).sum())
             union += int((pmask | gmask).sum())
             n_pred += len(pred)
-            n_gold += len(gold)
         iou = inter / union if union else 1.0
         pct = n_pred / n_gold
         table.append(TuneCell(tb, to, iou, pct))

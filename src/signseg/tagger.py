@@ -1,8 +1,10 @@
 """Frame tagger: linear projection, stacked bidirectional LSTM, two BIO heads.
 
 Implemented directly on numpy arrays with hand-written backpropagation through
-time, so the gradient math is checkable against finite differences. All
-computation is float64; checkpoints store float32 per the file format.
+time, so the gradient math is checkable against finite differences. Training
+and the gradient check run in float64. Inference (segment, tune, validation)
+runs the projection and the LSTM stack in float32 with no backprop cache;
+checkpoints store float32 per the file format, so the weights lose nothing.
 
 Parameter layout per LSTM direction: Wx (input, 4H), Wh (H, 4H), b (4H,) with
 gate order [input, forget, candidate, output]. Forget-gate biases start at 1.
@@ -116,50 +118,66 @@ def init_model(config: TaggerConfig) -> TaggerModel:
     return TaggerModel(config, params)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _run_direction(u, wx, wh, b, reverse):
-    """One LSTM direction over u (T, Din). Returns h (T, H) and a cache."""
+def _gate_scale(h_dim: int, dtype) -> np.ndarray:
+    """Preactivation scale that lets one tanh yield every gate.
+
+    sigmoid(a) = 0.5 * (1 + tanh(a / 2)), and this form cannot overflow in
+    float32. Halving the input, forget and output columns is exact, so
+    tanh of the scaled 4H vector gives the candidate gate directly and the
+    three sigmoid gates after 0.5 * (1 + .).
+    """
+    scale = np.full(4 * h_dim, 0.5, dtype=dtype)
+    scale[2 * h_dim:3 * h_dim] = 1.0
+    return scale
+
+
+def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
+    """One LSTM direction over u (T, Din) in the dtype of its parameters.
+
+    Returns h (T, H) and, when keep_cache, the backprop cache (else None).
+    """
     t_len = u.shape[0]
     h_dim = wh.shape[0]
-    xw = u @ wx + b
+    scale = _gate_scale(h_dim, wh.dtype)
+    xw = (u @ wx + b) * scale
+    wh = wh * scale
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    h = np.zeros((t_len, h_dim))
-    c = np.zeros((t_len, h_dim))
-    gi = np.zeros((t_len, h_dim))
-    gf = np.zeros((t_len, h_dim))
-    gg = np.zeros((t_len, h_dim))
-    go = np.zeros((t_len, h_dim))
-    hprev_all = np.zeros((t_len, h_dim))
-    cprev_all = np.zeros((t_len, h_dim))
-    hprev = np.zeros(h_dim)
-    cprev = np.zeros(h_dim)
+    h = np.empty((t_len, h_dim), dtype=wh.dtype)
+    if keep_cache:
+        c = np.empty_like(h)
+        act = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
+    hprev = np.zeros(h_dim, dtype=wh.dtype)
+    cprev = np.zeros(h_dim, dtype=wh.dtype)
     for t in order:
-        a = xw[t] + hprev @ wh
-        gi[t] = _sigmoid(a[:h_dim])
-        gf[t] = _sigmoid(a[h_dim:2 * h_dim])
-        gg[t] = np.tanh(a[2 * h_dim:3 * h_dim])
-        go[t] = _sigmoid(a[3 * h_dim:])
-        hprev_all[t] = hprev
-        cprev_all[t] = cprev
-        c[t] = gf[t] * cprev + gi[t] * gg[t]
-        hprev = go[t] * np.tanh(c[t])
+        a = np.tanh(xw[t] + hprev @ wh)
+        gate = 0.5 * (1.0 + a)  # input, forget, output; the candidate slice is unused
+        cprev = gate[h_dim:2 * h_dim] * cprev + gate[:h_dim] * a[2 * h_dim:3 * h_dim]
+        hprev = gate[3 * h_dim:] * np.tanh(cprev)
         h[t] = hprev
-        cprev = c[t]
-    cache = {"u": u, "h": h, "c": c, "gi": gi, "gf": gf, "gg": gg, "go": go,
+        if keep_cache:
+            c[t] = cprev
+            act[t] = a
+    if not keep_cache:
+        return h, None
+    # the state entering step t is the one the previous step in `order` left
+    hprev_all = np.zeros_like(h)
+    cprev_all = np.zeros_like(c)
+    if reverse:
+        hprev_all[:-1], cprev_all[:-1] = h[1:], c[1:]
+    else:
+        hprev_all[1:], cprev_all[1:] = h[:-1], c[:-1]
+    for block in (act[:, :2 * h_dim], act[:, 3 * h_dim:]):  # tanh -> sigmoid, in place
+        block += 1.0
+        block *= 0.5
+    cache = {"u": u, "h": h, "c": c,
+             "gi": act[:, :h_dim], "gf": act[:, h_dim:2 * h_dim],
+             "gg": act[:, 2 * h_dim:3 * h_dim], "go": act[:, 3 * h_dim:],
              "hprev": hprev_all, "cprev": cprev_all, "order": list(order)}
     return h, cache
 
@@ -197,10 +215,13 @@ def _backward_direction(dh_out, cache, wx, wh):
 
 
 def forward(model: TaggerModel, features, return_cache: bool = False,
-            dropout_rng=None):
+            dropout_rng=None, dtype=np.float64):
     """Run the network; returns per-tier (T, 3) probability rows.
 
-    features: (T, F) array with F == config.input_dim.
+    features: (T, F) array with F == config.input_dim. The projection and the
+    LSTM stack run in `dtype`, with the parameters cast once per call; the
+    heads and the softmax run in float64. The backprop cache is built only
+    when return_cache is set.
     """
     cfg = model.config
     x = np.asarray(features, dtype=float)
@@ -210,7 +231,11 @@ def forward(model: TaggerModel, features, return_cache: bool = False,
             f"model input_dim {cfg.input_dim}"
         )
     p = model.params
-    z = x @ p["proj.W"] + p["proj.b"]
+
+    def cast(name):
+        return p[name].astype(dtype, copy=False)
+
+    z = x.astype(dtype, copy=False) @ cast("proj.W") + cast("proj.b")
     layer_caches = []
     drop_masks = []
     cur = z
@@ -218,27 +243,28 @@ def forward(model: TaggerModel, features, return_cache: bool = False,
         outs = []
         caches = {}
         for d in _directions(cfg):
-            h, cache = _run_direction(
-                cur, p[f"lstm{layer}.{d}.Wx"], p[f"lstm{layer}.{d}.Wh"],
-                p[f"lstm{layer}.{d}.b"], reverse=(d == "bwd"))
+            name = f"lstm{layer}.{d}"
+            h, caches[d] = _run_direction(
+                cur, cast(f"{name}.Wx"), cast(f"{name}.Wh"), cast(f"{name}.b"),
+                reverse=(d == "bwd"), keep_cache=return_cache)
             outs.append(h)
-            caches[d] = cache
         cur = np.concatenate(outs, axis=1)
         if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
             mask = (dropout_rng.random(cur.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-            cur = cur * mask
+            cur *= mask
             drop_masks.append(mask)
         else:
             drop_masks.append(None)
         layer_caches.append(caches)
+    enc = cur.astype(np.float64, copy=False)
     logits = {}
     probs = {}
     for tier in SEGMENTS_TIERS:
-        logits[tier] = cur @ p[f"head.{tier}.W"] + p[f"head.{tier}.b"]
-        probs[tier] = _softmax(logits[tier]) if len(cur) else np.zeros((0, 3))
+        logits[tier] = enc @ p[f"head.{tier}.W"] + p[f"head.{tier}.b"]
+        probs[tier] = _softmax(logits[tier]) if len(enc) else np.zeros((0, 3))
     if not return_cache:
         return probs
-    cache = {"x": x, "z": z, "enc": cur, "layers": layer_caches,
+    cache = {"x": x, "z": z, "enc": enc, "layers": layer_caches,
              "logits": logits, "drop": drop_masks}
     return probs, cache
 
@@ -272,27 +298,38 @@ def class_weights_from_tags(tag_lists) -> tuple:
     return tuple(total / (3.0 * counts))
 
 
-def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
-    """Full-sequence loss plus analytic gradients for every parameter."""
-    cfg = model.config
-    probs, cache = forward(model, features, return_cache=True, dropout_rng=dropout_rng)
-    t_len = cache["x"].shape[0]
-    p = model.params
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+def _logits_loss(logits: dict, gold: dict, weights: dict) -> float:
+    """The loss of `loss`, from per-tier logits through log-sum-exp."""
     total = 0.0
-    denc = np.zeros_like(cache["enc"])
     for tier in SEGMENTS_TIERS:
+        z = logits[tier]
         y = np.asarray(gold[tier], dtype=int)
+        t_len = z.shape[0]
         if y.shape[0] != t_len:
             raise ValueError(f"tier {tier!r}: {t_len} frames vs {y.shape[0]} tags")
         if t_len == 0:
             continue
+        w = np.asarray(weights[tier], dtype=float)
+        zmax = z.max(axis=1)
+        logz = np.log(np.exp(z - zmax[:, None]).sum(axis=1)) + zmax
+        total += float(np.mean(w[y] * (logz - z[np.arange(t_len), y])))
+    return total
+
+
+def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
+    """Full-sequence loss plus analytic gradients for every parameter."""
+    cfg = model.config
+    probs, cache = forward(model, features, return_cache=True, dropout_rng=dropout_rng)
+    total = _logits_loss(cache["logits"], gold, cfg.class_weights)
+    t_len = cache["x"].shape[0]
+    p = model.params
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    denc = np.zeros_like(cache["enc"])
+    for tier in SEGMENTS_TIERS:
+        if t_len == 0:
+            continue
+        y = np.asarray(gold[tier], dtype=int)
         w = np.asarray(cfg.class_weights[tier], dtype=float)
-        logits = cache["logits"][tier]
-        logz = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)) \
-            + logits.max(axis=1)
-        picked = logits[np.arange(t_len), y]
-        total += float(np.mean(w[y] * (logz - picked)))
         dlogits = probs[tier] * w[y][:, None]
         dlogits[np.arange(t_len), y] -= w[y]
         dlogits /= t_len
@@ -362,6 +399,12 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4,
         raise ValueError("eps must be positive")
     if grads is None:
         _, grads = loss_and_grads(model, features, gold)
+    weights = model.config.class_weights
+
+    def loss_at():
+        _, cache = forward(model, features, return_cache=True)
+        return _logits_loss(cache["logits"], gold, weights)
+
     worst = 0.0
     for name, arr in model.params.items():
         flat = arr.reshape(-1)
@@ -369,9 +412,9 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = loss_and_grads(model, features, gold)
+            lp = loss_at()
             flat[i] = orig - eps
-            lm, _ = loss_and_grads(model, features, gold)
+            lm = loss_at()
             flat[i] = orig
             fd = (lp - lm) / (2 * eps)
             err = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)

@@ -184,8 +184,9 @@ def parse_segments(text: str) -> tuple[float, dict[str, list[Segment]]]:
             raise ValueError(f"tier {tier!r} must be a list")
         segs = []
         for it in items:
-            if not (isinstance(it, dict) and isinstance(it.get("start"), int)
-                    and isinstance(it.get("end"), int)):
+            if not (isinstance(it, dict)
+                    and all(isinstance(it.get(k), int) and not isinstance(it.get(k), bool)
+                            for k in ("start", "end"))):
                 raise ValueError(f"tier {tier!r} entries must have integer start and end")
             segs.append(Segment(it["start"], it["end"]))
         tiers[tier] = sorted(segs)

@@ -70,7 +70,7 @@ def mean_frame_f1(model: TaggerModel, clips) -> float:
     """Mean over clips and tiers of F1 between argmax tags and gold tags."""
     scores = []
     for clip in clips:
-        probs = forward(model, clip.features)
+        probs = forward(model, clip.features, dtype=np.float32)
         for tier in SEGMENTS_TIERS:
             pred = np.argmax(probs[tier], axis=1)
             scores.append(frame_f1(pred, clip.gold[tier]))

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from signseg.decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode
+from signseg.pipeline import PipelineOptions
+from signseg.synthetic import write_clip_dir
 from signseg.tagger import (
     AdamState, TaggerConfig, class_weights_from_tags, forward, gradient_check,
     init_model, load_model, loss, loss_and_grads, param_count, save_model,
     train_step,
 )
 from signseg.tags import SEGMENTS_TIERS
+from signseg.train import corpus_class_weights, load_corpus, train
+
+# Inference runs in float32; its probabilities may differ from the float64
+# reference by at most this much (max abs, on the 0-1 scale).
+FLOAT32_PROB_TOL = 1e-5
 
 
 def tiny_config(**kw):
@@ -75,14 +83,69 @@ def test_forward_shapes_and_simplex():
 
 def test_forward_empty_sequence():
     model = init_model(tiny_config())
-    probs = forward(model, np.zeros((0, 6)))
-    assert probs["sign"].shape == (0, 3)
+    for dtype in (np.float64, np.float32):
+        probs = forward(model, np.zeros((0, 6)), dtype=dtype)
+        for tier in SEGMENTS_TIERS:
+            assert probs[tier].shape == (0, 3)
+            assert probs[tier].dtype == np.float64
 
 
 def test_forward_rejects_width_mismatch():
     model = init_model(tiny_config())
-    with pytest.raises(ValueError, match="input_dim"):
-        forward(model, np.zeros((4, 5)))
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ValueError, match="input_dim"):
+            forward(model, np.zeros((4, 5)), dtype=dtype)
+
+
+def test_cache_free_forward_matches_cached():
+    cfg = tiny_config(hidden_dim=16, layers=3)
+    model = init_model(cfg)
+    x, _ = random_case(cfg, t=40, seed=2)
+    cached, _ = forward(model, x, return_cache=True)
+    plain = forward(model, x)
+    for tier in SEGMENTS_TIERS:
+        np.testing.assert_allclose(plain[tier], cached[tier], rtol=0, atol=1e-12)
+
+
+def test_float32_forward_matches_float64():
+    cfg = tiny_config(input_dim=20, hidden_dim=32, layers=2)
+    model = init_model(cfg)
+    x, _ = random_case(cfg, t=200, seed=5)
+    ref = forward(model, x)
+    fast = forward(model, x, dtype=np.float32)
+    for tier in SEGMENTS_TIERS:
+        assert fast[tier].dtype == np.float64
+        np.testing.assert_allclose(fast[tier].sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(fast[tier] - ref[tier]).max() <= FLOAT32_PROB_TOL
+
+
+@pytest.fixture(scope="module")
+def trained_on_clips(tmp_path_factory):
+    """A small tagger trained on the acceptance-style synthetic clips."""
+    clip_dir = tmp_path_factory.mktemp("clips")
+    write_clip_dir(clip_dir, seeds=range(4))
+    clips = load_corpus(clip_dir, PipelineOptions())
+    cfg = TaggerConfig(input_dim=clips[0].features.shape[1], hidden_dim=16, layers=2,
+                       learning_rate=1e-2, class_weights=corpus_class_weights(clips))
+    result = train(init_model(cfg), clips, clips, max_steps=120, patience=0, val_every=5)
+    return result.model, clips
+
+
+def test_float32_decodes_match_float64_on_clips(trained_on_clips):
+    model, clips = trained_on_clips
+    modes = [DecodeParams(tb, to) for tb in DEFAULT_GRID for to in DEFAULT_GRID]
+    modes += [DecodeParams(mode=DecodeMode.ARGMAX), DecodeParams(strict_bio=True)]
+    segments = 0
+    for clip in clips:
+        ref = forward(model, clip.features)
+        fast = forward(model, clip.features, dtype=np.float32)
+        for tier in SEGMENTS_TIERS:
+            assert np.abs(fast[tier] - ref[tier]).max() <= FLOAT32_PROB_TOL
+            for params in modes:
+                want = decode(ref[tier] * 100.0, params)
+                assert decode(fast[tier] * 100.0, params) == want
+                segments += len(want)
+    assert segments > 0
 
 
 def test_loss_uniform_oracle():

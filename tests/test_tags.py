@@ -198,6 +198,8 @@ def test_segments_json_roundtrip():
     ('{"fps": 0, "tiers": {}}', "fps"),
     ('{"fps": 25, "tiers": {"sign": [{"start": 1.5, "end": 3}]}}', "integer"),
     ('{"fps": 25, "tiers": {"sign": [{"start": 4, "end": 2}]}}', "interval"),
+    ('{"fps": 25, "tiers": {"sign": [{"start": false, "end": true}]}}', "integer"),
+    ('{"fps": 25, "tiers": {"sign": [{"start": 0, "end": true}]}}', "integer"),
     ("{bad", "malformed"),
 ])
 def test_segments_json_rejects(text, match):
