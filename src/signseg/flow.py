@@ -49,20 +49,12 @@ def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.
     comp = seq.component(comp_name)
     if len(comp.points) != 21:
         raise ValueError(f"component {comp_name!r} has {len(comp.points)} points, expected 21")
-    coords = seq.coords[:, off:off + 21, :]
     conf = seq.conf[:, off:off + 21]
+    out, ok = hands.normalize_hands(seq.coords[:, off:off + 21, :], handedness)
+    # frames with an untracked anchor stay zero, like a missing hand
     anchors = [hands.WRIST, hands.I_MCP, hands.M_MCP, hands.P_MCP]
-    out = np.zeros((seq.num_frames, 21, 3), dtype=float)
-    for t in range(seq.num_frames):
-        if not (conf[t, anchors] > 0).all():
-            continue
-        try:
-            norm = hands.hand_normalize(hands.HandPose(coords[t], handedness))
-        except ValueError:
-            continue  # degenerate capture; impute zeros like a missing hand
-        pts = norm.points.copy()
-        pts[conf[t] == 0] = 0.0
-        out[t] = pts
+    out[~(ok & (conf[:, anchors] > 0).all(axis=1))] = 0.0
+    out[conf == 0] = 0.0
     return out.reshape(seq.num_frames, 63)
 
 

@@ -56,22 +56,77 @@ class HandPose:
         object.__setattr__(self, "points", pts)
 
 
-def _normal_of(points: np.ndarray) -> np.ndarray:
-    n = np.cross(points[I_MCP] - points[WRIST], points[P_MCP] - points[WRIST])
-    norm = np.linalg.norm(n)
-    scale = max(
-        np.linalg.norm(points[I_MCP] - points[WRIST]),
-        np.linalg.norm(points[P_MCP] - points[WRIST]),
-        _EPS,
-    )
-    if norm <= _EPS * scale * scale:
-        raise ValueError("degenerate palm: WRIST, I_MCP, P_MCP are collinear")
-    return n / norm
+# Degeneracies in the order they are tested; fault code i + 1 is _FAULTS[i].
+_FAULTS = (
+    "zero-length middle metacarpal",
+    "degenerate palm: WRIST, I_MCP, P_MCP are collinear",
+    "degenerate hand: palm normal parallel to the metacarpal",
+)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (N, 3) arrays.
+
+    A stack of (1, 3) @ (3, 1) products sums each row exactly as np.dot sums
+    one pair of vectors, so a batch and a single hand round alike.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(v, v))
+
+
+def _palm_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit WRIST/I_MCP/P_MCP normals of (N, 21, 3) hands and a collinear mask."""
+    a = points[:, I_MCP] - points[:, WRIST]
+    b = points[:, P_MCP] - points[:, WRIST]
+    n = np.cross(a, b)
+    norm = _norm(n)
+    scale = np.maximum(np.maximum(_norm(a), _norm(b)), _EPS)
+    return n / norm[:, None], norm <= _EPS * scale * scale
 
 
 def palm_normal(hand: HandPose) -> np.ndarray:
     """Unit normal of the WRIST/I_MCP/P_MCP plane, right-hand rule in that order."""
-    return _normal_of(hand.points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n, collinear = _palm_normals(hand.points[None])
+    if collinear[0]:
+        raise ValueError(_FAULTS[1])
+    return n[0]
+
+
+def _canonicalize(points: np.ndarray, handedness: Handedness):
+    """(N, 21, 3) hands in the canonical frame, and a fault code per hand (0 = ok)."""
+    if handedness is Handedness.LEFT:
+        points = points * np.array([-1.0, 1.0, 1.0])
+    q = points - points[:, WRIST, None]
+    bone = q[:, M_MCP]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        length = _norm(bone)
+        y = bone / length[:, None]
+        n, collinear = _palm_normals(q)
+        z = n - _dot(n, y)[:, None] * y
+        z_norm = _norm(z)
+        z = z / z_norm[:, None]
+        x = np.cross(y, z)
+        basis = np.stack([x, y, z], axis=1)  # rows are the new axes
+        out = (q @ basis.transpose(0, 2, 1)) * (BONE_LENGTH / length)[:, None, None]
+    fault = np.select([length <= _EPS, collinear, z_norm <= 1e-9], [1, 2, 3], 0)
+    return out, fault
+
+
+def normalize_hands(points, handedness: Handedness) -> tuple[np.ndarray, np.ndarray]:
+    """hand_normalize over a batch: (N, 21, 3) points of one handedness.
+
+    Returns the normalized points and a per-hand ok mask. Hands that are
+    degenerate, or whose result is not finite, are not ok and come out as
+    zero rows.
+    """
+    out, fault = _canonicalize(np.asarray(points, dtype=float), handedness)
+    ok = (fault == 0) & np.isfinite(out).all(axis=(1, 2))
+    out[~ok] = 0.0
+    return out, ok
 
 
 def hand_normalize(hand: HandPose) -> HandPose:
@@ -83,25 +138,10 @@ def hand_normalize(hand: HandPose) -> HandPose:
     metacarpal is BONE_LENGTH long, and the wrist is moved to the origin.
     Idempotent, and invariant to rigid motion plus positive uniform scaling.
     """
-    pts = hand.points
-    if hand.handedness is Handedness.LEFT:
-        pts = pts * np.array([-1.0, 1.0, 1.0])
-    q = pts - pts[WRIST]
-    bone = q[M_MCP]
-    length = np.linalg.norm(bone)
-    if length <= _EPS:
-        raise ValueError("zero-length middle metacarpal")
-    y = bone / length
-    n = _normal_of(q)
-    z = n - np.dot(n, y) * y
-    z_norm = np.linalg.norm(z)
-    if z_norm <= 1e-9:
-        raise ValueError("degenerate hand: palm normal parallel to the metacarpal")
-    z = z / z_norm
-    x = np.cross(y, z)
-    basis = np.stack([x, y, z])  # rows are the new axes
-    out = (q @ basis.T) * (BONE_LENGTH / length)
-    return HandPose(out, Handedness.RIGHT)
+    out, fault = _canonicalize(hand.points[None], hand.handedness)
+    if fault[0]:
+        raise ValueError(_FAULTS[fault[0] - 1])
+    return HandPose(out[0], Handedness.RIGHT)
 
 
 def _angle_deg(u: float, v: float) -> float:

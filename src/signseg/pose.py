@@ -6,8 +6,10 @@ consumer must ignore.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -144,18 +146,62 @@ def make_pose(fps, components, coords, conf) -> PoseSequence:
     return PoseSequence(fps, components, coords, conf)
 
 
-def parse_pose(text: str) -> PoseSequence:
+def _point_block(frames: list, k: int):
+    """The frames as one (T, k, 4) float array, or None if any breaks a rule.
+
+    The rules: every frame is a list of k points and every point a list of
+    four JSON numbers; type() keeps bool, str and null out. Each rule is one
+    pass over the whole document, not a loop over points. An int too large
+    for a float raises OverflowError.
+    """
+    if not all(type(f) is list and len(f) == k for f in frames):
+        return None
+    if len(frames) * k == 0:
+        return np.zeros((len(frames), k, 4))
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        if not set(map(type, chain.from_iterable(chain.from_iterable(frames)))) <= {int, float}:
+            return None
+        block = np.asarray(frames, dtype=float)
+    except (TypeError, ValueError):  # a point that is no list; points of mixed lengths
+        return None
+    return block if block.shape == (len(frames), k, 4) else None
+
+
+def _first_fault(frames: list, k: int) -> str:
+    """Names the first frame or point, in document order, that _point_block rejects."""
+    for ti, frame in enumerate(frames):
+        if not (isinstance(frame, list) and len(frame) == k):
+            n = len(frame) if isinstance(frame, list) else "?"
+            return f"frame {ti} has {n} points, expected {k}"
+        if _point_block([frame], k) is not None:
+            continue
+        for ki, pt in enumerate(frame):
+            if _point_block([[pt]], 1) is not None:
+                continue
+            if isinstance(pt, list) and len(pt) == 3:
+                return (f"frame {ti} point {ki} has no z axis; "
+                        "3D [x, y, z, confidence] points are required")
+            return f"frame {ti} point {ki} is not an [x, y, z, confidence] quadruple"
+    raise AssertionError("_point_block rejected frames that pass every rule")
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
         raise ValueError(f"malformed pose document: {e}") from None
+
+
+def _pose_from_doc(doc) -> PoseSequence:
     if not isinstance(doc, dict):
         raise ValueError("malformed pose document: top level is not an object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported pose format version {version!r}")
     fps = doc.get("fps")
-    if not (isinstance(fps, (int, float)) and not isinstance(fps, bool) and fps > 0):
+    # the upper bound keeps out Infinity and ints that no float can hold
+    if not (isinstance(fps, (int, float)) and not isinstance(fps, bool)
+            and 0 < fps <= sys.float_info.max):
         raise ValueError("fps must be a positive number")
 
     raw_components = doc.get("components")
@@ -179,26 +225,20 @@ def parse_pose(text: str) -> PoseSequence:
     frames = doc.get("frames")
     if not isinstance(frames, list):
         raise ValueError("frames must be a list")
-    t = len(frames)
-    coords = np.zeros((t, k, 3), dtype=float)
-    conf = np.zeros((t, k), dtype=float)
-    for ti, frame in enumerate(frames):
-        if not isinstance(frame, list) or len(frame) != k:
-            raise ValueError(
-                f"frame {ti} has {len(frame) if isinstance(frame, list) else '?'} points, expected {k}"
-            )
-        for ki, pt in enumerate(frame):
-            if isinstance(pt, list) and len(pt) == 3:
-                raise ValueError(
-                    f"frame {ti} point {ki} has no z axis; 3D [x, y, z, confidence] points are required"
-                )
-            if not (isinstance(pt, list) and len(pt) == 4
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)):
-                raise ValueError(f"frame {ti} point {ki} is not an [x, y, z, confidence] quadruple")
-            coords[ti, ki] = pt[:3]
-            conf[ti, ki] = pt[3]
+    try:
+        block = _point_block(frames, k)
+        if block is None:
+            raise ValueError(_first_fault(frames, k))
+    except OverflowError as e:
+        raise ValueError(f"malformed pose document: {e}") from None
+    # coords and conf are views into the one (T, K, 4) block
+    coords, conf = block[:, :, :3], block[:, :, 3]
     _validate_arrays(tuple(components), coords, conf)
     return PoseSequence(fps, tuple(components), coords, conf)
+
+
+def parse_pose(text: str) -> PoseSequence:
+    return _pose_from_doc(_decode(text))
 
 
 def serialize_pose(seq: PoseSequence) -> str:
@@ -206,13 +246,7 @@ def serialize_pose(seq: PoseSequence) -> str:
     _validate_arrays(seq.components, seq.coords, seq.conf)
     if not (isinstance(seq.fps, (int, float)) and seq.fps > 0):
         raise ValueError("fps must be a positive number")
-    frames = []
-    for ti in range(seq.num_frames):
-        row = []
-        for ki in range(seq.num_points):
-            x, y, z = seq.coords[ti, ki]
-            row.append([float(x), float(y), float(z), float(seq.conf[ti, ki])])
-        frames.append(row)
+    frames = np.concatenate([seq.coords, seq.conf[:, :, None]], axis=2, dtype=float).tolist()
     doc = {
         "version": FORMAT_VERSION,
         "fps": seq.fps,
@@ -223,8 +257,10 @@ def serialize_pose(seq: PoseSequence) -> str:
 
 
 def load_pose(path) -> PoseSequence:
+    # the text is freed once decoded, before the arrays are built
     with open(path, encoding="utf-8") as f:
-        return parse_pose(f.read())
+        doc = _decode(f.read())
+    return _pose_from_doc(doc)
 
 
 def save_pose(path, seq: PoseSequence) -> None:
@@ -240,9 +276,9 @@ def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
     if seq.fps == target_fps:
         return PoseSequence(seq.fps, seq.components, seq.coords.copy(), seq.conf.copy())
     t_out = round_half_away(t * target_fps / seq.fps)
-    idx = np.empty(t_out, dtype=int)
-    for i in range(t_out):
-        idx[i] = min(max(round_half_away(i * seq.fps / target_fps), 0), t - 1)
+    # i * src / target is never negative, so round_half_away is floor(x + 0.5)
+    idx = np.floor(np.arange(t_out, dtype=float) * seq.fps / target_fps + 0.5).astype(int)
+    idx = np.clip(idx, 0, t - 1)
     return PoseSequence(target_fps, seq.components, seq.coords[idx].copy(), seq.conf[idx].copy())
 
 

@@ -4,7 +4,8 @@ Implemented directly on numpy arrays with hand-written backpropagation through
 time, so the gradient math is checkable against finite differences. Training
 and the gradient check run in float64. Inference (segment, tune, validation)
 runs the projection and the LSTM stack in float32 with no backprop cache;
-checkpoints store float32 per the file format, so the weights lose nothing.
+checkpoints store float32 per the file format, so the weights lose nothing,
+and load_model keeps them float32, so that inference casts nothing.
 
 Parameter layout per LSTM direction: Wx (input, 4H), Wh (H, 4H), b (4H,) with
 gate order [input, forget, candidate, output]. Forget-gate biases start at 1.
@@ -75,7 +76,9 @@ class TaggerConfig:
 @dataclass
 class TaggerModel:
     config: TaggerConfig
-    params: dict  # name -> float64 ndarray, insertion order fixed by _param_shapes
+    # name -> ndarray, insertion order fixed by _param_shapes: float64 from
+    # init_model and training, read-only float32 as loaded from a checkpoint
+    params: dict
 
 
 def _directions(config) -> tuple[str, ...]:
@@ -502,7 +505,7 @@ def load_model(path) -> TaggerModel:
         if len(raw) != 4 * n:
             raise ValueError(f"parameter {name}: {len(raw)} bytes, expected {4 * n} (truncated?)")
         digest.update(raw)
-        params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if "sha256:" + digest.hexdigest() != manifest["checksum"]:
         raise ValueError("checkpoint checksum mismatch: file corrupted or truncated")
     if param_count(cfg) != sum(int(np.prod(s)) for _, s in declared):

@@ -132,6 +132,23 @@ def test_segment_rejects_2d_pose(checkpoint, tmp_path, capsys):
     assert "z" in err
 
 
+@pytest.mark.parametrize("frames_text", [
+    "[[[1" + "0" * 400 + ", 0.0, 0.0, 1.0]]]",  # an int too large for a float
+    "[" * 100_000 + "]" * 100_000,  # nesting too deep for the decoder
+], ids=["int-too-large", "nested-too-deep"])
+def test_segment_reports_unconvertible_pose_as_parse_error(checkpoint, tmp_path, capsys,
+                                                           frames_text):
+    bad = tmp_path / "bad.pose.json"
+    bad.write_text('{"version": "poseseq-json/1", "fps": 25.0, '
+                   '"components": [{"name": "BODY", "points": ["NOSE"]}], '
+                   '"frames": ' + frames_text + "}", encoding="utf-8")
+    rc = cli.main(["segment", str(bad), "--checkpoint", checkpoint,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("signseg segment: parse: malformed pose document")
+
+
 def test_segment_missing_checkpoint(corpus_dir, tmp_path, capsys):
     rc = cli.main(["segment", first_pose(corpus_dir),
                    "--checkpoint", str(tmp_path / "nope.ckpt"),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from signseg.flow import assemble_features, optical_flow
-from signseg.hands import BONE_LENGTH, M_MCP
+from signseg.hands import (
+    BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, Handedness, HandPose, hand_normalize,
+)
 from signseg.pose import HAND_POINTS, PoseComponent, make_pose
 from signseg.synthetic import hand_template, upper_body_components
 
@@ -123,6 +125,47 @@ def test_degenerate_hand_imputes_zeros():
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
     np.testing.assert_array_equal(fm.values[0, 3 * k:3 * k + 63], 0.0)
+
+
+def per_frame_hand_block(seq, off, handedness):
+    """The per-frame loop that the batched hand block replaced, kept as the reference."""
+    out = np.zeros((seq.num_frames, 21, 3))
+    for t in range(seq.num_frames):
+        conf = seq.conf[t, off:off + 21]
+        if not (conf[[WRIST, I_MCP, M_MCP, P_MCP]] > 0).all():
+            continue
+        try:
+            pts = hand_normalize(HandPose(seq.coords[t, off:off + 21], handedness)).points.copy()
+        except ValueError:
+            continue
+        pts[conf == 0] = 0.0
+        out[t] = pts
+    return out.reshape(seq.num_frames, 63)
+
+
+def test_hand_norm_block_matches_per_frame_loop():
+    frames = 40
+    seq = hands_pose(frames)
+    rng = np.random.default_rng(4)
+    seq.coords[:] += rng.normal(size=seq.coords.shape) * 0.05
+    nb = len(seq.components[0].points)
+    left, right = nb, nb + 21
+    seq.conf[3, left + WRIST] = 0.0             # untracked anchor
+    seq.conf[5, right + 7] = 0.0                # one missing fingertip joint
+    seq.coords[7, left + M_MCP] = seq.coords[7, left + WRIST]      # zero metacarpal
+    seq.coords[9, right + P_MCP] = seq.coords[9, right + I_MCP]    # collinear palm
+    seq.conf[11:14, right:right + 21] = 0.0     # hand missing
+    fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
+    k = seq.num_points
+    np.testing.assert_array_equal(fm.values[:, 3 * k:3 * k + 63],
+                                  per_frame_hand_block(seq, left, Handedness.LEFT))
+    np.testing.assert_array_equal(fm.values[:, 3 * k + 63:],
+                                  per_frame_hand_block(seq, right, Handedness.RIGHT))
+    blocks = fm.values[:, 3 * k:].reshape(frames, 2, 21, 3)
+    for t, hand in [(3, 0), (7, 0), (9, 1), (11, 1), (13, 1)]:
+        np.testing.assert_array_equal(blocks[t, hand], 0.0)
+    np.testing.assert_array_equal(blocks[5, 1, 7], 0.0)
+    assert np.abs(blocks[5, 1, 8]).max() > 0 and np.abs(blocks[3, 1]).max() > 0
 
 
 def test_flow_nonnegative_random():

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from signseg.numutil import round_half_away
 from signseg.pose import (
     BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, PoseComponent, holistic_components,
     make_pose, named_selector, normalize_pose, parse_pose, resample_fps,
@@ -59,6 +62,8 @@ def test_parse_rejects_2d_points():
 @pytest.mark.parametrize("mutate, match", [
     (lambda d: d.update(fps=0), "fps"),
     (lambda d: d.update(fps=-25), "fps"),
+    (lambda d: d.update(fps=float("inf")), "fps"),
+    (lambda d: d.update(fps=10**400), "fps"),
     (lambda d: d.update(version="poseseq-json/2"), "version"),
     (lambda d: d.pop("components"), "components"),
     (lambda d: d["frames"][0].pop(), "points"),
@@ -68,6 +73,145 @@ def test_parse_rejects_bad_documents(mutate, match):
     mutate(doc)
     with pytest.raises(ValueError, match=match):
         parse_pose(json.dumps(doc))
+
+
+def _set_value(frame, point, index, value):
+    def mutate(d):
+        d["frames"][frame][point][index] = value
+    return mutate
+
+
+def _set_point(frame, point, value):
+    def mutate(d):
+        d["frames"][frame][point] = value
+    return mutate
+
+
+def _set_frame(frame, value):
+    def mutate(d):
+        d["frames"][frame] = value
+    return mutate
+
+
+def _both(first, second):
+    def mutate(d):
+        first(d)
+        second(d)
+    return mutate
+
+
+QUAD = "is not an [x, y, z, confidence] quadruple"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_value(1, 0, 2, True), f"frame 1 point 0 {QUAD}"),
+    (_set_value(2, 1, 3, False), f"frame 2 point 1 {QUAD}"),
+    (_set_value(0, 1, 0, "0.5"), f"frame 0 point 1 {QUAD}"),
+    (_set_value(4, 0, 1, None), f"frame 4 point 0 {QUAD}"),
+    (_set_point(3, 1, [0.0, 1.0, 2.0, 1.0, 0.0]), f"frame 3 point 1 {QUAD}"),
+    (_set_point(2, 0, 0.5), f"frame 2 point 0 {QUAD}"),
+    (_set_point(1, 1, {"x": 0.5}), f"frame 1 point 1 {QUAD}"),
+    (_set_point(4, 1, [0.0, 1.0, 2.0]), "frame 4 point 1 has no z axis"),
+    (_set_frame(2, {"points": []}), "frame 2 has ? points, expected 2"),
+    (_set_frame(3, [[0.0, 1.0, 2.0, 1.0]]), "frame 3 has 1 points, expected 2"),
+    # two faults: the earlier one in document order is reported
+    (_both(_set_frame(3, []), _set_value(1, 1, 0, True)), f"frame 1 point 1 {QUAD}"),
+    (_both(_set_value(2, 1, 0, None), _set_point(2, 0, [0.0])), f"frame 2 point 0 {QUAD}"),
+])
+def test_parse_names_first_bad_frame_and_point(mutate, message):
+    doc = small_doc(frames=5)
+    mutate(doc)
+    with pytest.raises(ValueError) as err:
+        parse_pose(json.dumps(doc))
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("frames_text", [
+    "[[[1" + "0" * 400 + ", 0.0, 0.0, 1.0]]]",  # an int too large for a float
+    "[" * 100_000 + "]" * 100_000,  # nesting too deep for the decoder
+], ids=["int-too-large", "nested-too-deep"])
+def test_parse_rejects_unconvertible_documents(frames_text):
+    text = ('{"version": "poseseq-json/1", "fps": 25, '
+            '"components": [{"name": "BODY", "points": ["NOSE"]}], "frames": ' + frames_text + "}")
+    with pytest.raises(ValueError, match="malformed pose document"):
+        parse_pose(text)
+
+
+def test_parse_accepts_integer_values_bit_equal():
+    doc = small_doc(frames=2)
+    doc["frames"][1][0] = [3, -2**60, 2**70 + 1, 1]
+    seq = parse_pose(json.dumps(doc))
+    np.testing.assert_array_equal(seq.coords[1, 0], [3.0, float(-2**60), float(2**70 + 1)])
+    assert seq.conf[1, 0] == 1.0
+
+
+# Scalars that a pose parser must handle: ints past the float and int64
+# ranges, JSON's bool, string and null, and the non-finite floats. Hypothesis
+# favours early entries, so the likeliest faults come first.
+_scalars = st.sampled_from([10**400, True, None, "0.5", float("nan"), -2**64, 2**63, 1e308,
+                            float("inf"), -0.0, False, "", 1, 2.0])
+_json_values = st.recursive(
+    _scalars | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=20,
+)
+
+
+def _parse_returns_or_rejects(text):
+    try:
+        seq = parse_pose(text)
+    except ValueError:
+        return
+    assert seq.coords.shape == (seq.num_frames, seq.num_points, 3)
+    assert seq.conf.shape == (seq.num_frames, seq.num_points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_fuzz_parse_arbitrary_json(value):
+    _parse_returns_or_rejects(json.dumps(value))
+
+
+def _paths(node, prefix=()):
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_parse_mutated_documents(data):
+    sizes = st.sampled_from([2, 0, 1, 3])
+    doc = small_doc(frames=data.draw(sizes), points=data.draw(sizes))
+    for _ in range(data.draw(st.integers(1, 3))):
+        # replace, insert or delete mostly an entry under "frames", deepest
+        # first since hypothesis favours early entries, else a top-level field
+        frames = doc.get("frames")
+        if isinstance(frames, (list, dict)) and frames and data.draw(st.integers(0, 7)) < 7:
+            paths = sorted(_paths(frames, ("frames",)), key=len, reverse=True)
+        else:
+            paths = [(name,) for name in doc]
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        node = doc
+        for step in parents:
+            node = node[step]
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        value = data.draw(_scalars | _json_values)
+        if op == "replace":
+            node[key] = value
+        elif op == "insert" and isinstance(node, list):
+            node.insert(key, value)
+        else:
+            del node[key]
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 3)) == 3:
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(st.text(max_size=3)) + text[cut:]
+    _parse_returns_or_rejects(text)
 
 
 def test_parse_rejects_malformed_json():
@@ -94,6 +238,29 @@ def test_roundtrip_random_corpus():
         assert back.components == seq.components
         np.testing.assert_array_equal(back.coords, seq.coords)
         np.testing.assert_array_equal(back.conf, seq.conf)
+
+
+def test_serialize_matches_hand_built_holistic_document():
+    comps = holistic_components()
+    k = sum(len(c.points) for c in comps)
+    rng = np.random.default_rng(11)
+    coords = rng.normal(size=(3, k, 3)) * 10.0 ** rng.integers(-9, 9, size=(3, k, 1))
+    coords[:, ::5] = coords[:, ::5].astype(np.float32)
+    coords[0, 0] = [-0.0, 0.0, 2.0]
+    conf = rng.random(size=(3, k))
+    conf[:, ::7] = 0.0
+    conf[:, 1::7] = 1.0
+    seq = make_pose(25, comps, coords, conf)
+    frames = ",".join(
+        "[" + ",".join(f"[{x!r},{y!r},{z!r},{c!r}]"
+                       for (x, y, z), c in zip(coords[t].tolist(), conf[t].tolist())) + "]"
+        for t in range(3))
+    components = ",".join(
+        '{"name":"%s","points":[%s]}' % (c.name, ",".join(f'"{p}"' for p in c.points))
+        for c in comps)
+    expected = ('{"version":"poseseq-json/1","fps":25,"components":[' + components
+                + '],"frames":[' + frames + "]}")
+    assert serialize_pose(seq) == expected
 
 
 def test_serialize_is_single_line_canonical():
@@ -130,6 +297,18 @@ def test_resample_upsamples_by_repetition():
     out = resample_fps(seq, 50)
     assert out.num_frames == 6
     np.testing.assert_array_equal(out.coords[:, 0, 0], [0, 1, 1, 2, 2, 2])
+
+
+@pytest.mark.parametrize("src, dst, frames", [
+    (25, 50, 3), (50, 25, 10), (30, 25, 37), (25, 30, 31), (29.97, 25, 50),
+    (24, 25, 49), (10, 3, 21), (3, 10, 7), (25, 12.5, 9), (60, 25, 0),
+])
+def test_resample_matches_round_half_away_loop(src, dst, frames):
+    seq = ramp_pose(src, frames)
+    out = resample_fps(seq, dst)
+    t_out = round_half_away(frames * dst / src)
+    expected = [min(max(round_half_away(i * src / dst), 0), frames - 1) for i in range(t_out)]
+    np.testing.assert_array_equal(out.coords[:, 0, 0], expected)
 
 
 def shoulder_pose(dist=4.0, mid=(10.0, -2.0, 1.0), frames=3, conf_pairs=None):

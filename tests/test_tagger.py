@@ -250,6 +250,20 @@ def test_checkpoint_roundtrip_after_training(tmp_path):
             back.params[name], model.params[name].astype(np.float32).astype(np.float64))
 
 
+def test_loaded_checkpoint_keeps_float32(tmp_path):
+    cfg = tiny_config(layers=2)
+    model = init_model(cfg)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    back = load_model(path)
+    assert all(arr.dtype == np.float32 for arr in back.params.values())
+    x, _ = random_case(cfg)
+    for dtype in (np.float32, np.float64):
+        got, want = forward(back, x, dtype=dtype), forward(model, x, dtype=dtype)
+        for tier in got:
+            np.testing.assert_array_equal(got[tier], want[tier])
+
+
 def test_checkpoint_rejects_tampering(tmp_path):
     model = init_model(tiny_config())
     path = tmp_path / "model.ckpt"
