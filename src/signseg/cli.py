@@ -20,7 +20,7 @@ import numpy as np
 from . import train as training
 from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thresholds
 from .flow import optical_flow
-from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mace
+from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
@@ -212,7 +212,10 @@ def cmd_train(args, opts) -> int:
             max_steps=args.max_steps, patience=args.patience,
             val_every=args.val_every, shuffle_seed=opts["seed"],
         )
-        train_f1 = training.mean_frame_f1(result.model, train_clips)
+        # without --val-dir the best validation F1 is already the train F1
+        # of the returned parameters, from the same forward
+        train_f1 = (result.best_val_f1 if val_clips is train_clips
+                    else training.mean_frame_f1(result.model, train_clips))
     os.makedirs(args.out_dir, exist_ok=True)
     with _stage("emit"):
         ckpt_path = os.path.join(args.out_dir, "model.ckpt")
@@ -366,9 +369,9 @@ def cmd_hand_bench(args, opts) -> int:
         with _stage("data"):
             members = [_load_bench_hand(f) for f in files]
         with _stage("bench"):
-            group = HandGroup(label, members)
-            normalized = [hand_normalize(m).points for m in members]
-            return label, files, mace(group), cce(group), normalized
+            normalized = np.stack([hand_normalize(m).points for m in members])
+            group_mace = mean_landmark_std(normalized)
+            return label, files, group_mace, cce(HandGroup(label, members)), normalized
 
     results = _map_files(parsed, process, opts["workers"])
     os.makedirs(args.out_dir, exist_ok=True)

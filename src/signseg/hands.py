@@ -193,8 +193,8 @@ class HandGroup:
         object.__setattr__(self, "members", tuple(self.members))
 
 
-def _mean_landmark_std(stacks: np.ndarray) -> float:
-    # stacks: (N, 21, 3); population std per landmark per axis, then the mean of all 63
+def mean_landmark_std(stacks: np.ndarray) -> float:
+    """Population std of (N, 21, 3) hands per landmark and axis, then the mean of all 63."""
     return float(stacks.std(axis=0, ddof=0).mean())
 
 
@@ -203,7 +203,7 @@ def mace(group: HandGroup) -> float:
     if len(group.members) < 2:
         raise ValueError("consistency metrics need at least 2 members")
     stacks = np.stack([hand_normalize(m).points for m in group.members])
-    return _mean_landmark_std(stacks)
+    return mean_landmark_std(stacks)
 
 
 def cce(group: HandGroup) -> float:
@@ -211,4 +211,4 @@ def cce(group: HandGroup) -> float:
     if len(group.members) < 2:
         raise ValueError("consistency metrics need at least 2 members")
     stacks = np.stack([m.points - m.points[WRIST] for m in group.members])
-    return _mean_landmark_std(stacks)
+    return mean_landmark_std(stacks)

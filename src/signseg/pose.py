@@ -5,8 +5,10 @@ Confidence 0 marks a missing point; its coordinates are placeholders that every
 consumer must ignore.
 """
 
+import gc
 import json
 import sys
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -185,9 +187,42 @@ def _first_fault(frames: list, k: int) -> str:
     raise AssertionError("_point_block rejected frames that pass every rule")
 
 
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while any thread is inside.
+
+    json.loads builds no reference cycles, yet the collector walks every new
+    point list as the parse creates them: about a quarter of the decode time
+    of a holistic clip. The collector switch is process-wide, so the first
+    thread in records whether it was on and turns it off, and the last one
+    out restores that; --workers threads then share one pause.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._was_enabled = False
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0 and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
 def _decode(text: str):
     try:
-        return json.loads(text)
+        with _COLLECTOR_PAUSE:
+            return json.loads(text)
     except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
         raise ValueError(f"malformed pose document: {e}") from None
 

@@ -3,17 +3,20 @@
 Implemented directly on numpy arrays with hand-written backpropagation through
 time, so the gradient math is checkable against finite differences. Training
 and the gradient check run in float64. Inference (segment, tune, validation)
-runs the projection and the LSTM stack in float32 with no backprop cache;
-checkpoints store float32 per the file format, so the weights lose nothing,
-and load_model keeps them float32, so that inference casts nothing.
+runs the projection and the LSTM stack in float32 with no backprop cache.
+
+Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
+as raw little-endian float32 in _param_shapes order: the precision inference
+runs in. load_model returns read-only float32 views of that payload, so
+loading decodes no text and inference casts nothing.
 
 Parameter layout per LSTM direction: Wx (input, 4H), Wh (H, 4H), b (4H,) with
 gate order [input, forget, candidate, output]. Forget-gate biases start at 1.
 """
 
-import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +27,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-CKPT_VERSION = "tagger-ckpt/1"
+CKPT_VERSION = "tagger-ckpt/2"
 
 PARAM_COUNT_FORMULA = (
     "F*H + H + sum over layers l of dirs*(Din_l*4H + H*4H + 4H) "
@@ -101,7 +104,14 @@ def _param_shapes(config: TaggerConfig) -> dict:
 
 
 def param_count(config: TaggerConfig) -> int:
-    return sum(int(np.prod(s)) for s in _param_shapes(config).values())
+    """PARAM_COUNT_FORMULA in closed form: load_model checks a manifest's count
+    against its payload before it builds a shape, so a config that declares
+    millions of layers costs nothing to reject."""
+    h, dirs, layers = config.hidden_dim, config.num_directions, config.layers
+    din_total = h + (layers - 1) * dirs * h
+    lstm = dirs * (din_total * 4 * h + layers * (h * 4 * h + 4 * h))
+    heads = len(SEGMENTS_TIERS) * (config.encoder_dim * 3 + 3)
+    return config.input_dim * h + h + lstm + heads
 
 
 def init_model(config: TaggerConfig) -> TaggerModel:
@@ -425,40 +435,52 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4,
     return worst
 
 
+# Every config field a manifest must hold, with the JSON types it may take.
+_CONFIG_TYPES = {
+    "input_dim": (int,), "hidden_dim": (int,), "layers": (int,), "bidirectional": (bool,),
+    "learning_rate": (int, float), "class_weights": (dict,), "seed": (int,),
+    "dropout": (int, float), "grad_clip": (int, float),
+}
+
+
 def _config_to_doc(cfg: TaggerConfig) -> dict:
-    return {
-        "input_dim": cfg.input_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "layers": cfg.layers,
-        "bidirectional": cfg.bidirectional,
-        "learning_rate": cfg.learning_rate,
-        "class_weights": {t: list(map(float, w)) for t, w in cfg.class_weights.items()},
-        "seed": cfg.seed,
-        "dropout": cfg.dropout,
-        "grad_clip": cfg.grad_clip,
-    }
+    doc = {key: getattr(cfg, key) for key in _CONFIG_TYPES}
+    doc["class_weights"] = {t: list(map(float, w)) for t, w in cfg.class_weights.items()}
+    return doc
 
 
-def _config_from_doc(doc: dict) -> TaggerConfig:
-    cfg = TaggerConfig(
-        input_dim=doc["input_dim"],
-        hidden_dim=doc["hidden_dim"],
-        layers=doc["layers"],
-        bidirectional=doc["bidirectional"],
-        learning_rate=doc["learning_rate"],
-        class_weights={t: tuple(w) for t, w in doc["class_weights"].items()},
-        seed=doc["seed"],
-        dropout=doc.get("dropout", 0.0),
-        grad_clip=doc.get("grad_clip", 0.0),
-    )
+def _config_from_doc(doc) -> TaggerConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    for key, types in _CONFIG_TYPES.items():
+        if key not in doc:
+            raise ValueError(f"checkpoint config has no {key!r}")
+        if type(doc[key]) not in types:  # type(), so that a bool is no int
+            raise ValueError(f"checkpoint config {key!r} has type {type(doc[key]).__name__}")
+    fields = {key: doc[key] for key in _CONFIG_TYPES}
+    weights = fields["class_weights"]
+    if not all(isinstance(w, list) and all(type(v) in (int, float) for v in w)
+               for w in weights.values()):
+        raise ValueError("checkpoint class_weights must map tiers to lists of numbers")
+    fields["class_weights"] = {t: tuple(w) for t, w in weights.items()}
+    cfg = TaggerConfig(**fields)
     cfg.validate()
     return cfg
 
 
 def save_model(model: TaggerModel, path) -> None:
-    """tagger-ckpt v1: manifest line, then one base64 float32-LE block per parameter."""
+    """Write a tagger-ckpt/2 file: one JSON manifest line, then the payload.
+
+    The manifest holds the version, the config, each parameter's name and
+    shape in _param_shapes order, the parameter count and its formula, and
+    "sha256:" + the hex digest of the payload. Spaces before its newline pad
+    it to a multiple of 64 bytes, so the payload starts aligned. The payload
+    is every parameter as raw little-endian float32, C order, in that same
+    order, with nothing between them; float64 parameters are rounded to
+    float32.
+    """
     shapes = _param_shapes(model.config)
-    blobs = []
+    blocks = []
     digest = hashlib.sha256()
     for name, shape in shapes.items():
         arr = model.params[name]
@@ -466,7 +488,7 @@ def save_model(model: TaggerModel, path) -> None:
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
         raw = arr.astype("<f4").tobytes(order="C")
         digest.update(raw)
-        blobs.append(base64.b64encode(raw).decode("ascii"))
+        blocks.append(raw)
     manifest = {
         "version": CKPT_VERSION,
         "config": _config_to_doc(model.config),
@@ -475,39 +497,62 @@ def save_model(model: TaggerModel, path) -> None:
         "param_count_formula": PARAM_COUNT_FORMULA,
         "checksum": "sha256:" + digest.hexdigest(),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(manifest, separators=(",", ":")) + "\n")
-        for blob in blobs:
-            f.write(blob + "\n")
+    head = json.dumps(manifest, separators=(",", ":")).encode("ascii")
+    with open(path, "wb") as f:
+        f.write(head + b" " * (-(len(head) + 1) % 64) + b"\n")
+        f.writelines(blocks)
 
 
-def load_model(path) -> TaggerModel:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError("empty checkpoint file")
-    manifest = json.loads(lines[0])
+def _read_manifest(line: bytes) -> dict:
+    try:
+        manifest = json.loads(line)
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+        raise ValueError(f"malformed checkpoint manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError("malformed checkpoint manifest: not a JSON object")
     if manifest.get("version") != CKPT_VERSION:
         raise ValueError(
             f"checkpoint version {manifest.get('version')!r} not supported; expected {CKPT_VERSION}")
+    missing = [key for key in ("config", "params", "param_count", "checksum")
+               if key not in manifest]
+    if missing:
+        raise ValueError(f"checkpoint manifest has no {', '.join(map(repr, missing))}")
+    return manifest
+
+
+def load_model(path) -> TaggerModel:
+    """Read a tagger-ckpt/2 file (see save_model); a malformed one is a ValueError.
+
+    The parameters are read-only float32 views of the file's bytes, aligned
+    because save_model pads the manifest line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data:
+        raise ValueError("empty checkpoint file")
+    start = data.find(b"\n") + 1 or len(data)  # no newline: all manifest, no payload
+    manifest = _read_manifest(data[:start])
     cfg = _config_from_doc(manifest["config"])
-    expected = _param_shapes(cfg)
-    declared = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-    if declared != list(expected.items()):
-        raise ValueError("checkpoint parameter shapes do not match its config")
-    if len(lines) - 1 < len(declared):
-        raise ValueError("checkpoint checksum mismatch: missing parameter blocks (truncated?)")
-    params = {}
-    digest = hashlib.sha256()
-    for (name, shape), blob in zip(declared, lines[1:]):
-        raw = base64.b64decode(blob)
-        n = int(np.prod(shape))
-        if len(raw) != 4 * n:
-            raise ValueError(f"parameter {name}: {len(raw)} bytes, expected {4 * n} (truncated?)")
-        digest.update(raw)
-        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    if "sha256:" + digest.hexdigest() != manifest["checksum"]:
-        raise ValueError("checkpoint checksum mismatch: file corrupted or truncated")
-    if param_count(cfg) != sum(int(np.prod(s)) for _, s in declared):
+    count = param_count(cfg)
+    if manifest["param_count"] != count:
         raise ValueError("checkpoint parameter count does not match the config formula")
+    # checked before any shape is built: the payload bounds the work a config can ask for
+    payload = memoryview(data)[start:]
+    if len(payload) != 4 * count:
+        raise ValueError(
+            f"checkpoint payload is {len(payload)} bytes, expected {4 * count} (truncated?)")
+    shapes = _param_shapes(cfg)
+    entries = manifest["params"]
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and isinstance(e.get("shape"), list) for e in entries)
+            and [(e.get("name"), tuple(e["shape"])) for e in entries] == list(shapes.items())):
+        raise ValueError("checkpoint parameter shapes do not match its config")
+    if "sha256:" + hashlib.sha256(payload).hexdigest() != manifest["checksum"]:
+        raise ValueError("checkpoint checksum mismatch: file corrupted or truncated")
+    flat = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+    params, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
     return TaggerModel(cfg, params)

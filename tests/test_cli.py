@@ -68,6 +68,32 @@ def test_train_rerun_is_byte_stable(corpus_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == blob, name
 
 
+@pytest.mark.parametrize("separate_val", [False, True], ids=["no-val-dir", "val-dir"])
+def test_train_runs_one_f1_pass_per_evaluation(corpus_dir, tmp_path, monkeypatch, capsys,
+                                               separate_val):
+    calls = []
+    mean_frame_f1 = cli.training.mean_frame_f1
+
+    def counting(model, clips):
+        calls.append(len(clips))
+        return mean_frame_f1(model, clips)
+
+    monkeypatch.setattr(cli.training, "mean_frame_f1", counting)
+    argv = ["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+            "--hidden-dim", "8", "--layers", "1", "--max-steps", "7"]
+    if separate_val:  # the same clips, loaded again, so train F1 is a second pass
+        argv += ["--val-dir", str(corpus_dir)]
+    assert cli.main(argv) == 0
+    log = (tmp_path / "training_log.csv").read_text(encoding="utf-8").splitlines()[1:]
+    evaluations = sum(1 for row in log if not row.endswith(","))
+    assert evaluations == 3
+    assert len(calls) == evaluations + separate_val
+    results = json.loads((tmp_path / "train.run.json").read_text(encoding="utf-8"))
+    results = results["options"]["results"]
+    assert results["train_f1"] == results["best_val_f1"]
+    assert f"train_f1={results['train_f1']:.6f}" in capsys.readouterr().out
+
+
 def test_segment_end_to_end(corpus_dir, checkpoint, tmp_path):
     poses = sorted(str(p) for p in corpus_dir.glob("*.pose.json"))[:2]
     rc = cli.main(["segment", *poses, "--checkpoint", checkpoint,
@@ -155,6 +181,25 @@ def test_segment_missing_checkpoint(corpus_dir, tmp_path, capsys):
                    "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("signseg segment: checkpoint:")
+
+
+@pytest.mark.parametrize("manifest", [
+    "[]",
+    '{"version": "tagger-ckpt/2"}',
+    '{"version": "tagger-ckpt/2", "params": [], "param_count": 0, "checksum": "", '
+    '"config": {"input_dim": 6, "hidden_dim": 4, "layers": 1, "bidirectional": true, '
+    '"learning_rate": 0.01, "class_weights": [], "seed": 0, "dropout": 0.0, "grad_clip": 0.0}}',
+], ids=["list", "missing-keys", "class-weights-list"])
+@pytest.mark.parametrize("command", ["segment", "tune"])
+def test_malformed_checkpoint_is_a_checkpoint_error(corpus_dir, tmp_path, capsys,
+                                                    manifest, command):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(manifest.encode() + b"\n")
+    inputs = ([first_pose(corpus_dir)] if command == "segment"
+              else ["--data-dir", str(corpus_dir), "--tier", "sign"])
+    rc = cli.main([command, *inputs, "--checkpoint", str(bad), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"signseg {command}: checkpoint:")
 
 
 def test_segment_feature_width_mismatch(corpus_dir, checkpoint, tmp_path, capsys):

@@ -1,10 +1,14 @@
+import gc
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from signseg import pose
 from signseg.numutil import round_half_away
 from signseg.pose import (
     BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, PoseComponent, holistic_components,
@@ -413,3 +417,89 @@ def test_holistic_sizes():
     assert sizes == {"BODY": 33, "FACE": FACE_POINT_COUNT,
                      "LEFT_HAND": 21, "RIGHT_HAND": 21}
     assert len(HAND_POINTS) == 21
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector switch that a test changes."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_collector_state(collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    text = json.dumps(small_doc())
+    seq = parse_pose(text)
+    assert gc.isenabled() is enabled
+    np.testing.assert_array_equal(seq.coords[:, :, 0], np.arange(10)[:, None] * np.ones(2))
+    for bad in ("{", "[" * 100_000):
+        with pytest.raises(ValueError, match="malformed pose document"):
+            parse_pose(bad)
+        assert gc.isenabled() is enabled
+
+
+def test_concurrent_parses_share_one_collector_pause(collector_state, monkeypatch):
+    gc.enable()
+    entered = {"1": threading.Event(), "2": threading.Event()}
+    release = {"1": threading.Event(), "2": threading.Event()}
+    loads = json.loads
+
+    def held_loads(text):  # each parse stays inside until its release
+        entered[text].set()
+        release[text].wait(10)
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", held_loads)
+    threads = {text: threading.Thread(target=pose._decode, args=(text,)) for text in entered}
+    try:
+        threads["1"].start()
+        assert entered["1"].wait(10)
+        assert not gc.isenabled()
+        threads["2"].start()
+        assert entered["2"].wait(10)
+        release["1"].set()  # the first in leaves first
+        threads["1"].join(10)
+        assert not threads["1"].is_alive()
+        assert not gc.isenabled()  # the second is still inside
+    finally:
+        for event in release.values():
+            event.set()
+        for thread in threads.values():
+            if thread.ident:  # started
+                thread.join(10)
+    assert not threads["2"].is_alive()
+    assert gc.isenabled()
+
+
+def test_parse_threads_stress_restores_collector(collector_state):
+    gc.enable()
+    texts = [json.dumps(small_doc(frames=f)) for f in range(1, 9)] + ["{"]
+    want = [seq.coords for seq in map(parse_pose, texts[:-1])]
+    failures = []
+
+    def worker():
+        for _ in range(30):
+            for i, text in enumerate(texts):
+                try:
+                    got = parse_pose(text).coords
+                except ValueError:
+                    got = None
+                if (got is None) != (i == len(want)) or (
+                        got is not None and not np.array_equal(got, want[i])):
+                    failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert gc.isenabled()

@@ -1,14 +1,19 @@
+import base64
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 from signseg.decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode
 from signseg.pipeline import PipelineOptions
 from signseg.synthetic import write_clip_dir
 from signseg.tagger import (
-    AdamState, TaggerConfig, class_weights_from_tags, forward, gradient_check,
-    init_model, load_model, loss, loss_and_grads, param_count, save_model,
+    AdamState, TaggerConfig, TaggerModel, _param_shapes, class_weights_from_tags, forward,
+    gradient_check, init_model, load_model, loss, loss_and_grads, param_count, save_model,
     train_step,
 )
 from signseg.tags import SEGMENTS_TIERS
@@ -256,7 +261,9 @@ def test_loaded_checkpoint_keeps_float32(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     back = load_model(path)
-    assert all(arr.dtype == np.float32 for arr in back.params.values())
+    for arr in back.params.values():
+        assert arr.dtype == np.float32
+        assert arr.flags.aligned and not arr.flags.writeable
     x, _ = random_case(cfg)
     for dtype in (np.float32, np.float64):
         got, want = forward(back, x, dtype=dtype), forward(model, x, dtype=dtype)
@@ -268,10 +275,10 @@ def test_checkpoint_rejects_tampering(tmp_path):
     model = init_model(tiny_config())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1][:-8] + "AAAAAAA="
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 1] ^= 1  # one bit of the first parameter
     bad = tmp_path / "bad.ckpt"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes(bytes(data))
     with pytest.raises(ValueError):
         load_model(bad)
 
@@ -280,9 +287,9 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     model = init_model(tiny_config())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    text = path.read_text().replace("tagger-ckpt/1", "tagger-ckpt/9", 1)
+    data = path.read_bytes().replace(b"tagger-ckpt/2", b"tagger-ckpt/9", 1)
     bad = tmp_path / "bad.ckpt"
-    bad.write_text(text)
+    bad.write_bytes(data)
     with pytest.raises(ValueError, match="version"):
         load_model(bad)
 
@@ -293,3 +300,185 @@ def test_fresh_checkpoint_save_load_save_stable(tmp_path):
     save_model(model, p1)
     save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_layout(tmp_path):
+    cfg = tiny_config(layers=2, bidirectional=False)
+    model = init_model(cfg)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    assert start % 64 == 0
+    manifest = json.loads(data[:start])
+    payload = b"".join(model.params[name].astype("<f4").tobytes() for name in _param_shapes(cfg))
+    assert data[start:] == payload
+    assert len(payload) == 4 * manifest["param_count"] == 4 * param_count(cfg)
+    assert manifest["checksum"] == "sha256:" + hashlib.sha256(payload).hexdigest()
+    assert manifest["params"] == [{"name": n, "shape": list(s)}
+                                  for n, s in _param_shapes(cfg).items()]
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_config(), tiny_config(layers=3), tiny_config(layers=2, bidirectional=False),
+    TaggerConfig(input_dim=322),
+], ids=["1x4", "3x4", "2x4-uni", "4x256"])
+def test_param_count_matches_shapes(cfg):
+    assert param_count(cfg) == sum(math.prod(s) for s in _param_shapes(cfg).values())
+
+
+def _edit_manifest(edit):
+    """A mutation of checkpoint bytes that rewrites the manifest with edit(doc)."""
+    def mutate(data):
+        start = data.index(b"\n") + 1
+        doc = json.loads(data[:start])
+        return json.dumps(edit(doc)).encode() + b"\n" + data[start:]
+    return mutate
+
+
+def _v1_file(data):
+    """The same model in the retired tagger-ckpt/1 layout: base64 lines."""
+    start = data.index(b"\n") + 1
+    doc = json.loads(data[:start])
+    doc["version"] = "tagger-ckpt/1"
+    payload, lines, offset = data[start:], [], 0
+    for entry in doc["params"]:
+        size = 4 * math.prod(entry["shape"])
+        lines.append(base64.b64encode(payload[offset:offset + size]))
+        offset += size
+    return json.dumps(doc).encode() + b"\n" + b"\n".join(lines) + b"\n"
+
+
+_DELETE = object()
+
+
+def _set(*keys_value):
+    """A manifest edit that sets the entry at the key path to a value, or deletes it."""
+    *keys, value = keys_value
+
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return doc
+    return _edit_manifest(edit)
+
+
+def _huge_layers(doc):
+    # a consistent manifest for 10**9 layers: only the payload length gives it away
+    doc["config"]["layers"] = 10 ** 9
+    doc["param_count"] = param_count(tiny_config(layers=10 ** 9))
+    return doc
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: b"", "empty checkpoint"),
+    (_v1_file, "version 'tagger-ckpt/1' not supported"),
+    (_edit_manifest(lambda doc: [doc]), "not a JSON object"),
+    (lambda d: b"[" * 100_000 + d, "malformed checkpoint manifest"),
+    (lambda d: b"\xff\xfe\xfd" + d, "malformed checkpoint manifest"),
+    (lambda d: d[:d.index(b"\n")], "payload is 0 bytes"),
+    (lambda d: d[:-4], "payload is"),
+    (lambda d: d + b"\0" * 4, "payload is"),
+    (_set("config", _DELETE), "has no 'config'"),
+    (_set("params", _DELETE), "has no 'params'"),
+    (_set("param_count", _DELETE), "has no 'param_count'"),
+    (_set("checksum", _DELETE), "has no 'checksum'"),
+    (_set("config", [6, 4, 1]), "config is not a JSON object"),
+    (_set("config", "layers", _DELETE), "config has no 'layers'"),
+    (_set("config", "grad_clip", _DELETE), "config has no 'grad_clip'"),
+    (_set("config", "layers", "1"), "'layers' has type str"),
+    (_set("config", "hidden_dim", 4.0), "'hidden_dim' has type float"),
+    (_set("config", "bidirectional", 1), "'bidirectional' has type int"),
+    (_set("config", "input_dim", True), "'input_dim' has type bool"),
+    (_set("config", "layers", 0), "must be positive"),
+    (_set("config", "class_weights", [[1.0, 1.0, 1.0]] * 2), "'class_weights' has type list"),
+    (_set("config", "class_weights", "sign", {"B": 1.0}), "class_weights must map"),
+    (_set("config", "class_weights", "sign", ["1", 1, 1]), "class_weights must map"),
+    (_set("config", "class_weights", "sign", [1.0, 1.0]), "3 positive reals"),
+    (_set("config", "class_weights", "phrase", _DELETE), "must cover tiers"),
+    (_set("param_count", 1), "parameter count"),
+    (_edit_manifest(_huge_layers), "payload is"),
+    (_set("params", {"proj.W": [6, 4]}), "shapes do not match"),
+    (_set("params", 0, "proj.W"), "shapes do not match"),
+    (_set("params", 0, "shape", 24), "shapes do not match"),
+    (_set("params", 0, "shape", [4, 6]), "shapes do not match"),
+    (_set("params", 0, "name", "proj.V"), "shapes do not match"),
+    (_set("checksum", "sha256:0"), "checksum mismatch"),
+    (_set("checksum", None), "checksum mismatch"),
+], ids=lambda v: None if callable(v) else v)
+def test_checkpoint_rejects_malformed(tmp_path, mutate, message):
+    path = tmp_path / "model.ckpt"
+    save_model(init_model(tiny_config()), path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_model(bad)
+
+
+def _loads_or_rejects(path):
+    try:
+        model = load_model(path)
+    except ValueError:
+        return
+    assert isinstance(model, TaggerModel)
+    assert all(arr.dtype == np.float32 for arr in model.params.values())
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 10 ** 6)
+                 | st.floats(allow_nan=True) | st.text(max_size=4))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.binary(max_size=200) | _json_values.map(lambda v: json.dumps(v).encode()),
+       tail=st.none() | st.binary(max_size=100))
+def test_fuzz_load_arbitrary_bytes(tmp_path, head, tail):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(head if tail is None else head + b"\n" + tail)
+    _loads_or_rejects(path)
+
+
+def _manifest_paths(node, prefix=()):
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _manifest_paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_load_mutated_checkpoints(tmp_path, data):
+    path = tmp_path / "fuzz.ckpt"
+    save_model(init_model(tiny_config(layers=data.draw(st.integers(1, 2)))), path)
+    blob = path.read_bytes()
+    start = blob.index(b"\n") + 1
+    doc = json.loads(blob[:start])
+    for _ in range(data.draw(st.integers(0, 3))):
+        # replace or delete one manifest entry, at any depth
+        *parents, key = data.draw(st.sampled_from(sorted(_manifest_paths(doc), key=str)))
+        node = doc
+        for step in parents:
+            node = node[step]
+        if data.draw(st.booleans()):
+            node[key] = data.draw(_json_scalars | _json_values)
+        else:
+            del node[key]
+    blob = json.dumps(doc).encode() + b"\n" + blob[start:]
+    for _ in range(data.draw(st.integers(0, 2))):
+        # splice: cut a span anywhere in the file and put a few bytes in its place
+        cut = data.draw(st.integers(0, len(blob)))
+        end = data.draw(st.integers(cut, min(len(blob), cut + 8)))
+        blob = blob[:cut] + data.draw(st.binary(max_size=4)) + blob[end:]
+    path.write_bytes(blob)
+    _loads_or_rejects(path)
