@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: segment, train, tune, eval, bio-fidelity, hand-bench, flow-dump.
-Shared options resolve in three layers: built-in defaults, then a JSON config
-file (--config or $SIGNSEG_CONFIG), then explicit flags. Every file-writing
-run drops a `<command>.run.json` manifest with the resolved configuration
-next to its outputs; no artifact embeds a timestamp, so reruns byte-match.
+Each subcommand takes only the shared options it reads (_READS). They resolve
+in three layers: built-in defaults, then a JSON config file (--config or
+$SIGNSEG_CONFIG), then explicit flags. Every file-writing run drops a
+`<command>.run.json` manifest with the resolved configuration next to its
+outputs; no artifact embeds a timestamp, so reruns byte-match.
 Errors carry a stage prefix on stderr and flip the exit code to 1.
 """
 
@@ -22,6 +23,7 @@ from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thres
 from .flow import optical_flow
 from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
+from .numutil import check_fps
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
 from .tagger import TaggerConfig, forward, init_model, load_model, save_model
@@ -29,18 +31,33 @@ from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experim
                    load_segments, save_segments)
 from .vtt import segments_to_vtt
 
-_DEFAULTS = {
-    "fps": 25.0,
-    "selector": "body75",
-    "features": "flow",
-    "threshold_b": 50.0,
-    "threshold_o": 50.0,
-    "mode": "threshold",
-    "seed": 0,
-    "workers": 1,
+_MODES = {"threshold": DecodeMode.THRESHOLD, "argmax": DecodeMode.ARGMAX}
+
+# Shared options: built-in default and argparse keywords of each.
+_SHARED = {
+    "fps": (25.0, {"type": float, "help": "pipeline frame rate"}),
+    "selector": ("body75", {"help": "keypoint selector name"}),
+    "features": ("flow", {"help": "comma list of feature flags: flow,handnorm"}),
+    "threshold_b": (50.0, {"type": float}),
+    "threshold_o": (50.0, {"type": float}),
+    "mode": ("threshold", {"choices": sorted(_MODES)}),
+    "seed": (0, {"type": int}),
+    "workers": (1, {"type": int}),
 }
 
-_MODES = {"threshold": DecodeMode.THRESHOLD, "argmax": DecodeMode.ARGMAX}
+# The shared options each subcommand reads. Its parser offers only these
+# (plus --config where there is one), _resolve checks only these, and they
+# are the shared part of the options in <command>.run.json.
+_READS = {
+    "segment": ("fps", "selector", "features", "threshold_b", "threshold_o", "mode",
+                "workers"),
+    "train": ("fps", "selector", "features", "seed"),
+    "tune": ("fps", "selector", "features"),
+    "eval": (),
+    "bio-fidelity": (),
+    "hand-bench": ("workers",),
+    "flow-dump": ("fps", "selector"),
+}
 
 
 class StageError(Exception):
@@ -65,41 +82,52 @@ def _load_base_config(path_flag):
         return {}
     with _stage("config"):
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except RecursionError as e:  # nesting too deep
+                raise ValueError(f"config file {path} is malformed: {e}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(doc) - set(_DEFAULTS))
+        # one file serves every command: keys that another command reads pass
+        unknown = sorted(set(doc) - set(_SHARED))
         if unknown:
             raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return doc
 
 
 def _resolve(args) -> dict:
+    keys = _READS[args.command]
+    if not keys:
+        return {}
     base = _load_base_config(args.config)
     opts = {}
-    for key, builtin in _DEFAULTS.items():
+    for key in keys:
         flag = getattr(args, key)
-        opts[key] = flag if flag is not None else base.get(key, builtin)
-    feats = opts["features"]
-    if isinstance(feats, str):
-        feats = list(parse_feature_flags(feats))
-    if not isinstance(feats, list) or not all(isinstance(x, str) for x in feats):
-        raise StageError("config", "features must be a comma list or list of strings")
-    opts["features"] = feats
+        opts[key] = flag if flag is not None else base.get(key, _SHARED[key][0])
     with _stage("config"):
-        if opts["mode"] not in _MODES:
-            raise ValueError(f"unknown mode {opts['mode']!r}; expected threshold or argmax")
-        if not (isinstance(opts["workers"], int) and opts["workers"] >= 1):
+        if "features" in opts:
+            feats = opts["features"]
+            if isinstance(feats, str):
+                feats = list(parse_feature_flags(feats))
+            if not isinstance(feats, list) or not all(isinstance(x, str) for x in feats):
+                raise ValueError("features must be a comma list or list of strings")
+            opts["features"] = feats
+        if "fps" in opts:
+            _popts(opts)
+        if "mode" in opts:
+            if opts["mode"] not in _MODES:
+                raise ValueError(f"unknown mode {opts['mode']!r}; expected threshold or argmax")
+            _dparams(opts, strict_bio=False)
+        # type(), so that a bool is no int
+        if "workers" in opts and not (type(opts["workers"]) is int and opts["workers"] >= 1):
             raise ValueError("workers must be an integer >= 1")
-        if not isinstance(opts["seed"], int):
+        if "seed" in opts and type(opts["seed"]) is not int:
             raise ValueError("seed must be an integer")
-        _popts(opts)
-        _dparams(opts, strict_bio=False)
     return opts
 
 
 def _popts(opts) -> PipelineOptions:
-    return PipelineOptions(float(opts["fps"]), opts["selector"], tuple(opts["features"]))
+    return PipelineOptions(opts["fps"], opts["selector"], tuple(opts.get("features", ())))
 
 
 def _dparams(opts, strict_bio: bool) -> DecodeParams:
@@ -313,7 +341,8 @@ def cmd_bio_fidelity(args, opts) -> int:
         src_fps, tiers = load_segments(args.gold)
         if args.tier not in tiers:
             raise ValueError(f"gold file has no {args.tier!r} tier")
-        fps_list = [float(x) for x in args.fps_list.split(",") if x]
+        fps_list = [check_fps(float(x), "--fps-list entry")
+                    for x in args.fps_list.split(",") if x]
         if not fps_list:
             raise ValueError("empty --fps-list")
     with _stage("fidelity"):
@@ -423,20 +452,6 @@ def cmd_flow_dump(args, opts) -> int:
     return 0
 
 
-def _add_shared(p) -> None:
-    p.add_argument("--fps", type=float, default=None, help="pipeline frame rate")
-    p.add_argument("--selector", default=None, help="keypoint selector name")
-    p.add_argument("--features", default=None,
-                   help="comma list of feature flags: flow,handnorm")
-    p.add_argument("--threshold-b", dest="threshold_b", type=float, default=None)
-    p.add_argument("--threshold-o", dest="threshold_o", type=float, default=None)
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON config file; defaults to $SIGNSEG_CONFIG")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signseg", description="Pose-based sign and phrase segmentation toolkit.")
@@ -448,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--strict-bio", action="store_true",
                    help="reopen a segment at a closing B frame")
-    _add_shared(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="train a tagger on paired clips")
@@ -465,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-every", type=int, default=1, help="epochs between evaluations")
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--grad-clip", type=float, default=0.0)
-    _add_shared(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", help="grid-search decode thresholds on a dev set")
@@ -474,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=SEGMENTS_TIERS, required=True)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--strict-bio", action="store_true")
-    _add_shared(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("eval", help="score predicted against gold segments")
@@ -483,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--out-dir", default=None)
-    _add_shared(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bio-fidelity", help="tag-scheme round-trip sweep over frame rates")
@@ -491,22 +502,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", default="sign")
     p.add_argument("--fps-list", default="3.125,6.25,12.5,25,50")
     p.add_argument("--out-dir", default=None)
-    _add_shared(p)
     p.set_defaults(func=cmd_bio_fidelity)
 
     p = sub.add_parser("hand-bench", help="hand normalization consistency benchmark")
     p.add_argument("--manifest", required=True,
                    help="JSON {groups: [{label, files}]}; files relative to it")
     p.add_argument("--out-dir", default=".")
-    _add_shared(p)
     p.set_defaults(func=cmd_hand_bench)
 
     p = sub.add_parser("flow-dump", help="per-point optical flow as CSV")
     p.add_argument("pose", help="poseseq-json input")
     p.add_argument("--out-dir", default=None)
-    _add_shared(p)
     p.set_defaults(func=cmd_flow_dump)
 
+    for name, p in sub.choices.items():
+        for key in _READS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           **_SHARED[key][1])
+        if _READS[name]:
+            p.add_argument("--config", default=None,
+                           help="JSON config file; defaults to $SIGNSEG_CONFIG")
     return parser
 
 

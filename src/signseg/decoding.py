@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .metrics import _frame_mask
-from .tags import B, I, O, Segment
+from .tags import B, O, Segment, TagScheme, decode_gold_tags
 
 DEFAULT_GRID = tuple(range(10, 91, 10))
 
@@ -76,30 +76,10 @@ def greedy_decode(probs, params: DecodeParams) -> list[Segment]:
 
 
 def argmax_decode(probs, params: DecodeParams = None) -> list[Segment]:
-    """Span scan over per-frame argmax labels; ties resolve B, then I, then O.
-
-    Matches gold-tag decoding exactly, including back-to-back segments and
-    the orphan-I repair.
-    """
-    probs = _check_rows(probs)
-    labels = probs.argmax(axis=1)  # argmax returns the first max: B < I < O tie order
-    out: list[Segment] = []
-    start = None
-    for t, lab in enumerate(labels):
-        if lab == B:
-            if start is not None:
-                out.append(Segment(start, t))
-            start = t
-        elif lab == I:
-            if start is None:
-                start = t
-        else:
-            if start is not None:
-                out.append(Segment(start, t))
-                start = None
-    if start is not None:
-        out.append(Segment(start, len(labels)))
-    return out
+    """BIO gold-tag decoding of the per-frame argmax labels; ties resolve B,
+    then I, then O, since argmax returns the first maximum."""
+    labels = _check_rows(probs).argmax(axis=1)
+    return decode_gold_tags(labels.tolist(), TagScheme.BIO)
 
 
 def decode(probs, params: DecodeParams) -> list[Segment]:

@@ -1,12 +1,11 @@
-"""3D hand landmark geometry: canonical normalization, orientation estimators,
-and the multi-view / crop consistency metrics.
+"""3D hand landmark geometry: canonical normalization and the multi-view /
+crop consistency metrics.
 
 Axis convention throughout: screen style, x right, y down, z toward the camera.
 All operations take 21-landmark hands in the standard anatomical order
 (WRIST, thumb, index, middle, ring, pinky; 4 joints per finger).
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,17 +26,6 @@ _EPS = 1e-12
 class Handedness(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-class Plane(Enum):
-    WALL = "wall"
-    FLOOR = "floor"
-
-
-class View(Enum):
-    FRONT = "front"
-    SIDEWAYS = "sideways"
-    BACK = "back"
 
 
 @dataclass(frozen=True)
@@ -87,15 +75,6 @@ def _palm_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n / norm[:, None], norm <= _EPS * scale * scale
 
 
-def palm_normal(hand: HandPose) -> np.ndarray:
-    """Unit normal of the WRIST/I_MCP/P_MCP plane, right-hand rule in that order."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n, collinear = _palm_normals(hand.points[None])
-    if collinear[0]:
-        raise ValueError(_FAULTS[1])
-    return n[0]
-
-
 def _canonicalize(points: np.ndarray, handedness: Handedness):
     """(N, 21, 3) hands in the canonical frame, and a fault code per hand (0 = ok)."""
     if handedness is Handedness.LEFT:
@@ -142,46 +121,6 @@ def hand_normalize(hand: HandPose) -> HandPose:
     if fault[0]:
         raise ValueError(_FAULTS[fault[0] - 1])
     return HandPose(out[0], Handedness.RIGHT)
-
-
-def _angle_deg(u: float, v: float) -> float:
-    return math.degrees(math.atan2(v, u))
-
-
-def estimate_plane(hand: HandPose) -> Plane:
-    """WALL when the y extent of the metacarpal (biased 1.5x) beats its z extent."""
-    d = hand.points[M_MCP] - hand.points[WRIST]
-    y = abs(d[1]) * 1.5
-    z = abs(d[2])
-    return Plane.WALL if y > z else Plane.FLOOR
-
-
-def estimate_view(hand: HandPose) -> View:
-    n = palm_normal(hand)
-    if estimate_plane(hand) is Plane.WALL:
-        a = _angle_deg(n[2], n[0]) % 360.0
-        if a > 210:
-            return View.FRONT
-        if a > 150:
-            return View.SIDEWAYS
-        return View.BACK
-    a = _angle_deg(n[1], n[0])
-    if a >= 180.0:
-        a -= 360.0
-    if a > 0:
-        return View.FRONT
-    if a > -60:
-        return View.SIDEWAYS
-    return View.BACK
-
-
-def estimate_rotation(hand: HandPose) -> int:
-    """Eight 45-degree bins for the metacarpal's XY direction; bin 0 is 'up' (+Y)."""
-    d = hand.points[M_MCP] - hand.points[WRIST]
-    if abs(d[0]) <= _EPS and abs(d[1]) <= _EPS:
-        raise ValueError("metacarpal has zero-length XY projection")
-    theta = _angle_deg(d[1], -d[0]) % 360.0  # counterclockwise from +Y; +X maps to 270
-    return int(((theta + 22.5) % 360.0) // 45.0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ points), select the keypoint subset, then assemble per-frame features.
 from dataclasses import dataclass
 
 from .flow import FeatureMatrix, assemble_features
+from .numutil import check_fps
 from .pose import PoseSequence, named_selector, normalize_pose, resample_fps, select_points
 
 FEATURE_FLAGS = ("flow", "handnorm")
@@ -19,8 +20,7 @@ class PipelineOptions:
     features: tuple[str, ...] = ("flow",)
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
+        object.__setattr__(self, "fps", float(check_fps(self.fps)))
         unknown = [f for f in self.features if f not in FEATURE_FLAGS]
         if unknown:
             raise ValueError(

@@ -7,7 +7,7 @@ consumer must ignore.
 
 import gc
 import json
-import sys
+import math
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numutil import round_half_away
+from .numutil import check_fps, round_half_away
 
 FORMAT_VERSION = "poseseq-json/1"
 
@@ -139,8 +139,7 @@ def _validate_arrays(components, coords, conf):
 
 def make_pose(fps, components, coords, conf) -> PoseSequence:
     """Build a validated PoseSequence from arrays."""
-    if not (isinstance(fps, (int, float)) and fps > 0):
-        raise ValueError("fps must be a positive number")
+    check_fps(fps)
     components = tuple(components)
     coords = np.asarray(coords, dtype=float)
     conf = np.asarray(conf, dtype=float)
@@ -233,11 +232,7 @@ def _pose_from_doc(doc) -> PoseSequence:
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported pose format version {version!r}")
-    fps = doc.get("fps")
-    # the upper bound keeps out Infinity and ints that no float can hold
-    if not (isinstance(fps, (int, float)) and not isinstance(fps, bool)
-            and 0 < fps <= sys.float_info.max):
-        raise ValueError("fps must be a positive number")
+    fps = check_fps(doc.get("fps"))
 
     raw_components = doc.get("components")
     if not isinstance(raw_components, list):
@@ -279,8 +274,7 @@ def parse_pose(text: str) -> PoseSequence:
 def serialize_pose(seq: PoseSequence) -> str:
     """Canonical single-line JSON; floats use shortest round-trip decimals."""
     _validate_arrays(seq.components, seq.coords, seq.conf)
-    if not (isinstance(seq.fps, (int, float)) and seq.fps > 0):
-        raise ValueError("fps must be a positive number")
+    check_fps(seq.fps)
     frames = np.concatenate([seq.coords, seq.conf[:, :, None]], axis=2, dtype=float).tolist()
     doc = {
         "version": FORMAT_VERSION,
@@ -310,7 +304,10 @@ def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
     t = seq.num_frames
     if seq.fps == target_fps:
         return PoseSequence(seq.fps, seq.components, seq.coords.copy(), seq.conf.copy())
-    t_out = round_half_away(t * target_fps / seq.fps)
+    frames = t * target_fps / seq.fps
+    if not math.isfinite(frames):
+        raise ValueError(f"resampling to {target_fps:g} fps gives a non-finite frame count")
+    t_out = round_half_away(frames)
     # i * src / target is never negative, so round_half_away is floor(x + 0.5)
     idx = np.floor(np.arange(t_out, dtype=float) * seq.fps / target_fps + 0.5).astype(int)
     idx = np.clip(idx, 0, t - 1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numutil import is_finite_real
 from .tags import SEGMENTS_TIERS
 
 ADAM_BETA1 = 0.9
@@ -54,12 +55,14 @@ class TaggerConfig:
     def validate(self):
         if self.input_dim <= 0 or self.hidden_dim <= 0 or self.layers <= 0:
             raise ValueError("input_dim, hidden_dim and layers must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("learning_rate", "grad_clip"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0")
         if set(self.class_weights) != set(SEGMENTS_TIERS):
             raise ValueError(f"class_weights must cover tiers {SEGMENTS_TIERS}")
         for tier, w in self.class_weights.items():
-            if len(w) != 3 or any(v <= 0 for v in w):
+            if len(w) != 3 or not all(is_finite_real(v) and v > 0 for v in w):
                 raise ValueError(f"class_weights[{tier!r}] must be 3 positive reals")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")

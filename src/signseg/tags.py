@@ -9,10 +9,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .numutil import round_half_away
+from .numutil import check_fps, round_half_away
 
 B, I, O = 0, 1, 2
-TAG_NAMES = ("B", "I", "O")
 
 
 class TagScheme(Enum):
@@ -171,13 +170,11 @@ SEGMENTS_TIERS = ("sign", "phrase")
 def parse_segments(text: str) -> tuple[float, dict[str, list[Segment]]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
         raise ValueError(f"malformed segments document: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tiers"), dict):
         raise ValueError("segments document must be an object with a tiers mapping")
-    fps = doc.get("fps")
-    if not (isinstance(fps, (int, float)) and not isinstance(fps, bool) and fps > 0):
-        raise ValueError("segments fps must be a positive number")
+    fps = check_fps(doc.get("fps"), "segments fps")
     tiers: dict[str, list[Segment]] = {}
     for tier, items in doc["tiers"].items():
         if not isinstance(items, list):

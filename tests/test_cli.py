@@ -6,8 +6,10 @@ import sys
 import venv
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from signseg import cli
 from signseg.pose import HAND_POINTS, PoseComponent, make_pose, save_pose
@@ -425,3 +427,214 @@ def test_installed_entry_point(corpus_dir, tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("fps,scheme,reproduced,exact")
+
+
+SHARED_KEYS = {"fps", "selector", "features", "threshold_b", "threshold_o", "mode", "seed",
+               "workers"}
+
+# the shared options each command reads, and the options that are its own
+READS = {
+    "segment": {"fps", "selector", "features", "threshold_b", "threshold_o", "mode",
+                "workers"},
+    "train": {"fps", "selector", "features", "seed"},
+    "tune": {"fps", "selector", "features"},
+    "eval": set(),
+    "bio-fidelity": set(),
+    "hand-bench": {"workers"},
+    "flow-dump": {"fps", "selector"},
+}
+OWN_OPTIONS = {
+    "segment": {"checkpoint", "strict_bio"},
+    "train": {"data_dir", "val_dir", "hidden_dim", "layers", "learning_rate", "max_steps",
+              "patience", "val_every", "dropout", "grad_clip", "results"},
+    "tune": {"data_dir", "checkpoint", "tier", "strict_bio", "results"},
+    "eval": {"pred", "gold", "frames", "bins"},
+    "bio-fidelity": {"gold", "tier", "fps_list"},
+    "hand-bench": {"manifest"},
+    "flow-dump": {"pose"},
+}
+
+
+def command_argv(command, corpus_dir, checkpoint, tmp_path):
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    out = ["--out-dir", str(tmp_path / "out")]
+    return {
+        "segment": lambda: ["segment", first_pose(corpus_dir), "--checkpoint", checkpoint],
+        "train": lambda: ["train", "--data-dir", str(corpus_dir), "--hidden-dim", "4",
+                          "--layers", "1", "--max-steps", "2"],
+        "tune": lambda: ["tune", "--data-dir", str(corpus_dir), "--checkpoint", checkpoint,
+                         "--tier", "sign"],
+        "eval": lambda: ["eval", "--pred", gold, "--gold", gold],
+        "bio-fidelity": lambda: ["bio-fidelity", "--gold", gold],
+        "hand-bench": lambda: ["hand-bench", "--manifest", str(make_bench_manifest(tmp_path))],
+        "flow-dump": lambda: ["flow-dump", first_pose(corpus_dir)],
+    }[command]() + out
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_option_table(corpus_dir, checkpoint, tmp_path, command):
+    argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
+    offered = set(vars(cli.build_parser().parse_args(argv))) & (SHARED_KEYS | {"config"})
+    assert offered == READS[command] | ({"config"} if READS[command] else set())
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / f"{command}.run.json").read_text(encoding="utf-8"))
+    assert set(manifest["options"]) == READS[command] | OWN_OPTIONS[command]
+
+
+def test_shared_flag_count(corpus_dir, checkpoint, tmp_path):
+    parser = cli.build_parser()
+    offered = [set(vars(parser.parse_args(command_argv(c, corpus_dir, checkpoint, tmp_path))))
+               & (SHARED_KEYS | {"config"}) for c in READS]
+    assert sum(map(len, offered)) == 22
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--data-dir", "d", "--checkpoint", "c", "--tier", "sign", "--mode", "argmax"],
+    ["eval", "--pred", "p", "--gold", "g", "--fps", "3"],
+    ["train", "--data-dir", "d", "--workers", "2"],
+    ["bio-fidelity", "--gold", "g", "--config", "c.json"],
+], ids=["tune-mode", "eval-fps", "train-workers", "bio-fidelity-config"])
+def test_unread_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+
+
+def test_config_key_the_command_does_not_read_is_ignored(corpus_dir, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"mode": "argmax"}), encoding="utf-8")
+    assert cli.main(["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+                     "--hidden-dim", "4", "--layers", "1", "--max-steps", "2",
+                     "--config", str(config)]) == 0
+    options = json.loads((tmp_path / "train.run.json").read_text(encoding="utf-8"))["options"]
+    assert "mode" not in options
+
+
+def test_config_is_checked_only_where_read(corpus_dir, checkpoint, tmp_path, capsys,
+                                           monkeypatch):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"features": "bogus"}), encoding="utf-8")
+    monkeypatch.setenv("SIGNSEG_CONFIG", str(config))
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    assert cli.main(["eval", "--pred", gold, "--gold", gold]) == 0
+    assert cli.main(["bio-fidelity", "--gold", gold]) == 0
+    assert cli.main(["flow-dump", first_pose(corpus_dir)]) == 0
+    capsys.readouterr()
+    assert cli.main(["segment", first_pose(corpus_dir), "--checkpoint", checkpoint,
+                     "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("signseg segment: config:") and "bogus" in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "seed"), ("segment", "workers"), ("hand-bench", "workers"),
+])
+def test_config_rejects_bool_for_integer_options(corpus_dir, checkpoint, tmp_path, capsys,
+                                                 command, key):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({key: True}), encoding="utf-8")
+    argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
+    assert cli.main(argv + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg {command}: config: {key} must be an integer")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, fps, stage", [
+    ("segment", "inf", "config"),
+    ("segment", "nan", "config"),
+    ("flow-dump", "1e308", "features"),  # finite, but 100 frames at that rate are not
+], ids=["segment-inf", "segment-nan", "flow-dump-1e308"])
+def test_bad_fps_flag_is_a_stage_error(corpus_dir, checkpoint, tmp_path, capsys,
+                                       command, fps, stage):
+    argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
+    assert cli.main(argv + ["--fps", fps]) == 1
+    assert capsys.readouterr().err.startswith(f"signseg {command}: {stage}: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"fps": Infinity, "tiers": {"sign": [{"start": 0, "end": 2}]}}',
+    '{"fps": 1e400, "tiers": {"sign": [{"start": 0, "end": 2}]}}',
+    '{"fps": true, "tiers": {"sign": [{"start": 0, "end": 2}]}}',
+    "[" * 100_000 + "]" * 100_000,
+], ids=["infinity", "overflow", "bool", "nested-too-deep"])
+def test_bad_segments_file_is_a_parse_error(tmp_path, capsys, text):
+    gold = tmp_path / "gold.segments.json"
+    gold.write_text(text, encoding="utf-8")
+    assert cli.main(["bio-fidelity", "--gold", str(gold)]) == 1
+    assert capsys.readouterr().err.startswith("signseg bio-fidelity: parse: ")
+
+
+@pytest.mark.parametrize("fps_list", ["inf", "25,nan", "0"])
+def test_bad_fps_list_is_a_parse_error(corpus_dir, capsys, fps_list):
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    assert cli.main(["bio-fidelity", "--gold", gold, "--fps-list", fps_list]) == 1
+    assert capsys.readouterr().err.startswith("signseg bio-fidelity: parse: --fps-list entry")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--learning-rate", "nan", "learning_rate"),
+    ("--grad-clip", "nan", "grad_clip"),
+    ("--grad-clip", "-1", "grad_clip"),
+])
+def test_train_rejects_bad_tagger_config_before_any_step(corpus_dir, tmp_path, capsys,
+                                                         monkeypatch, flag, value, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.training, "train", no_training)
+    rc = cli.main(["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+                   "--hidden-dim", "4", "--layers", "1", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("signseg train: model: ") and message in err
+
+
+def test_non_finite_checkpoint_config_is_a_checkpoint_error(corpus_dir, checkpoint, tmp_path,
+                                                            capsys):
+    data = Path(checkpoint).read_bytes()
+    start = data.index(b"\n") + 1
+    doc = json.loads(data[:start])
+    doc["config"]["learning_rate"] = float("nan")
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(json.dumps(doc).encode() + b"\n" + data[start:])
+    rc = cli.main(["segment", first_pose(corpus_dir), "--checkpoint", str(bad),
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("signseg segment: checkpoint: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=8,
+)
+CONFIG_DOCS = st.one_of(
+    st.text(max_size=40),
+    st.dictionaries(st.sampled_from(sorted(SHARED_KEYS)) | st.text(max_size=4), JSON_VALUES,
+                    max_size=4).map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CONFIG_DOCS)
+def test_config_loader_fuzz(tmp_path, capsys, text):
+    # The loader either resolves the options or fails as a config error; in
+    # the CLI a resolved config goes on to the missing checkpoint instead.
+    config = tmp_path / "conf.json"
+    config.write_text(text, encoding="utf-8")
+    argv = ["segment", "in.pose.json", "--checkpoint", str(tmp_path / "none.ckpt"),
+            "--config", str(config)]
+    try:
+        opts = cli._resolve(cli.build_parser().parse_args(argv))
+        stage = "checkpoint"
+        assert set(opts) == READS["segment"]
+    except cli.StageError as e:
+        stage = "config"
+        assert e.stage == "config"
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"signseg segment: {stage}: ")

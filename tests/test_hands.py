@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from signseg.hands import (
     BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, HandGroup, Handedness, HandPose,
-    Plane, View, cce, estimate_plane, estimate_rotation, estimate_view,
-    hand_normalize, mace, normalize_hands, palm_normal,
+    cce, hand_normalize, mace, normalize_hands,
 )
 from signseg.synthetic import hand_template, random_rotation, scattered_copies
 
@@ -58,14 +55,6 @@ def test_normalize_degenerate_bone_raises():
     pts[M_MCP] = pts[WRIST]
     with pytest.raises(ValueError):
         hand_normalize(right_hand(pts))
-
-
-def test_palm_normal_degenerate_raises():
-    pts = hand_template()
-    pts[I_MCP] = pts[WRIST] + [0.0, -1.0, 0.0]
-    pts[P_MCP] = pts[WRIST] + [0.0, -2.0, 0.0]  # collinear with the wrist
-    with pytest.raises(ValueError):
-        palm_normal(right_hand(pts))
 
 
 def reference_hand_normalize(points, handedness):
@@ -144,91 +133,6 @@ def test_normalize_degenerate_messages(mutate, message):
 def test_normalize_hands_empty_batch():
     out, ok = normalize_hands(np.zeros((0, 21, 3)), Handedness.LEFT)
     assert out.shape == (0, 21, 3) and ok.shape == (0,)
-
-
-def plane_hand(bone, i_mcp=(-0.3, -1.0, 0.0), p_mcp=(0.3, -0.9, 0.0)):
-    pts = hand_template() * 0.01  # irrelevant filler for the other landmarks
-    pts[WRIST] = 0.0
-    pts[M_MCP] = bone
-    pts[I_MCP] = i_mcp
-    pts[P_MCP] = p_mcp
-    return right_hand(pts)
-
-
-def test_estimate_plane():
-    assert estimate_plane(plane_hand((0.0, -1.0, 0.3))) is Plane.WALL
-    assert estimate_plane(plane_hand((0.0, -0.1, 1.0))) is Plane.FLOOR
-    # strict inequality: |y|*1.5 == |z| counts as FLOOR
-    assert estimate_plane(plane_hand((0.0, -1.0, 1.5))) is Plane.FLOOR
-
-
-def rotated_about_y(phi_deg):
-    phi = math.radians(phi_deg)
-    rot = np.array([
-        [math.cos(phi), 0.0, math.sin(phi)],
-        [0.0, 1.0, 0.0],
-        [-math.sin(phi), 0.0, math.cos(phi)],
-    ])
-    return right_hand(hand_template() @ rot.T)
-
-
-def test_wall_views_sweep():
-    # the template's palm normal points along +z, so a rotation about y by
-    # phi sets the wall angle atan2(n_x, n_z) to exactly phi
-    n = palm_normal(right_hand())
-    base_angle = math.degrees(math.atan2(n[0], n[2]))
-    assert abs(base_angle) < 15  # template faces the camera
-    for phi, expected in [(0, View.BACK), (120, View.BACK), (155, View.SIDEWAYS),
-                          (210, View.SIDEWAYS), (215, View.FRONT), (300, View.FRONT)]:
-        hand = rotated_about_y(phi - base_angle)
-        assert estimate_plane(hand) is Plane.WALL
-        assert estimate_view(hand) is expected, phi
-
-
-def floor_hand(i_mcp, p_mcp):
-    return plane_hand((0.0, 0.05, 1.05), i_mcp, p_mcp)
-
-
-def test_floor_views():
-    # normal = cross(I_MCP - W, P_MCP - W); angle = atan2(n_x, n_y) in [-180, 180)
-    cases = [
-        (((-0.3, 0.2, 1.0)), ((0.3, -0.2, 1.0)), View.FRONT),      # n=(0.4,0.6,0) -> 33.7
-        (((-0.3, -0.2, 1.0)), ((0.3, 0.2, 1.0)), View.SIDEWAYS),   # n=(-0.4,0.6,0) -> -33.7
-        (((-0.1, -0.5, 1.0)), ((0.1, 0.5, 1.0)), View.BACK),       # n=(-1,0.2,0) -> -78.7
-        (((-0.3, 0.0, 1.0)), ((0.3, 0.0, 1.0)), View.SIDEWAYS),    # n=(0,0.6,0) -> 0 exactly
-    ]
-    for i_mcp, p_mcp, expected in cases:
-        hand = floor_hand(i_mcp, p_mcp)
-        assert estimate_plane(hand) is Plane.FLOOR
-        assert estimate_view(hand) is expected
-
-
-def rotation_hand(dx, dy):
-    pts = hand_template() * 0.01
-    pts[WRIST] = 0.0
-    pts[M_MCP] = [dx, dy, 0.0]
-    return right_hand(pts)
-
-
-def test_rotation_bins():
-    # theta = atan2(-dx, dy) mod 360, 45-degree bins centered on multiples of 45
-    assert estimate_rotation(rotation_hand(0.0, 1.0)) == 0   # up
-    assert estimate_rotation(rotation_hand(1.0, 0.0)) == 6   # +x -> 270
-    assert estimate_rotation(rotation_hand(-1.0, 0.0)) == 2  # -x -> 90
-    assert estimate_rotation(rotation_hand(0.0, -1.0)) == 4  # down
-    assert estimate_rotation(rotation_hand(1.0, 1.0)) == 7   # 315
-    # boundary at 22.5 goes to the next bin (half-open)
-    t = math.radians(22.5)
-    assert estimate_rotation(rotation_hand(-math.sin(t), math.cos(t))) == 1
-    assert estimate_rotation(rotation_hand(-math.sin(t * 0.999), math.cos(t * 0.999))) == 0
-
-
-def test_rotation_degenerate():
-    pts = hand_template() * 0.01
-    pts[WRIST] = 0.0
-    pts[M_MCP] = [0.0, 0.0, 1.0]  # bone straight along z: no XY direction
-    with pytest.raises(ValueError, match="projection"):
-        estimate_rotation(right_hand(pts))
 
 
 def test_consistency_metrics_identical_members():

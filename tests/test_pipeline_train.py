@@ -1,12 +1,16 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from signseg.pipeline import PipelineOptions, parse_feature_flags, prepare_features
-from signseg.pose import holistic_components, make_pose, save_pose
+from signseg.pose import holistic_components, make_pose, parse_pose, save_pose, serialize_pose
 from signseg.synthetic import motion_pose, write_clip_dir
 from signseg.tagger import TaggerConfig, init_model
 from signseg.numutil import round_half_away
-from signseg.tags import B, O, TagScheme, encode_tags, load_segments, save_segments
+from signseg.tags import (B, O, TagScheme, encode_tags, load_segments, parse_segments,
+                          save_segments)
 from signseg.train import (
     ClipData,
     EpochRow,
@@ -25,6 +29,26 @@ def test_options_validation():
         PipelineOptions(fps=0.0)
     with pytest.raises(ValueError, match="unknown feature"):
         PipelineOptions(features=("flow", "wavelets"))
+
+
+@pytest.mark.parametrize("fps", [True, 0, -25.0, float("nan"), float("inf"), 10**400],
+                         ids=["bool", "zero", "negative", "nan", "inf", "huge-int"])
+def test_one_fps_rule(fps):
+    # every place that takes a frame rate rejects the same values
+    comps = holistic_components()[:1]
+    k = len(comps[0].points)
+    good = make_pose(25.0, comps, np.zeros((1, k, 3)), np.ones((1, k)))
+    doc = json.loads(serialize_pose(good))
+    with pytest.raises(ValueError, match="fps"):
+        make_pose(fps, comps, good.coords, good.conf)
+    with pytest.raises(ValueError, match="fps"):
+        serialize_pose(replace(good, fps=fps))
+    with pytest.raises(ValueError, match="fps"):
+        parse_pose(json.dumps(dict(doc, fps=fps)))
+    with pytest.raises(ValueError, match="fps"):
+        parse_segments(json.dumps({"fps": fps, "tiers": {}}))
+    with pytest.raises(ValueError, match="fps"):
+        PipelineOptions(fps=fps)
 
 
 def test_parse_feature_flags():

@@ -315,6 +315,12 @@ def test_resample_matches_round_half_away_loop(src, dst, frames):
     np.testing.assert_array_equal(out.coords[:, 0, 0], expected)
 
 
+@pytest.mark.parametrize("dst", [1e308, float("inf")])
+def test_resample_rejects_non_finite_frame_count(dst):
+    with pytest.raises(ValueError, match="non-finite frame count"):
+        resample_fps(ramp_pose(25, 100), dst)
+
+
 def shoulder_pose(dist=4.0, mid=(10.0, -2.0, 1.0), frames=3, conf_pairs=None):
     comp = [PoseComponent("BODY", ("LEFT_SHOULDER", "RIGHT_SHOULDER", "NOSE"))]
     mid = np.array(mid)

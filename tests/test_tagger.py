@@ -72,6 +72,9 @@ def test_config_validation():
         TaggerConfig(input_dim=3, class_weights={"sign": (1, 1, 1)}).validate()
     with pytest.raises(ValueError):
         TaggerConfig(input_dim=3, dropout=1.0).validate()
+    for name in ("learning_rate", "grad_clip"):  # NaN and negatives: the checkpoint cases
+        with pytest.raises(ValueError, match=name):
+            TaggerConfig(input_dim=3, **{name: float("inf")}).validate()
 
 
 def test_forward_shapes_and_simplex():
@@ -401,6 +404,13 @@ def _huge_layers(doc):
     (_set("config", "class_weights", "sign", ["1", 1, 1]), "class_weights must map"),
     (_set("config", "class_weights", "sign", [1.0, 1.0]), "3 positive reals"),
     (_set("config", "class_weights", "phrase", _DELETE), "must cover tiers"),
+    (_set("config", "class_weights", "sign", [float("nan")] * 3),
+     "'sign'] must be 3 positive reals"),
+    (_set("config", "class_weights", "phrase", [1.0, float("inf"), 1.0]),
+     "'phrase'] must be 3 positive reals"),
+    (_set("config", "learning_rate", float("nan")), "learning_rate must be a finite"),
+    (_set("config", "grad_clip", float("nan")), "grad_clip must be a finite number"),
+    (_set("config", "grad_clip", -1.0), "grad_clip must be a finite number >= 0"),
     (_set("param_count", 1), "parameter count"),
     (_edit_manifest(_huge_layers), "payload is"),
     (_set("params", {"proj.W": [6, 4]}), "shapes do not match"),

@@ -201,7 +201,41 @@ def test_segments_json_roundtrip():
     ('{"fps": 25, "tiers": {"sign": [{"start": false, "end": true}]}}', "integer"),
     ('{"fps": 25, "tiers": {"sign": [{"start": 0, "end": true}]}}', "integer"),
     ("{bad", "malformed"),
+    ('{"fps": Infinity, "tiers": {}}', "fps"),
+    ('{"fps": NaN, "tiers": {}}', "fps"),
+    ('{"fps": 1e400, "tiers": {}}', "fps"),
+    ('{"fps": true, "tiers": {}}', "fps"),
+    pytest.param("[" * 100_000, "malformed", id="nested-too-deep"),
 ])
 def test_segments_json_rejects(text, match):
     with pytest.raises(ValueError, match=match):
         parse_segments(text)
+
+
+SEGMENTS_KEYS = ("fps", "tiers", "sign", "phrase", "start", "end")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(SEGMENTS_KEYS) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=16,
+)
+
+
+SEGMENT_DOCS = st.fixed_dictionaries({
+    "fps": st.floats() | st.integers() | JSON_VALUES,
+    "tiers": st.dictionaries(st.text(max_size=5), st.lists(st.fixed_dictionaries({
+        "start": st.integers(-3, 40) | JSON_VALUES,
+        "end": st.integers(-3, 40) | JSON_VALUES,
+    }), max_size=4) | JSON_VALUES, max_size=3),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), JSON_VALUES.map(json.dumps),
+                 SEGMENT_DOCS.map(json.dumps)))
+def test_parse_segments_raises_only_value_error(text):
+    try:
+        fps, tiers = parse_segments(text)
+    except ValueError:
+        return
+    assert fps > 0 and all(isinstance(s, Segment) for segs in tiers.values() for s in segs)
