@@ -23,7 +23,7 @@ from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thres
 from .flow import optical_flow
 from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
-from .numutil import check_fps
+from .numutil import check_fps, is_finite_real
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
 from .tagger import TaggerConfig, forward, init_model, load_model, save_model
@@ -117,6 +117,9 @@ def _resolve(args) -> dict:
         if "mode" in opts:
             if opts["mode"] not in _MODES:
                 raise ValueError(f"unknown mode {opts['mode']!r}; expected threshold or argmax")
+            for key in ("threshold_b", "threshold_o"):
+                if not is_finite_real(opts[key]):
+                    raise ValueError(f"{key} must be a finite number")
             _dparams(opts, strict_bio=False)
         # type(), so that a bool is no int
         if "workers" in opts and not (type(opts["workers"]) is int and opts["workers"] >= 1):

@@ -199,35 +199,48 @@ def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
 
 
 def _backward_direction(dh_out, cache, wx, wh):
-    """Gradient through one direction. Returns (du, dWx, dWh, db)."""
+    """Gradient through one direction. Returns (du, dWx, dWh, db).
+
+    The gate factors for the whole sequence are stacked before the time loop,
+    so a step writes its row of da in place with four multiplies. Each
+    product keeps the reference order: da_i = (di * gi) * (1 - gi), da_g =
+    (dg * (1 - gg^2)) * 1, and so on; multiplying by 1.0 is exact.
+    """
     u = cache["u"]
     t_len, h_dim = cache["h"].shape
-    da_all = np.zeros((t_len, 4 * h_dim))
+    gi, gf, gg, go = cache["gi"], cache["gf"], cache["gg"], cache["go"]
+    tc = np.tanh(cache["c"])
+    dtc = 1.0 - tc * tc
+    by_dc = np.stack([gg, cache["cprev"], gi], axis=1)  # (T, 3, H): di, df, dg = dc * .
+    first = np.concatenate([gi, gf, 1.0 - gg * gg, go], axis=1)
+    second = 1.0 - np.concatenate([gi, gf, np.zeros_like(gg), go], axis=1)
+    da_all = np.empty((t_len, 4 * h_dim))
     dh_rec = np.zeros(h_dim)
     dc = np.zeros(h_dim)
     for t in reversed(cache["order"]):
         dh = dh_out[t] + dh_rec
-        tc = np.tanh(cache["c"][t])
-        do = dh * tc
-        dc = dc + dh * cache["go"][t] * (1.0 - tc * tc)
-        di = dc * cache["gg"][t]
-        df = dc * cache["cprev"][t]
-        dg = dc * cache["gi"][t]
-        gi, gf, gg, go = cache["gi"][t], cache["gf"][t], cache["gg"][t], cache["go"][t]
-        da = np.concatenate([
-            di * gi * (1.0 - gi),
-            df * gf * (1.0 - gf),
-            dg * (1.0 - gg * gg),
-            do * go * (1.0 - go),
-        ])
-        da_all[t] = da
+        dc = dc + dh * go[t] * dtc[t]
+        da = da_all[t]
+        np.multiply(dc, by_dc[t], out=da[:3 * h_dim].reshape(3, h_dim))
+        np.multiply(dh, tc[t], out=da[3 * h_dim:])
+        da *= first[t]
+        da *= second[t]
         dh_rec = da @ wh.T
-        dc = dc * gf
+        dc = dc * gf[t]
     du = da_all @ wx.T
     dwx = u.T @ da_all
     dwh = cache["hprev"].T @ da_all
     db = da_all.sum(axis=0)
     return du, dwx, dwh, db
+
+
+def cast_encoder(model: TaggerModel, dtype) -> TaggerModel:
+    """The model with its projection and LSTM parameters cast to dtype once,
+    so that forward(..., dtype=dtype) on it casts nothing per call. The
+    heads, which forward runs in float64, keep their arrays."""
+    return TaggerModel(model.config, {
+        name: arr if name.startswith("head.") else arr.astype(dtype, copy=False)
+        for name, arr in model.params.items()})
 
 
 def forward(model: TaggerModel, features, return_cache: bool = False,
@@ -333,24 +346,26 @@ def _logits_loss(logits: dict, gold: dict, weights: dict) -> float:
 
 
 def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
-    """Full-sequence loss plus analytic gradients for every parameter."""
+    """Full-sequence loss plus analytic gradients for every parameter.
+
+    Each gradient is assigned once, as it is produced; the dict is returned
+    in _param_shapes order, the order train_step sums the clipping norm in.
+    """
     cfg = model.config
     probs, cache = forward(model, features, return_cache=True, dropout_rng=dropout_rng)
     total = _logits_loss(cache["logits"], gold, cfg.class_weights)
     t_len = cache["x"].shape[0]
     p = model.params
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
     denc = np.zeros_like(cache["enc"])
-    for tier in SEGMENTS_TIERS:
-        if t_len == 0:
-            continue
+    for tier in SEGMENTS_TIERS:  # with no frames, every product is an empty sum: zeros
         y = np.asarray(gold[tier], dtype=int)
         w = np.asarray(cfg.class_weights[tier], dtype=float)
         dlogits = probs[tier] * w[y][:, None]
         dlogits[np.arange(t_len), y] -= w[y]
         dlogits /= t_len
-        grads[f"head.{tier}.W"] += cache["enc"].T @ dlogits
-        grads[f"head.{tier}.b"] += dlogits.sum(axis=0)
+        grads[f"head.{tier}.W"] = cache["enc"].T @ dlogits
+        grads[f"head.{tier}.b"] = dlogits.sum(axis=0)
         denc += dlogits @ p[f"head.{tier}.W"].T
     h_dim = cfg.hidden_dim
     dcur = denc
@@ -363,21 +378,57 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
             du, dwx, dwh, db = _backward_direction(
                 dh_out, cache["layers"][layer][d],
                 p[f"lstm{layer}.{d}.Wx"], p[f"lstm{layer}.{d}.Wh"])
-            grads[f"lstm{layer}.{d}.Wx"] += dwx
-            grads[f"lstm{layer}.{d}.Wh"] += dwh
-            grads[f"lstm{layer}.{d}.b"] += db
+            grads[f"lstm{layer}.{d}.Wx"] = dwx
+            grads[f"lstm{layer}.{d}.Wh"] = dwh
+            grads[f"lstm{layer}.{d}.b"] = db
             du_total = du if du_total is None else du_total + du
         dcur = du_total
-    grads["proj.W"] += cache["x"].T @ dcur
-    grads["proj.b"] += dcur.sum(axis=0)
-    return total, grads
+    grads["proj.W"] = cache["x"].T @ dcur
+    grads["proj.b"] = dcur.sum(axis=0)
+    return total, {name: grads[name] for name in p}
 
 
 @dataclass
 class AdamState:
+    """Step count and moment estimates; train_step allocates m and v on the
+    first step and updates them in place from then on."""
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+
+# Elements per Adam chunk: its two float64 scratch rows (512 KiB) stay in
+# cache, so each chunk of p, g, m and v is read from memory once per step.
+ADAM_BLOCK = 32768
+
+
+def _adam_update(p, g, m, v, t: int, lr: float, scratch) -> None:
+    """p, m and v updated in place, chunk by chunk, with the operations of
+    m += (1-b1)(g-m); v += (1-b2)(g*g-v); p -= lr*mhat / (sqrt(vhat)+eps)
+    in that order, so the result is bit-identical to the whole-array form."""
+    if not p.flags.c_contiguous:  # reshape would copy, and the update be lost
+        raise ValueError("Adam updates C-contiguous parameters only")
+    c1 = 1 - ADAM_BETA1 ** t
+    c2 = 1 - ADAM_BETA2 ** t
+    p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+    for start in range(0, p.size, ADAM_BLOCK):
+        chunk = slice(start, start + ADAM_BLOCK)
+        pc, gc, mc, vc = p[chunk], g[chunk], m[chunk], v[chunk]
+        x, y = scratch[:, :pc.size]
+        np.subtract(gc, mc, out=x)
+        x *= 1 - ADAM_BETA1
+        mc += x
+        np.multiply(gc, gc, out=x)
+        x -= vc
+        x *= 1 - ADAM_BETA2
+        vc += x
+        np.divide(mc, c1, out=x)
+        x *= lr
+        np.divide(vc, c2, out=y)
+        np.sqrt(y, out=y)
+        y += ADAM_EPS
+        x /= y
+        pc -= x
 
 
 def train_step(model: TaggerModel, features, gold: dict, state: AdamState,
@@ -391,17 +442,16 @@ def train_step(model: TaggerModel, features, gold: dict, state: AdamState,
         norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         if norm > cfg.grad_clip:
             scale = cfg.grad_clip / norm
-            grads = {n: g * scale for n, g in grads.items()}
+            for g in grads.values():
+                g *= scale
+    if not state.m:
+        state.m = {name: np.zeros_like(g) for name, g in grads.items()}
+        state.v = {name: np.zeros_like(g) for name, g in grads.items()}
     state.step += 1
-    t = state.step
+    scratch = np.empty((2, ADAM_BLOCK))
     for name, g in grads.items():
-        m = state.m.setdefault(name, np.zeros_like(g))
-        v = state.v.setdefault(name, np.zeros_like(g))
-        m += (1 - ADAM_BETA1) * (g - m)
-        v += (1 - ADAM_BETA2) * (g * g - v)
-        mhat = m / (1 - ADAM_BETA1 ** t)
-        vhat = v / (1 - ADAM_BETA2 ** t)
-        model.params[name] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        _adam_update(model.params[name], g, state.m[name], state.v[name],
+                     state.step, cfg.learning_rate, scratch)
     return value
 
 

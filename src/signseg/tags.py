@@ -6,12 +6,18 @@ BIO is lossless for non-overlapping segments; IO fuses adjacent segments.
 """
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .numutil import check_fps, round_half_away
 
 B, I, O = 0, 1, 2
+
+# The longest timeline fidelity_experiment retimes to: encode_tags builds a
+# list entry per frame, and 10^7 frames is over 111 hours at 25 fps.
+MAX_TIMELINE_FRAMES = 10_000_000
 
 
 class TagScheme(Enum):
@@ -93,16 +99,24 @@ def decode_gold_tags(tags, scheme: TagScheme) -> list[Segment]:
 def retime_segments(segments, src_fps, dst_fps) -> list[Segment]:
     """Map segment boundaries between frame rates.
 
-    Boundaries are scaled by dst/src and rounded half away from zero. A
+    Boundaries are scaled by dst/src and rounded half away from zero; one
+    that is not finite or too large to index is a ValueError. A
     segment that collapses keeps one frame; overlaps created by rounding are
     merged. Adjacent segments stay adjacent, not merged.
     """
     if not (src_fps > 0 and dst_fps > 0):
         raise ValueError("frame rates must be positive")
+
+    def frame(index):
+        x = index * dst_fps / src_fps
+        if not (math.isfinite(x) and x <= sys.maxsize):
+            raise ValueError(f"frame {index} retimed from {src_fps:g} to {dst_fps:g} fps "
+                             f"is {x:g}, not a frame index")
+        return round_half_away(x)
+
     out: list[Segment] = []
     for seg in sorted(segments):
-        s = round_half_away(seg.start * dst_fps / src_fps)
-        e = round_half_away(seg.end * dst_fps / src_fps)
+        s, e = frame(seg.start), frame(seg.end)
         if e <= s:
             e = s + 1
         if out and s < out[-1].end:
@@ -140,7 +154,8 @@ def fidelity_experiment(gold, src_fps, fps_list, num_frames=None) -> list[Fideli
 
     Pipeline per (fps, scheme): retime to fps, encode, decode, retime back.
     reproduced = decoded count / gold count; exact = fraction of gold segments
-    whose boundaries survive unchanged.
+    whose boundaries survive unchanged. A frame rate that would retime the
+    timeline past MAX_TIMELINE_FRAMES frames is a ValueError.
     """
     gold = sorted(gold)
     if not gold:
@@ -148,16 +163,21 @@ def fidelity_experiment(gold, src_fps, fps_list, num_frames=None) -> list[Fideli
     _check_sorted_disjoint(gold, max(s.end for s in gold))
     if num_frames is None:
         num_frames = max(s.end for s in gold)
+    gold_set = set(gold)
     rows = []
     for fps in fps_list:
-        t_out = max(round_half_away(num_frames * fps / src_fps), 1)
+        frames = num_frames * fps / src_fps
+        if not frames <= MAX_TIMELINE_FRAMES:  # also catches inf
+            raise ValueError(f"{num_frames} frames retimed from {src_fps:g} to {fps:g} fps "
+                             f"are {frames:g}, over the limit of {MAX_TIMELINE_FRAMES}")
+        t_out = max(round_half_away(frames), 1)
         for scheme in (TagScheme.BIO, TagScheme.IO):
             retimed = clamp_segments(retime_segments(gold, src_fps, fps), t_out)
             tags = encode_tags(retimed, t_out, scheme)
             decoded = decode_gold_tags(tags, scheme)
             back = retime_segments(decoded, fps, src_fps)
             reproduced = len(back) / len(gold)
-            exact = sum(1 for s in back if s in set(gold)) / len(gold)
+            exact = sum(1 for s in back if s in gold_set) / len(gold)
             rows.append(FidelityRow(fps, scheme, reproduced, exact))
     return rows
 

@@ -9,7 +9,7 @@ import numpy as np
 from .metrics import frame_f1
 from .pipeline import PipelineOptions, prepare_features
 from .pose import load_pose
-from .tagger import AdamState, TaggerModel, forward, train_step
+from .tagger import AdamState, TaggerModel, cast_encoder, forward, train_step
 from .tags import (SEGMENTS_TIERS, TagScheme, clamp_segments, encode_tags,
                    load_segments, retime_segments)
 
@@ -68,6 +68,7 @@ def corpus_class_weights(clips) -> dict:
 
 def mean_frame_f1(model: TaggerModel, clips) -> float:
     """Mean over clips and tiers of F1 between argmax tags and gold tags."""
+    model = cast_encoder(model, np.float32)
     scores = []
     for clip in clips:
         probs = forward(model, clip.features, dtype=np.float32)
@@ -115,8 +116,9 @@ def train(model: TaggerModel, train_clips, val_clips, max_steps: int = 0,
     dropout_rng = np.random.default_rng(cfg.seed + 1) if cfg.dropout > 0 else None
     state = AdamState()
     history: list[EpochRow] = []
-    best_f1, best_step = -1.0, 0
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    # every run evaluates before it returns (at the step cap, or before an
+    # early stop), and frame F1 >= 0 beats -1, so best_params is always set
+    best_f1, best_step, best_params = -1.0, 0, None
     since_best = 0
     steps = 0
     epoch = 0

@@ -58,16 +58,19 @@ def test_train_outputs(train_dir):
 
 
 def test_train_rerun_is_byte_stable(corpus_dir, tmp_path):
-    argv = [
-        "train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
-        "--hidden-dim", "8", "--layers", "1", "--max-steps", "10",
-    ]
-    assert cli.main(argv) == 0
-    first = {name: (tmp_path / name).read_bytes()
-             for name in ("model.ckpt", "training_log.csv", "train.run.json")}
-    assert cli.main(argv) == 0
-    for name, blob in first.items():
-        assert (tmp_path / name).read_bytes() == blob, name
+    # dropout acts between layers, so its run has two
+    for extra in (["--layers", "1"], ["--layers", "1", "--grad-clip", "0.5"],
+                  ["--layers", "2", "--dropout", "0.3"]):
+        argv = [
+            "train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+            "--hidden-dim", "8", "--max-steps", "10", *extra,
+        ]
+        assert cli.main(argv) == 0
+        first = {name: (tmp_path / name).read_bytes()
+                 for name in ("model.ckpt", "training_log.csv", "train.run.json")}
+        assert cli.main(argv) == 0
+        for name, blob in first.items():
+            assert (tmp_path / name).read_bytes() == blob, (extra, name)
 
 
 @pytest.mark.parametrize("separate_val", [False, True], ids=["no-val-dir", "val-dir"])
@@ -550,6 +553,32 @@ def test_bad_fps_flag_is_a_stage_error(corpus_dir, checkpoint, tmp_path, capsys,
     argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
     assert cli.main(argv + ["--fps", fps]) == 1
     assert capsys.readouterr().err.startswith(f"signseg {command}: {stage}: ")
+
+
+@pytest.mark.parametrize("key", ["threshold_b", "threshold_o"])
+@pytest.mark.parametrize("value", [True, "50", float("nan"), float("inf")],
+                         ids=["true", "string", "nan", "infinity"])
+def test_config_rejects_non_numeric_thresholds(corpus_dir, checkpoint, tmp_path, capsys,
+                                               key, value):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")  # nan, inf as NaN, Infinity
+    argv = command_argv("segment", corpus_dir, checkpoint, tmp_path)
+    assert cli.main(argv + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg segment: config: {key} must be a finite number")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gold_fps, fps_list", [
+    (1e-300, "3.125,25"),  # 9 gold frames span 2.8e301 frames at 3.125 fps
+    (25.0, "1e-320"),  # the frames come back from a subnormal rate as inf
+], ids=["gold-fps-1e-300", "fps-list-1e-320"])
+def test_bio_fidelity_overflow_is_a_stage_error(tmp_path, capsys, gold_fps, fps_list):
+    gold = tmp_path / "gold.segments.json"
+    gold.write_text(json.dumps({"fps": gold_fps, "tiers": {"sign": [
+        {"start": 0, "end": 5}, {"start": 7, "end": 9}]}}), encoding="utf-8")
+    assert cli.main(["bio-fidelity", "--gold", str(gold), "--fps-list", fps_list]) == 1
+    assert capsys.readouterr().err.startswith("signseg bio-fidelity: fidelity: ")
 
 
 @pytest.mark.parametrize("text", [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from signseg.pipeline import PipelineOptions, parse_feature_flags, prepare_features
 from signseg.pose import holistic_components, make_pose, parse_pose, save_pose, serialize_pose
 from signseg.synthetic import motion_pose, write_clip_dir
-from signseg.tagger import TaggerConfig, init_model
+from signseg.tagger import ADAM_BLOCK, TaggerConfig, init_model
 from signseg.numutil import round_half_away
-from signseg.tags import (B, O, TagScheme, encode_tags, load_segments, parse_segments,
-                          save_segments)
+from signseg.tags import (B, O, SEGMENTS_TIERS, TagScheme, encode_tags, load_segments,
+                          parse_segments, save_segments)
 from signseg.train import (
     ClipData,
     EpochRow,
@@ -181,6 +182,28 @@ def test_train_returns_best_parameters(tmp_path):
     clips, cfg = tiny_corpus(tmp_path)
     result = train(init_model(cfg), clips, clips, max_steps=3 * len(clips), patience=0)
     assert mean_frame_f1(result.model, clips) == pytest.approx(result.best_val_f1)
+
+
+def test_train_holds_one_gradient_set():
+    """A step holds m, v and one gradient set beside the parameters; the best
+    copy is taken at the evaluation, after the gradients are freed."""
+    cfg = TaggerConfig(input_dim=6, hidden_dim=96, layers=1, seed=0)
+    model = init_model(cfg)
+    params = sum(a.nbytes for a in model.params.values())  # 1.2 MB
+    rng = np.random.default_rng(0)
+    t_len = 8
+    clip = ClipData("c", rng.normal(size=(t_len, cfg.input_dim)),
+                    {tier: rng.integers(0, 3, size=t_len).tolist() for tier in SEGMENTS_TIERS})
+    scratch = 2 * ADAM_BLOCK * 8  # Adam's two float64 chunk rows
+    tracemalloc.start()
+    try:
+        train(model, [clip], [clip], max_steps=1, patience=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # m, v and the gradients, plus scratch and a quarter set for the
+    # 8-frame backprop cache: room for no fourth parameter-sized array
+    assert peak < 3.25 * params + scratch
 
 
 def test_train_input_validation(tmp_path):

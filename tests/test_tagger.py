@@ -8,13 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
+from signseg import tagger
 from signseg.decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode
 from signseg.pipeline import PipelineOptions
 from signseg.synthetic import write_clip_dir
 from signseg.tagger import (
-    AdamState, TaggerConfig, TaggerModel, _param_shapes, class_weights_from_tags, forward,
-    gradient_check, init_model, load_model, loss, loss_and_grads, param_count, save_model,
-    train_step,
+    ADAM_BLOCK, AdamState, TaggerConfig, TaggerModel, _param_shapes, class_weights_from_tags,
+    forward, gradient_check, init_model, load_model, loss, loss_and_grads, param_count,
+    save_model, train_step,
 )
 from signseg.tags import SEGMENTS_TIERS
 from signseg.train import corpus_class_weights, load_corpus, train
@@ -227,6 +228,129 @@ def test_dropout_forward_runs():
     value = train_step(model, x, gold, AdamState(),
                        dropout_rng=np.random.default_rng(0))
     assert np.isfinite(value)
+
+
+# Reference copies of the whole-array Adam update and the per-step
+# concatenating backward loop that train_step and _backward_direction
+# replaced. The fast paths must match them bit for bit.
+
+def reference_backward_direction(dh_out, cache, wx, wh):
+    u = cache["u"]
+    t_len, h_dim = cache["h"].shape
+    da_all = np.zeros((t_len, 4 * h_dim))
+    dh_rec = np.zeros(h_dim)
+    dc = np.zeros(h_dim)
+    for t in reversed(cache["order"]):
+        dh = dh_out[t] + dh_rec
+        tc = np.tanh(cache["c"][t])
+        do = dh * tc
+        dc = dc + dh * cache["go"][t] * (1.0 - tc * tc)
+        di = dc * cache["gg"][t]
+        df = dc * cache["cprev"][t]
+        dg = dc * cache["gi"][t]
+        gi, gf, gg, go = cache["gi"][t], cache["gf"][t], cache["gg"][t], cache["go"][t]
+        da = np.concatenate([
+            di * gi * (1.0 - gi),
+            df * gf * (1.0 - gf),
+            dg * (1.0 - gg * gg),
+            do * go * (1.0 - go),
+        ])
+        da_all[t] = da
+        dh_rec = da @ wh.T
+        dc = dc * gf
+    return da_all @ wx.T, u.T @ da_all, cache["hprev"].T @ da_all, da_all.sum(axis=0)
+
+
+def reference_train_step(model, features, gold, state, dropout_rng=None):
+    value, grads = loss_and_grads(model, features, gold, dropout_rng=dropout_rng)
+    cfg = model.config
+    if cfg.grad_clip > 0:
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > cfg.grad_clip:
+            scale = cfg.grad_clip / norm
+            grads = {n: g * scale for n, g in grads.items()}
+    state.step += 1
+    t = state.step
+    for name, g in grads.items():
+        m = state.m.setdefault(name, np.zeros_like(g))
+        v = state.v.setdefault(name, np.zeros_like(g))
+        m += (1 - 0.9) * (g - m)
+        v += (1 - 0.999) * (g * g - v)
+        mhat = m / (1 - 0.9 ** t)
+        vhat = v / (1 - 0.999 ** t)
+        model.params[name] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+    return value
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"grad_clip": 1e-3},
+    {"dropout": 0.3, "layers": 2},
+], ids=["plain", "grad-clip", "dropout"])
+def test_train_step_matches_reference(monkeypatch, kw):
+    cfg = tiny_config(hidden_dim=96, **kw)
+    fast, ref = init_model(cfg), init_model(cfg)
+    # Wh (96 x 384) spans two Adam chunks, the second one partial
+    assert ADAM_BLOCK < fast.params["lstm0.fwd.Wh"].size < 2 * ADAM_BLOCK
+    fast_state, ref_state = AdamState(), AdamState()
+    fast_rng = np.random.default_rng(7) if cfg.dropout else None
+    ref_rng = np.random.default_rng(7) if cfg.dropout else None
+    for step in range(5):
+        x, gold = random_case(cfg, t=20 + step, seed=step)
+        value = train_step(fast, x, gold, fast_state, dropout_rng=fast_rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(tagger, "_backward_direction", reference_backward_direction)
+            expected = reference_train_step(ref, x, gold, ref_state, dropout_rng=ref_rng)
+        assert value == expected
+        for name in ref.params:
+            assert np.array_equal(fast.params[name], ref.params[name]), (step, name)
+            assert np.array_equal(fast_state.m[name], ref_state.m[name])
+            assert np.array_equal(fast_state.v[name], ref_state.v[name])
+    assert fast_state.step == ref_state.step == 5
+
+
+@pytest.mark.parametrize("t_len", [0, 1, 37])
+def test_backward_direction_matches_reference(t_len):
+    cfg = tiny_config(hidden_dim=12)
+    model = init_model(cfg)
+    x, _ = random_case(cfg, t=t_len, seed=t_len)
+    _, cache = forward(model, x, return_cache=True)
+    # a column slice, as loss_and_grads passes it
+    dcur = np.random.default_rng(t_len).normal(size=(t_len, 2 * cfg.hidden_dim))
+    for di, d in enumerate(("fwd", "bwd")):
+        dh_out = dcur[:, di * cfg.hidden_dim:(di + 1) * cfg.hidden_dim]
+        args = (dh_out, cache["layers"][0][d],
+                model.params[f"lstm0.{d}.Wx"], model.params[f"lstm0.{d}.Wh"])
+        got = tagger._backward_direction(*args)
+        want = reference_backward_direction(*args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), d
+
+
+def test_adam_state_allocates_its_buffers_once():
+    cfg = tiny_config(hidden_dim=8)
+    model = init_model(cfg)
+    state = AdamState()
+    x, gold = random_case(cfg, t=9)
+    train_step(model, x, gold, state)
+    first_m, first_v = dict(state.m), dict(state.v)
+    assert list(first_m) == list(model.params)
+    for _ in range(3):
+        train_step(model, x, gold, state)
+        for name in model.params:
+            assert state.m[name] is first_m[name] and state.v[name] is first_v[name]
+
+
+def test_loss_and_grads_order_and_shapes():
+    cfg = tiny_config(layers=2)
+    model = init_model(cfg)
+    for t_len in (0, 5):
+        x, gold = random_case(cfg, t=t_len)
+        _, grads = loss_and_grads(model, x, gold)
+        assert list(grads) == list(_param_shapes(cfg))
+        for name, g in grads.items():
+            assert g.shape == model.params[name].shape and g.flags.c_contiguous
+            assert t_len or not g.any()  # no frames, no gradient
 
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
