@@ -175,6 +175,14 @@ def _write_manifest(out_dir, command: str, options: dict, inputs, outputs) -> st
 
 
 def cmd_segment(args, opts) -> int:
+    with _stage("emit"):  # before any input is read
+        stems = {}
+        for path in args.poses:
+            stem = _stem(path)
+            if stem in stems:
+                raise ValueError(f"{stems[stem]} and {path} would both write "
+                                 f"{stem}.segments.json")
+            stems[stem] = path
     with _stage("checkpoint"):
         model = load_model(args.checkpoint)
     popts = _popts(opts)

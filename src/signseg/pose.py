@@ -5,10 +5,8 @@ Confidence 0 marks a missing point; its coordinates are placeholders that every
 consumer must ignore.
 """
 
-import gc
 import json
 import math
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -152,7 +150,7 @@ def _point_block(frames: list, k: int):
 
     The rules: every frame is a list of k points and every point a list of
     four JSON numbers; type() keeps bool, str and null out. Each rule is one
-    pass over the whole document, not a loop over points. An int too large
+    pass over all the frames given, not a loop over points. An int too large
     for a float raises OverflowError.
     """
     if not all(type(f) is list and len(f) == k for f in frames):
@@ -186,47 +184,19 @@ def _first_fault(frames: list, k: int) -> str:
     raise AssertionError("_point_block rejected frames that pass every rule")
 
 
-class _CollectorPause:
-    """Keeps the cyclic garbage collector off while any thread is inside.
-
-    json.loads builds no reference cycles, yet the collector walks every new
-    point list as the parse creates them: about a quarter of the decode time
-    of a holistic clip. The collector switch is process-wide, so the first
-    thread in records whether it was on and turns it off, and the last one
-    out restores that; --workers threads then share one pause.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._inside = 0
-        self._was_enabled = False
-
-    def __enter__(self):
-        with self._lock:
-            if self._inside == 0:
-                self._was_enabled = gc.isenabled()
-                gc.disable()
-            self._inside += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._inside -= 1
-            if self._inside == 0 and self._was_enabled:
-                gc.enable()
-
-
-_COLLECTOR_PAUSE = _CollectorPause()
-
-
 def _decode(text: str):
     try:
-        with _COLLECTOR_PAUSE:
-            return json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
         raise ValueError(f"malformed pose document: {e}") from None
 
 
 def _pose_from_doc(doc) -> PoseSequence:
+    """The pose of a document from json.loads or _scan.
+
+    _scan hands the frames over as a (T, k, 4) block, k the first frame's
+    length, unless a frame breaks a _point_block rule; then as a list.
+    """
     if not isinstance(doc, dict):
         raise ValueError("malformed pose document: top level is not an object")
     version = doc.get("version")
@@ -253,22 +223,118 @@ def _pose_from_doc(doc) -> PoseSequence:
     k = sum(len(c.points) for c in components)
 
     frames = doc.get("frames")
-    if not isinstance(frames, list):
-        raise ValueError("frames must be a list")
-    try:
-        block = _point_block(frames, k)
-        if block is None:
-            raise ValueError(_first_fault(frames, k))
-    except OverflowError as e:
-        raise ValueError(f"malformed pose document: {e}") from None
+    if isinstance(frames, np.ndarray) and frames.shape[1] == k:
+        block = frames
+    else:
+        if isinstance(frames, np.ndarray):  # no frames, or frame 0 of the wrong length
+            frames = frames.tolist()
+        if not isinstance(frames, list):
+            raise ValueError("frames must be a list")
+        try:
+            block = _point_block(frames, k)
+            if block is None:
+                raise ValueError(_first_fault(frames, k))
+        except OverflowError as e:
+            raise ValueError(f"malformed pose document: {e}") from None
     # coords and conf are views into the one (T, K, 4) block
     coords, conf = block[:, :, :3], block[:, :, 3]
     _validate_arrays(tuple(components), coords, conf)
     return PoseSequence(fps, tuple(components), coords, conf)
 
 
+# The scanner follows json.loads token for token: the same decoder for every
+# value, json's own whitespace set, the last of duplicate keys wins, and
+# nothing but whitespace may follow the top-level object.
+_DECODER = json.JSONDecoder()
+_SKIP_WS = json.decoder.WHITESPACE.match
+# Frames go to _point_block in runs of at most this many points (one frame
+# if a frame has more): 10 frames of a 49-point clip share one numpy call.
+# Each run's lists are freed before the next run is decoded, so fewer live
+# lists than the cyclic collector's first threshold (700 by default) ever
+# accumulate, and the collector does not run during the parse. Runs of
+# 32768 points set off about 1100 collections per holistic clip.
+_RUN_POINTS = 512
+
+
+def _past(text: str, i: int, char: str) -> int:
+    """The index after char at text[i] and the whitespace that follows it."""
+    if not text.startswith(char, i):
+        raise ValueError(f"expected {char!r}")
+    return _SKIP_WS(text, i + 1).end()
+
+
+def _scan_frames(text: str, i: int):
+    """Decodes the frames array that opens at text[i] a run of frames at a time.
+
+    Returns (frames, end index): a (T, k, 4) block with k the first frame's
+    length (0 if there are none), or, if a frame breaks a _point_block rule,
+    the array as json.loads decodes it. A syntax error raises ValueError.
+    """
+    blocks, run = [], []
+    try:
+        j = _past(text, i, "[")
+        last = text.startswith("]", j)
+        while not last:
+            frame, j = _DECODER.raw_decode(text, j)
+            if not (blocks or run):
+                k = len(frame) if type(frame) is list else 0
+                per_run = max(1, _RUN_POINTS // max(k, 1))
+            run.append(frame)
+            j = _SKIP_WS(text, j).end()
+            last = not text.startswith(",", j)
+            if last or len(run) == per_run:
+                block = _point_block(run, k)
+                if block is None:
+                    raise ValueError("a frame breaks a point rule")
+                blocks.append(block)
+                run = []
+            if not last:
+                j = _past(text, j, ",")
+        j = _past(text, j, "]")
+    except (ValueError, OverflowError):  # a syntax error raises again here
+        return _DECODER.raw_decode(text, i)
+    if not blocks:
+        return np.zeros((0, 0, 4)), j
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), j
+
+
+def _scan(text: str) -> dict:
+    """The top-level members of a pose document, each frames array scanned.
+
+    Raises ValueError or RecursionError where json.loads does.
+    """
+    i = _past(text, _SKIP_WS(text, 0).end(), "{")
+    doc = {}
+    last = text.startswith("}", i)
+    while not last:
+        if not text.startswith('"', i):
+            raise ValueError("expected a key")
+        key, i = _DECODER.raw_decode(text, i)
+        i = _past(text, _SKIP_WS(text, i).end(), ":")
+        if key == "frames" and text.startswith("[", i):
+            doc[key], i = _scan_frames(text, i)
+        else:
+            doc[key], i = _DECODER.raw_decode(text, i)
+        i = _SKIP_WS(text, i).end()
+        last = not text.startswith(",", i)
+        if not last:
+            i = _past(text, i, ",")
+    if _past(text, i, "}") != len(text):
+        raise ValueError("extra data")
+    return doc
+
+
 def parse_pose(text: str) -> PoseSequence:
-    return _pose_from_doc(_decode(text))
+    """Reads a poseseq-json document with no more than a run of frames as lists.
+
+    Only a document that is no valid JSON is decoded whole, by json.loads,
+    so that the error names the fault and its offset.
+    """
+    try:
+        doc = _scan(text)
+    except (ValueError, RecursionError):
+        doc = _decode(text)
+    return _pose_from_doc(doc)
 
 
 def serialize_pose(seq: PoseSequence) -> str:
@@ -286,10 +352,8 @@ def serialize_pose(seq: PoseSequence) -> str:
 
 
 def load_pose(path) -> PoseSequence:
-    # the text is freed once decoded, before the arrays are built
     with open(path, encoding="utf-8") as f:
-        doc = _decode(f.read())
-    return _pose_from_doc(doc)
+        return parse_pose(f.read())
 
 
 def save_pose(path, seq: PoseSequence) -> None:

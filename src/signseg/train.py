@@ -141,7 +141,10 @@ def train(model: TaggerModel, train_clips, val_clips, max_steps: int = 0,
         if val_f1 is not None:
             if val_f1 > best_f1:
                 best_f1, best_step = val_f1, steps
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                # the run ends after an evaluation at the cap: no step follows
+                # to change the parameters, so they need no copy
+                best_params = (model.params if at_cap
+                               else {k: v.copy() for k, v in model.params.items()})
                 since_best = 0
             else:
                 since_best += 1

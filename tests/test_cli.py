@@ -180,6 +180,26 @@ def test_segment_reports_unconvertible_pose_as_parse_error(checkpoint, tmp_path,
     assert err.startswith("signseg segment: parse: malformed pose document")
 
 
+@pytest.mark.parametrize("names", [("a/x.pose.json", "b/x.pose.json"),
+                                   ("a/x.pose.json", "a/x.json"),
+                                   ("a/x.pose.json", "a/x.pose.json")])
+def test_segment_rejects_inputs_that_share_a_stem(corpus_dir, checkpoint, tmp_path, capsys,
+                                                 names):
+    poses = []
+    for name in names:
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("{", encoding="utf-8")  # reading it would be a parse error
+        poses.append(str(path))
+    out = tmp_path / "out"
+    rc = cli.main(["segment", first_pose(corpus_dir), *poses, "--checkpoint", checkpoint,
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"signseg segment: emit: {poses[0]} and {poses[1]} "
+                                       "would both write x.segments.json\n")
+    assert not out.exists()
+
+
 def test_segment_missing_checkpoint(corpus_dir, tmp_path, capsys):
     rc = cli.main(["segment", first_pose(corpus_dir),
                    "--checkpoint", str(tmp_path / "nope.ckpt"),

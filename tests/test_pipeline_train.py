@@ -184,9 +184,24 @@ def test_train_returns_best_parameters(tmp_path):
     assert mean_frame_f1(result.model, clips) == pytest.approx(result.best_val_f1)
 
 
+def test_train_copies_the_best_parameters_only_before_the_last_step(tmp_path):
+    clips, cfg = tiny_corpus(tmp_path)
+    model = init_model(cfg)
+    # one epoch: the only evaluation is at the step cap, so it is the best
+    result = train(model, clips, clips, max_steps=len(clips), patience=0)
+    assert result.best_step == result.steps
+    assert all(result.model.params[k] is a for k, a in model.params.items())
+    # frozen weights: the first evaluation stays the best, and steps follow it
+    frozen = init_model(replace(cfg, learning_rate=0.0))
+    result = train(frozen, clips, clips, max_steps=0, patience=1)
+    assert result.best_step < result.steps
+    assert not any(result.model.params[k] is a for k, a in frozen.params.items())
+
+
 def test_train_holds_one_gradient_set():
-    """A step holds m, v and one gradient set beside the parameters; the best
-    copy is taken at the evaluation, after the gradients are freed."""
+    """A step holds m, v and one gradient set beside the parameters; a best
+    copy, where one is taken, comes at an evaluation, after the gradients are
+    freed."""
     cfg = TaggerConfig(input_dim=6, hidden_dim=96, layers=1, seed=0)
     model = init_model(cfg)
     params = sum(a.nbytes for a in model.params.values())  # 1.2 MB

@@ -1,7 +1,9 @@
 import gc
 import json
+import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signseg import pose
-from signseg.numutil import round_half_away
+from signseg.numutil import check_fps, round_half_away
 from signseg.pose import (
     BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, PoseComponent, holistic_components,
     make_pose, named_selector, normalize_pose, parse_pose, resample_fps,
@@ -216,6 +218,207 @@ def test_fuzz_parse_mutated_documents(data):
         cut = data.draw(st.integers(0, len(text)))
         text = text[:cut] + data.draw(st.text(max_size=3)) + text[cut:]
     _parse_returns_or_rejects(text)
+
+
+def whole_document_reader(text):
+    """The reader that json.loads whole documents, kept as the scanner's oracle."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"malformed pose document: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("malformed pose document: top level is not an object")
+    version = doc.get("version")
+    if version != pose.FORMAT_VERSION:
+        raise ValueError(f"unsupported pose format version {version!r}")
+    fps = check_fps(doc.get("fps"))
+    raw_components = doc.get("components")
+    if not isinstance(raw_components, list):
+        raise ValueError("components must be a list")
+    components = []
+    seen = set()
+    for rc in raw_components:
+        if not (isinstance(rc, dict) and isinstance(rc.get("name"), str)
+                and isinstance(rc.get("points"), list)
+                and all(isinstance(p, str) for p in rc["points"])):
+            raise ValueError("component entries must be {name, points} objects")
+        if rc["name"] in seen:
+            raise ValueError(f"duplicate component name {rc['name']!r}")
+        seen.add(rc["name"])
+        if len(set(rc["points"])) != len(rc["points"]):
+            raise ValueError(f"component {rc['name']!r} has duplicate point names")
+        components.append(PoseComponent(rc["name"], tuple(rc["points"])))
+    k = sum(len(c.points) for c in components)
+    frames = doc.get("frames")
+    if not isinstance(frames, list):
+        raise ValueError("frames must be a list")
+    try:
+        block = pose._point_block(frames, k)
+        if block is None:
+            raise ValueError(pose._first_fault(frames, k))
+    except OverflowError as e:
+        raise ValueError(f"malformed pose document: {e}") from None
+    coords, conf = block[:, :, :3], block[:, :, 3]
+    pose._validate_arrays(tuple(components), coords, conf)
+    return pose.PoseSequence(fps, tuple(components), coords, conf)
+
+
+def outcome(read, text):
+    """What a reader makes of a text: every bit of the pose, or the error message."""
+    try:
+        seq = read(text)
+    except ValueError as e:
+        return "rejects", str(e)
+    return ("reads", type(seq.fps), seq.fps, seq.components,
+            [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in (seq.coords, seq.conf)])
+
+
+def assert_reads_like_whole_document_reader(text):
+    want = outcome(whole_document_reader, text)
+    assert outcome(parse_pose, text) == want
+    if want[0] == "reads":  # a valid document never leaves the scanner's block path
+        assert isinstance(pose._scan(text)["frames"], np.ndarray)
+
+
+class Members(list):
+    """A JSON object as (key, value) pairs, so that keys repeat and keep their order."""
+
+
+class Token(str):
+    """A JSON number or constant written as it is, such as -0 or Infinity."""
+
+
+def render(value, ws):
+    """JSON text of value with ws() between every pair of tokens."""
+    if isinstance(value, Members):
+        inner = ",".join(f"{ws()}{json.dumps(k)}{ws()}:{ws()}{render(v, ws)}{ws()}"
+                         for k, v in value)
+        return "{" + (inner or ws()) + "}"
+    if isinstance(value, list):
+        return "[" + (",".join(f"{ws()}{render(v, ws)}{ws()}" for v in value) or ws()) + "]"
+    return value if isinstance(value, Token) else json.dumps(value)
+
+
+_ODD_VALUES = [Token("-0"), Token("-0.0"), Token("NaN"), Token("Infinity"), Token("-Infinity"),
+               Token("1" + "0" * 400), Token("-1" + "0" * 400), Token("1e400"), Token("1E-400"),
+               0, 1, True, None, "0.5", [], {}]
+
+
+def _mutate_frames(data, frames, k):
+    """One odd value, point length, frame length or frame, at a drawn place."""
+    ti = data.draw(st.integers(0, len(frames) - 1))
+    frame = frames[ti]
+    op = data.draw(st.sampled_from(["value", "point", "frame", "replace"]))
+    if op == "replace" or not (isinstance(frame, list) and frame):
+        frames[ti] = data.draw(st.sampled_from([[], {}, 3, None, [[0.5] * 4] * (k + 1)]))
+    elif op == "frame":
+        if data.draw(st.booleans()):
+            frame.pop()
+        else:
+            frame.append([0.5] * 4)
+    else:
+        point = frame[data.draw(st.integers(0, len(frame) - 1))]
+        if op == "value":
+            at = data.draw(st.integers(0, len(point) - 1))
+            point[at] = data.draw(st.sampled_from(_ODD_VALUES))
+        elif data.draw(st.booleans()):
+            point.pop()
+        else:
+            point.append(0.5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scanner_matches_whole_document_reader(data):
+    draw = data.draw
+    t, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    frames = [[[draw(st.floats(0, 1)) for _ in range(4)] for _ in range(k)] for _ in range(t)]
+    for _ in range(draw(st.integers(0, 2)) if frames else 0):
+        _mutate_frames(data, frames, k)
+    names = [f"P{i}" for i in range(k)]
+    cut = draw(st.integers(0, k))
+    components = [Members([("name", "BODY"), ("points", names[:cut])])]
+    if cut < k or draw(st.booleans()):
+        components.append(Members([("name", "HAND"), ("points", names[cut:])]))
+    if draw(st.booleans()):  # only a top-level frames key holds the frames
+        components[0].append(("frames", [[[0.5, 0.5, 0.5, 1.0]] * (k + 1)]))
+    members = [("version", draw(st.sampled_from([pose.FORMAT_VERSION] * 7 + ["poseseq-json/0"]))),
+               ("fps", draw(st.sampled_from([25, 12.5] * 3 + [0]))),
+               ("components", components), ("frames", frames)]
+    if draw(st.booleans()):  # another frames key, valid or not; the last one counts
+        other = draw(st.sampled_from([[[[0.25] * 4] * k] * 2, [[[0.25] * 4] * (k + 1)],
+                                      [[[Token("1" + "0" * 400)] * 4] * k], [], 7, None]))
+        members.append(("frames", other))
+    if draw(st.booleans()):
+        members.append(("extra", draw(_json_values)))
+    members = draw(st.permutations(members))
+
+    spaces = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        def ws():
+            return "".join(spaces.choice(" \t\n\r") for _ in range(spaces.randint(0, 2)))
+    else:
+        def ws():
+            return ""
+    text = ws() + render(Members(members), ws) + ws()
+    text = draw(st.sampled_from([""] * 7 + ["\ufeff"])) + text
+    text += draw(st.sampled_from([""] * 7 + ["x", "{}", ",", "]", "0", " }", "\x00"]))
+    if draw(st.sampled_from([False] * 3 + [True])):  # a character put in, taken out or both
+        at = draw(st.integers(0, len(text)))
+        put = draw(st.sampled_from(["", ",", ":", "[", "]", "{", "}", '"', "0", "-", "e"]))
+        text = text[:at] + put + text[at + draw(st.integers(0, 1)):]
+    run_points = pose._RUN_POINTS
+    pose._RUN_POINTS = draw(st.sampled_from([run_points, 1, 3, 8]))  # runs that split frames
+    try:
+        assert_reads_like_whole_document_reader(text)
+    finally:
+        pose._RUN_POINTS = run_points
+
+
+def test_scanner_matches_whole_document_reader_on_every_prefix():
+    spaced = Members([("frames", [[[0.5, Token("-0"), 1, 1.0], [Token("2E-1"), 0.0, 3, 0.5]]]),
+                      ("fps", 25), ("version", pose.FORMAT_VERSION),
+                      ("components", [Members([("name", "BODY"), ("points", ["A", "B"])])])])
+    texts = [json.dumps(small_doc(frames=2)), render(spaced, lambda: " \n"), ""]
+    for text in texts:
+        assert outcome(parse_pose, text)[0] == ("reads" if text else "rejects")
+        for cut in range(len(text) + 1):
+            assert_reads_like_whole_document_reader(text[:cut])
+
+
+@pytest.mark.parametrize("old, new", [
+    ("]]]}", "]],]}"),  # a comma after the last frame
+    ("]]]}", "]]],}"),  # a comma after the last member
+    ("]], [[", "]],, [["),  # two commas between frames
+    ('"frames": [', '"frames": [,'),  # a comma before the first frame
+    ("0.5, 1.0]", "0.5, 1.0,]"),  # a comma after the last value of a point
+    ('"fps": 50', '"fps" 50'),  # no colon
+    ('{"version"', '{,"version"'),  # a comma before the first member
+    ("]]]}", "]]]"),  # an object left open
+])
+def test_scanner_matches_whole_document_reader_on_broken_syntax(old, new):
+    text = json.dumps(small_doc(frames=3))
+    assert old in text
+    assert_reads_like_whole_document_reader(text.replace(old, new, 1))
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_block():
+    # 300 frames of 543 points, laid out as the holistic benchmark clips are
+    comps = holistic_components()
+    k = sum(len(c.points) for c in comps)
+    quads = np.random.default_rng(5).random((300, k, 4)).astype(np.float32).astype(float)
+    text = json.dumps({"version": pose.FORMAT_VERSION, "fps": 25.0,
+                       "components": [{"name": c.name, "points": list(c.points)} for c in comps],
+                       "frames": quads.tolist()}, separators=(",", ":"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seq = parse_pose(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(seq.conf, quads[:, :, 3])
+    assert peak <= 3 * quads.nbytes
 
 
 def test_parse_rejects_malformed_json():
@@ -444,39 +647,6 @@ def test_parse_restores_collector_state(collector_state, enabled):
         with pytest.raises(ValueError, match="malformed pose document"):
             parse_pose(bad)
         assert gc.isenabled() is enabled
-
-
-def test_concurrent_parses_share_one_collector_pause(collector_state, monkeypatch):
-    gc.enable()
-    entered = {"1": threading.Event(), "2": threading.Event()}
-    release = {"1": threading.Event(), "2": threading.Event()}
-    loads = json.loads
-
-    def held_loads(text):  # each parse stays inside until its release
-        entered[text].set()
-        release[text].wait(10)
-        return loads(text)
-
-    monkeypatch.setattr(json, "loads", held_loads)
-    threads = {text: threading.Thread(target=pose._decode, args=(text,)) for text in entered}
-    try:
-        threads["1"].start()
-        assert entered["1"].wait(10)
-        assert not gc.isenabled()
-        threads["2"].start()
-        assert entered["2"].wait(10)
-        release["1"].set()  # the first in leaves first
-        threads["1"].join(10)
-        assert not threads["1"].is_alive()
-        assert not gc.isenabled()  # the second is still inside
-    finally:
-        for event in release.values():
-            event.set()
-        for thread in threads.values():
-            if thread.ident:  # started
-                thread.join(10)
-    assert not threads["2"].is_alive()
-    assert gc.isenabled()
 
 
 def test_parse_threads_stress_restores_collector(collector_state):
