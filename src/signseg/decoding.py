@@ -49,30 +49,34 @@ def _check_rows(probs) -> np.ndarray:
     return probs
 
 
-def greedy_decode(probs, params: DecodeParams) -> list[Segment]:
-    probs = _check_rows(probs)
+def _greedy(b: list, o: list, params: DecodeParams) -> list[Segment]:
+    """The threshold decoder over each frame's B and O probabilities as floats."""
     tb, to = params.threshold_b, params.threshold_o
     out: list[Segment] = []
     start = None
     did_pass = False
-    for t in range(len(probs)):
-        b, o = probs[t, B], probs[t, O]
+    for t, (bt, ot) in enumerate(zip(b, o)):
         if start is None:
-            if b > tb:
+            if bt > tb:
                 start = t
                 did_pass = False
             continue
-        if not did_pass and b < tb:
+        if not did_pass and bt < tb:
             did_pass = True
-        if did_pass and (b > tb or o > to):
+        if did_pass and (bt > tb or ot > to):
             out.append(Segment(start, t))
             start = None
             did_pass = False
-            if params.strict_bio and b > tb:
+            if params.strict_bio and bt > tb:
                 start = t
     if start is not None:
-        out.append(Segment(start, len(probs)))
+        out.append(Segment(start, len(b)))
     return out
+
+
+def greedy_decode(probs, params: DecodeParams) -> list[Segment]:
+    probs = _check_rows(probs)
+    return _greedy(probs[:, B].tolist(), probs[:, O].tolist(), params)
 
 
 def argmax_decode(probs, params: DecodeParams = None) -> list[Segment]:
@@ -105,7 +109,10 @@ def tune_thresholds(dev_set, grid=DEFAULT_GRID, strict_bio: bool = False):
     """
     if not dev_set:
         raise ValueError("dev set is empty")
-    dev = [(_check_rows(p), _frame_mask(g, len(p))) for p, g in dev_set]
+    dev = []  # each clip's rows are checked and turned into floats once
+    for p, g in dev_set:
+        probs = _check_rows(p)
+        dev.append((probs[:, B].tolist(), probs[:, O].tolist(), _frame_mask(g, len(probs))))
     n_gold = sum(len(g) for _, g in dev_set)
     if n_gold == 0:
         raise ValueError("dev set has no gold segments")
@@ -115,9 +122,9 @@ def tune_thresholds(dev_set, grid=DEFAULT_GRID, strict_bio: bool = False):
     for tb, to in product(grid, repeat=2):
         params = DecodeParams(tb, to, DecodeMode.THRESHOLD, strict_bio)
         inter = union = n_pred = 0
-        for probs, gmask in dev:
-            pred = greedy_decode(probs, params)
-            pmask = _frame_mask(pred, len(probs))
+        for b, o, gmask in dev:
+            pred = _greedy(b, o, params)
+            pmask = _frame_mask(pred, len(b))
             inter += int((pmask & gmask).sum())
             union += int((pmask | gmask).sum())
             n_pred += len(pred)

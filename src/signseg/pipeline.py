@@ -6,9 +6,13 @@ points), select the keypoint subset, then assemble per-frame features.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .flow import FeatureMatrix, assemble_features
 from .numutil import check_fps
-from .pose import PoseSequence, named_selector, normalize_pose, resample_fps, select_points
+from .pose import (
+    PoseSequence, drop_legs, named_selector, resample_index, select_columns, shoulder_stats,
+)
 
 FEATURE_FLAGS = ("flow", "handnorm")
 
@@ -34,9 +38,22 @@ def parse_feature_flags(text: str) -> tuple[str, ...]:
 
 
 def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
-    seq = resample_fps(seq, opts.fps)
-    seq = normalize_pose(seq)
-    return select_points(seq, named_selector(opts.selector))
+    """select_points(normalize_pose(resample_fps(seq, fps)), selector), bit for bit.
+
+    The statistics come from the resampled frames as normalize_pose takes
+    them; then only the selected points of those frames are copied and
+    transformed. body75 reads 75 of a holistic pose's 543 points.
+    """
+    idx = resample_index(seq, opts.fps)
+    fps, frames = (seq.fps, np.arange(seq.num_frames)) if idx is None else (opts.fps, idx)
+    mean_mid, mean_dist = shoulder_stats(seq, frames)
+    kept, keep = drop_legs(seq.components)
+    components, order = select_columns(kept, named_selector(opts.selector))
+    rows, cols = frames[:, None], [keep[i] for i in order]
+    coords = (seq.coords[rows, cols] - mean_mid) / mean_dist
+    conf = seq.conf[rows, cols]
+    coords[conf == 0] = 0.0
+    return PoseSequence(fps, components, coords, conf)
 
 
 def prepare_features(seq: PoseSequence, opts: PipelineOptions) -> FeatureMatrix:

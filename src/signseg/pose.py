@@ -7,6 +7,7 @@ consumer must ignore.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -254,72 +255,156 @@ _SKIP_WS = json.decoder.WHITESPACE.match
 # accumulate, and the collector does not run during the parse. Runs of
 # 32768 points set off about 1100 collections per holistic clip.
 _RUN_POINTS = 512
+# load_pose reads its file this many characters at a time (more when one
+# value is longer than the text held), so it holds a few MiB of text, not
+# the whole document: a minute of holistic pose is about 52 MB.
+_CHUNK_CHARS = 1 << 20
 
 
-def _past(text: str, i: int, char: str) -> int:
-    """The index after char at text[i] and the whitespace that follows it."""
-    if not text.startswith(char, i):
-        raise ValueError(f"expected {char!r}")
-    return _SKIP_WS(text, i + 1).end()
+class _Unreadable(Exception):
+    """A chunk of the file is no valid UTF-8.
+
+    No ValueError, so that no scanner handler takes it for a syntax error;
+    load_pose then reads the file whole, and the error names the offset.
+    """
 
 
-def _scan_frames(text: str, i: int):
+class _Window:
+    """The scanner's view of a document: text, indices into it, and refills.
+
+    A window over a str holds the whole document. A window over a file holds
+    what has not been read yet of the chunks read so far: when a skip or a
+    value reaches the end of text, _more drops the read part and appends the
+    next chunk, which moves every index. start is the offset of text[0] in
+    the document; length is the document's size, in bytes for a file (its
+    length in characters while it is ASCII).
+    """
+
+    def __init__(self, text="", file=None):
+        self.text, self.file, self.start = text, file, 0
+        self.length = len(text) if file is None else os.fstat(file.fileno()).st_size
+
+    def _more(self, i) -> bool:
+        """Drops text[:i] and reads at least as much as is left; False at the end."""
+        try:
+            more = self.file.read(max(_CHUNK_CHARS, len(self.text) - i)) if self.file else ""
+        except UnicodeDecodeError:
+            self.file = None
+            raise _Unreadable from None
+        if not more:
+            self.file = None
+            return False
+        self.start += i
+        self.text = self.text[i:] + more
+        return True
+
+    def skip(self, i) -> int:
+        """The index of the first character at or after i that is no whitespace.
+
+        It is in text unless the document ends in whitespace, so text.startswith
+        at the index tests the document.
+        """
+        i = _SKIP_WS(self.text, i).end()
+        while i == len(self.text) and self._more(i):
+            i = _SKIP_WS(self.text, 0).end()
+        return i
+
+    def past(self, i, char) -> int:
+        """The index after char at text[i] and the whitespace that follows it."""
+        if not self.text.startswith(char, i):
+            raise ValueError(f"expected {char!r}")
+        return self.skip(i + 1)
+
+    def decode(self, i):
+        """The JSON value at text[i] and the index after it.
+
+        A value that fails or ends within two characters of the end of text is
+        decoded again after a refill: a number there may go on (2|5, 2.|5,
+        2e-|5), and anything else may be cut.
+        """
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, i)
+                if len(self.text) - end > 2 or not self._more(i):
+                    return value, end
+            except (ValueError, RecursionError):
+                if not self._more(i):
+                    raise
+            i = 0
+
+
+def _scan_frames(win: _Window, i: int):
     """Decodes the frames array that opens at text[i] a run of frames at a time.
 
     Returns (frames, end index): a (T, k, 4) block with k the first frame's
     length (0 if there are none), or, if a frame breaks a _point_block rule,
-    the array as json.loads decodes it. A syntax error raises ValueError.
+    the array as json.loads decodes it. The runs go into one block, sized
+    for a document of frames as long as the first, that grows by half when a
+    document has more. A syntax error raises ValueError, and so does a frame
+    that breaks a rule once the start of the array has left the window.
     """
-    blocks, run = [], []
+    at = win.start + i
+    block, t, run = None, 0, []
     try:
-        j = _past(text, i, "[")
-        last = text.startswith("]", j)
+        j = win.past(i, "[")
+        last = win.text.startswith("]", j)
         while not last:
-            frame, j = _DECODER.raw_decode(text, j)
-            if not (blocks or run):
+            if block is None:
+                first = win.start + j
+            frame, j = win.decode(j)
+            if block is None:
                 k = len(frame) if type(frame) is list else 0
                 per_run = max(1, _RUN_POINTS // max(k, 1))
+                rows = (win.length - first) // (win.start + j - first) + 1
+                block = np.empty((rows + rows // 16, k, 4))
             run.append(frame)
-            j = _SKIP_WS(text, j).end()
-            last = not text.startswith(",", j)
+            j = win.skip(j)
+            last = not win.text.startswith(",", j)
             if last or len(run) == per_run:
-                block = _point_block(run, k)
-                if block is None:
+                points = _point_block(run, k)
+                if points is None:
                     raise ValueError("a frame breaks a point rule")
-                blocks.append(block)
+                if t + len(points) > len(block):
+                    grown = np.empty((max(t + len(points), len(block) * 3 // 2), k, 4))
+                    grown[:t] = block[:t]
+                    block = grown
+                block[t:t + len(points)] = points
+                t += len(points)
                 run = []
             if not last:
-                j = _past(text, j, ",")
-        j = _past(text, j, "]")
+                j = win.past(j, ",")
+        j = win.past(j, "]")
     except (ValueError, OverflowError):  # a syntax error raises again here
-        return _DECODER.raw_decode(text, i)
-    if not blocks:
+        if at < win.start:
+            raise ValueError("the frames array has left the window") from None
+        return win.decode(at - win.start)
+    if block is None:
         return np.zeros((0, 0, 4)), j
-    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), j
+    return block[:t], j
 
 
-def _scan(text: str) -> dict:
+def _scan(win: _Window) -> dict:
     """The top-level members of a pose document, each frames array scanned.
 
     Raises ValueError or RecursionError where json.loads does.
     """
-    i = _past(text, _SKIP_WS(text, 0).end(), "{")
+    i = win.past(win.skip(0), "{")
     doc = {}
-    last = text.startswith("}", i)
+    last = win.text.startswith("}", i)
     while not last:
-        if not text.startswith('"', i):
+        if not win.text.startswith('"', i):
             raise ValueError("expected a key")
-        key, i = _DECODER.raw_decode(text, i)
-        i = _past(text, _SKIP_WS(text, i).end(), ":")
-        if key == "frames" and text.startswith("[", i):
-            doc[key], i = _scan_frames(text, i)
+        key, i = win.decode(i)
+        i = win.past(win.skip(i), ":")
+        if key == "frames" and win.text.startswith("[", i):
+            doc[key], i = _scan_frames(win, i)
         else:
-            doc[key], i = _DECODER.raw_decode(text, i)
-        i = _SKIP_WS(text, i).end()
-        last = not text.startswith(",", i)
+            doc[key], i = win.decode(i)
+        i = win.skip(i)
+        last = not win.text.startswith(",", i)
         if not last:
-            i = _past(text, i, ",")
-    if _past(text, i, "}") != len(text):
+            i = win.past(i, ",")
+    if win.past(i, "}") != len(win.text):
         raise ValueError("extra data")
     return doc
 
@@ -331,7 +416,7 @@ def parse_pose(text: str) -> PoseSequence:
     so that the error names the fault and its offset.
     """
     try:
-        doc = _scan(text)
+        doc = _scan(_Window(text))
     except (ValueError, RecursionError):
         doc = _decode(text)
     return _pose_from_doc(doc)
@@ -352,8 +437,21 @@ def serialize_pose(seq: PoseSequence) -> str:
 
 
 def load_pose(path) -> PoseSequence:
-    with open(path, encoding="utf-8") as f:
-        return parse_pose(f.read())
+    """Reads a poseseq-json file a chunk at a time, as parse_pose reads its text.
+
+    If the streamed scan fails for any reason, the file is read whole and
+    parsed as a str, so that every error is the one parse_pose gives (or the
+    UnicodeDecodeError of reading the whole file).
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = _scan(_Window(file=f))
+    except (ValueError, RecursionError, _Unreadable):
+        doc = None
+    if doc is None:  # out of the handler, so the failed window is freed first
+        with open(path, encoding="utf-8") as f:
+            return parse_pose(f.read())
+    return _pose_from_doc(doc)
 
 
 def save_pose(path, seq: PoseSequence) -> None:
@@ -361,21 +459,68 @@ def save_pose(path, seq: PoseSequence) -> None:
         f.write(serialize_pose(seq))
 
 
-def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
-    """Nearest-frame resampling: output frame i is input frame round(i*src/target)."""
+def resample_index(seq: PoseSequence, target_fps: float):
+    """The input frame of each frame resample_fps outputs, or None at the same rate."""
     if not target_fps > 0:
         raise ValueError("target fps must be positive")
-    t = seq.num_frames
     if seq.fps == target_fps:
-        return PoseSequence(seq.fps, seq.components, seq.coords.copy(), seq.conf.copy())
+        return None
+    t = seq.num_frames
     frames = t * target_fps / seq.fps
     if not math.isfinite(frames):
         raise ValueError(f"resampling to {target_fps:g} fps gives a non-finite frame count")
     t_out = round_half_away(frames)
     # i * src / target is never negative, so round_half_away is floor(x + 0.5)
     idx = np.floor(np.arange(t_out, dtype=float) * seq.fps / target_fps + 0.5).astype(int)
-    idx = np.clip(idx, 0, t - 1)
+    return np.clip(idx, 0, t - 1)
+
+
+def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
+    """Nearest-frame resampling: output frame i is input frame round(i*src/target)."""
+    idx = resample_index(seq, target_fps)
+    if idx is None:
+        return PoseSequence(seq.fps, seq.components, seq.coords.copy(), seq.conf.copy())
     return PoseSequence(target_fps, seq.components, seq.coords[idx].copy(), seq.conf[idx].copy())
+
+
+def shoulder_stats(seq: PoseSequence, frames=slice(None)):
+    """(mean_mid, mean_dist) of normalize_pose over seq's frames (an index).
+
+    The mean shoulder distance and midpoint, each frame weighted by the
+    product of its two shoulder confidences.
+    """
+    li = seq.find_point("LEFT_SHOULDER")
+    ri = seq.find_point("RIGHT_SHOULDER")
+    left = seq.coords[frames, li, :]
+    right = seq.coords[frames, ri, :]
+    w = seq.conf[frames, li] * seq.conf[frames, ri]
+    if not (w > 0).any():
+        raise ValueError("cannot normalize: shoulders are never tracked")
+    dist = np.linalg.norm(left - right, axis=1)
+    mean_dist = float((w * dist).sum() / w.sum())
+    if mean_dist == 0:
+        raise ValueError("cannot normalize: mean shoulder distance is zero")
+    mid = (left + right) / 2
+    mean_mid = (w[:, None] * mid).sum(axis=0) / w.sum()
+    return mean_mid, mean_dist
+
+
+def drop_legs(components) -> tuple[tuple[PoseComponent, ...], list[int]]:
+    """The components normalize_pose keeps, and the columns of their points."""
+    keep = []
+    kept = []
+    off = 0
+    for c in components:
+        kept_points = []
+        for j, p in enumerate(c.points):
+            if any(m in p for m in LEG_MARKERS):
+                continue
+            kept_points.append(p)
+            keep.append(off + j)
+        off += len(c.points)
+        if kept_points:
+            kept.append(PoseComponent(c.name, tuple(kept_points)))
+    return tuple(kept), keep
 
 
 def normalize_pose(seq: PoseSequence) -> PoseSequence:
@@ -385,40 +530,14 @@ def normalize_pose(seq: PoseSequence) -> PoseSequence:
     the translation puts the weighted mean shoulder midpoint at the origin.
     Only frames where both shoulders are tracked contribute to the statistics.
     """
-    li = seq.find_point("LEFT_SHOULDER")
-    ri = seq.find_point("RIGHT_SHOULDER")
-    left = seq.coords[:, li, :]
-    right = seq.coords[:, ri, :]
-    w = seq.conf[:, li] * seq.conf[:, ri]
-    if not (w > 0).any():
-        raise ValueError("cannot normalize: shoulders are never tracked")
-    dist = np.linalg.norm(left - right, axis=1)
-    mean_dist = float((w * dist).sum() / w.sum())
-    if mean_dist == 0:
-        raise ValueError("cannot normalize: mean shoulder distance is zero")
-    mid = (left + right) / 2
-    mean_mid = (w[:, None] * mid).sum(axis=0) / w.sum()
-
+    mean_mid, mean_dist = shoulder_stats(seq)
     coords = (seq.coords - mean_mid) / mean_dist
     conf = seq.conf.copy()
-
-    keep = []
-    components = []
-    off = 0
-    for c in seq.components:
-        kept_points = []
-        for j, p in enumerate(c.points):
-            if any(m in p for m in LEG_MARKERS):
-                continue
-            kept_points.append(p)
-            keep.append(off + j)
-        off += len(c.points)
-        if kept_points:
-            components.append(PoseComponent(c.name, tuple(kept_points)))
+    components, keep = drop_legs(seq.components)
     coords = coords[:, keep, :]
     conf = conf[:, keep]
     coords[conf == 0] = 0.0
-    return PoseSequence(seq.fps, tuple(components), coords, conf)
+    return PoseSequence(seq.fps, components, coords, conf)
 
 
 @dataclass(frozen=True)
@@ -445,12 +564,18 @@ def named_selector(name: str) -> PointSelector:
     raise ValueError(f"unknown selector {name!r}; known: body75, face-contour-128")
 
 
-def select_points(seq: PoseSequence, selector: PointSelector) -> PoseSequence:
-    """Restrict a sequence to the selector's points, grouped by component."""
+def select_columns(components, selector: PointSelector):
+    """The components select_points returns, and the columns of their points."""
+    placed = {}  # name -> (offset, component), the first of a name as in PoseSequence
+    off = 0
+    for c in components:
+        placed.setdefault(c.name, (off, c))
+        off += len(c.points)
     by_comp: dict[str, list[int]] = {}
     for comp_name, point in selector.entries:
-        comp = seq.component(comp_name)
-        off = seq.component_offset(comp_name)
+        if comp_name not in placed:
+            raise ValueError(f"pose has no component named {comp_name!r}")
+        off, comp = placed[comp_name]
         cols = by_comp.setdefault(comp_name, [])
         if point is None:
             cols.extend(range(off, off + len(comp.points)))
@@ -462,12 +587,18 @@ def select_points(seq: PoseSequence, selector: PointSelector) -> PoseSequence:
                     f"selector {selector.name!r}: component {comp_name!r} has no point {point!r}"
                 ) from None
             cols.append(off + j)
-    components = []
+    selected = []
     order: list[int] = []
-    all_points = [p for c in seq.components for p in c.points]
+    all_points = [p for c in components for p in c.points]
     for comp_name, cols in by_comp.items():
-        components.append(PoseComponent(comp_name, tuple(all_points[i] for i in cols)))
+        selected.append(PoseComponent(comp_name, tuple(all_points[i] for i in cols)))
         order.extend(cols)
+    return tuple(selected), order
+
+
+def select_points(seq: PoseSequence, selector: PointSelector) -> PoseSequence:
+    """Restrict a sequence to the selector's points, grouped by component."""
+    components, order = select_columns(seq.components, selector)
     return PoseSequence(
-        seq.fps, tuple(components), seq.coords[:, order, :].copy(), seq.conf[:, order].copy()
+        seq.fps, components, seq.coords[:, order, :].copy(), seq.conf[:, order].copy()
     )

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signseg.decoding import (
-    DEFAULT_GRID, DecodeMode, DecodeParams, argmax_decode, decode, greedy_decode,
+    DEFAULT_GRID, DecodeMode, DecodeParams, TuneCell, argmax_decode, decode, greedy_decode,
     tune_thresholds,
 )
+from signseg.metrics import _frame_mask
 from signseg.tags import B, I, O, Segment, TagScheme, decode_gold_tags, encode_tags
 
 DEFAULTS = DecodeParams()
@@ -155,3 +156,76 @@ def test_tune_table_is_full_grid():
     _, _, table = tune_thresholds([(probs, gold)])
     pairs = {(c.threshold_b, c.threshold_o) for c in table}
     assert pairs == set(itertools.product(range(10, 91, 10), repeat=2))
+
+
+def row_loop_greedy_decode(probs, params):
+    """The threshold decoder reading numpy rows a frame at a time, kept as the reference."""
+    tb, to = params.threshold_b, params.threshold_o
+    out = []
+    start = None
+    did_pass = False
+    for t in range(len(probs)):
+        b, o = probs[t, B], probs[t, O]
+        if start is None:
+            if b > tb:
+                start = t
+                did_pass = False
+            continue
+        if not did_pass and b < tb:
+            did_pass = True
+        if did_pass and (b > tb or o > to):
+            out.append(Segment(start, t))
+            start = None
+            did_pass = False
+            if params.strict_bio and b > tb:
+                start = t
+    if start is not None:
+        out.append(Segment(start, len(probs)))
+    return out
+
+
+def row_loop_tune_thresholds(dev_set, strict_bio):
+    """tune_thresholds over row_loop_greedy_decode, kept as the reference."""
+    n_gold = sum(len(g) for _, g in dev_set)
+    table, best, best_key = [], None, None
+    for tb, to in itertools.product(DEFAULT_GRID, repeat=2):
+        params = DecodeParams(tb, to, DecodeMode.THRESHOLD, strict_bio)
+        inter = union = n_pred = 0
+        for probs, gold in dev_set:
+            pred = row_loop_greedy_decode(probs, params)
+            pmask, gmask = _frame_mask(pred, len(probs)), _frame_mask(gold, len(probs))
+            inter += int((pmask & gmask).sum())
+            union += int((pmask | gmask).sum())
+            n_pred += len(pred)
+        iou = inter / union if union else 1.0
+        pct = n_pred / n_gold
+        table.append(TuneCell(tb, to, iou, pct))
+        key = (-iou, abs(pct - 1.0), tb, to)
+        if best_key is None or key < best_key:
+            best_key, best = key, (tb, to)
+    return best[0], best[1], table
+
+
+def random_rows(rng, t, on_grid):
+    """(T, 3) rows summing to 100; on_grid puts B and O on the threshold grid's steps."""
+    if on_grid:
+        b = rng.integers(0, 11, size=t) * 10.0
+        o = np.minimum(rng.integers(0, 11, size=t) * 10.0, 100.0 - b)
+        return np.stack([b, 100.0 - b - o, o], axis=1)
+    p = rng.random((t, 3)) ** 3
+    return p / p.sum(axis=1, keepdims=True) * 100.0
+
+
+@pytest.mark.parametrize("strict_bio", [False, True])
+def test_greedy_decode_matches_the_row_loop_on_every_grid_cell(strict_bio):
+    rng = np.random.default_rng(29)
+    dev = []
+    for t, on_grid in [(0, False), (1, True), (40, True), (40, False), (300, False), (300, True)]:
+        probs = random_rows(rng, t, on_grid)
+        dev.append((probs, decode_gold_tags(probs.argmax(axis=1).tolist(), TagScheme.BIO)))
+    for tb, to in itertools.product(DEFAULT_GRID, repeat=2):
+        params = DecodeParams(tb, to, DecodeMode.THRESHOLD, strict_bio)
+        for probs, _ in dev:
+            assert greedy_decode(probs, params) == row_loop_greedy_decode(probs, params)
+    assert (tune_thresholds(dev, strict_bio=strict_bio)
+            == row_loop_tune_thresholds(dev, strict_bio))

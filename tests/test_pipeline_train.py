@@ -4,9 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from signseg.pipeline import PipelineOptions, parse_feature_flags, prepare_features
-from signseg.pose import holistic_components, make_pose, parse_pose, save_pose, serialize_pose
+from signseg import pipeline
+from signseg.pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
+from signseg.pose import (
+    PointSelector, PoseComponent, holistic_components, make_pose, named_selector,
+    normalize_pose, parse_pose, resample_fps, save_pose, select_points, serialize_pose,
+)
 from signseg.synthetic import motion_pose, write_clip_dir
 from signseg.tagger import ADAM_BLOCK, TaggerConfig, init_model
 from signseg.numutil import round_half_away
@@ -76,6 +82,67 @@ def test_feature_width_holistic_skeleton():
     # normalization drops the 10 leg points: 75 selected -> 65 live
     feats = prepare_features(seq, PipelineOptions())
     assert feats.values.shape[1] == 260
+
+
+def prepared(prepare, seq, opts):
+    """Every bit of a prepared pose, or the error message."""
+    try:
+        out = prepare(seq, opts)
+    except ValueError as e:
+        return "rejects", str(e)
+    return ("reads", type(out.fps), out.fps, out.components,
+            [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in (out.coords, out.conf)])
+
+
+def three_steps(seq, opts):
+    """prepare_pose as resample_fps, normalize_pose and select_points, each whole."""
+    out = normalize_pose(resample_fps(seq, opts.fps))
+    return select_points(out, pipeline.named_selector(opts.selector))
+
+
+_CUSTOM_ENTRIES = [("BODY", None), ("BODY", "LEFT_HIP"), ("BODY", "NOSE"), ("LEFT_HAND", None),
+                   ("FACE", "FACE_3"), ("RIGHT_HAND", "T_TIP"), ("LEGS", None), ("FACE", None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prepare_pose_matches_resample_normalize_select(data):
+    draw = data.draw
+    comps = list(holistic_components())
+    if draw(st.booleans()):  # a component made only of leg points
+        legs = PoseComponent("LEGS", ("LEFT_HIP", "RIGHT_KNEE", "LEFT_FOOT_INDEX"))
+        comps.insert(draw(st.integers(0, len(comps))), legs)
+    if draw(st.integers(0, 4)) == 0:
+        comps[-1] = PoseComponent(comps[-1].name, ("LEFT_ANKLE", "RIGHT_HEEL"))
+    if draw(st.integers(0, 4)) == 0:
+        comps = [c for c in comps if c.name != "FACE"]
+    k = sum(len(c.points) for c in comps)
+    t = draw(st.sampled_from([5, 3, 1, 6, 2, 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.normal(size=(t, k, 3))
+    conf = rng.random((t, k))
+    conf[rng.random((t, k)) < 0.3] = 0.0
+    seq = make_pose(draw(st.sampled_from([25, 25.0, 30, 12.5, 50, 29.97])), comps, coords, conf)
+    body = [i for i, p in enumerate(p for c in comps for p in c.points) if "SHOULDER" in p]
+    shoulders = draw(st.sampled_from(["tracked"] * 3 + ["untracked", "zero-distance"]))
+    if shoulders == "untracked":
+        seq.conf[:, body[draw(st.integers(0, 1))]] = 0.0
+    else:
+        seq.conf[:1, body] = 1.0  # every resampling keeps frame 0
+    if shoulders == "zero-distance":
+        seq.coords[:, body[1]] = seq.coords[:, body[0]]
+    opts = PipelineOptions(fps=draw(st.sampled_from([25.0, 30.0, 12.5])),
+                           selector=draw(st.sampled_from(["body75", "face-contour-128"])))
+    if draw(st.booleans()):
+        assert prepared(prepare_pose, seq, opts) == prepared(three_steps, seq, opts)
+        return
+    entries = draw(st.lists(st.sampled_from(_CUSTOM_ENTRIES), min_size=1, max_size=4))
+    selector = PointSelector("custom", tuple(entries))
+    pipeline.named_selector = lambda name: selector
+    try:
+        assert prepared(prepare_pose, seq, opts) == prepared(three_steps, seq, opts)
+    finally:
+        pipeline.named_selector = named_selector
 
 
 def write_one_clip(dirpath, stem, seed=0, fps=25.0):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signseg import pose
+from signseg.pipeline import PipelineOptions, prepare_pose
 from signseg.numutil import check_fps, round_half_away
 from signseg.pose import (
     BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, PoseComponent, holistic_components,
@@ -273,11 +274,25 @@ def outcome(read, text):
             [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in (seq.coords, seq.conf)])
 
 
-def assert_reads_like_whole_document_reader(text):
-    want = outcome(whole_document_reader, text)
-    assert outcome(parse_pose, text) == want
-    if want[0] == "reads":  # a valid document never leaves the scanner's block path
-        assert isinstance(pose._scan(text)["frames"], np.ndarray)
+def read_whole_file(path):
+    """The file read whole, as load_pose read files before it streamed them."""
+    with open(path, encoding="utf-8") as f:
+        return whole_document_reader(f.read())
+
+
+def assert_reads_like_whole_document_reader(source):
+    """source: a document's text, which parse_pose reads, or a file's path for load_pose."""
+    if isinstance(source, str):
+        want = outcome(whole_document_reader, source)
+        assert outcome(parse_pose, source) == want
+        if want[0] == "reads":  # a valid document never leaves the scanner's block path
+            assert isinstance(pose._scan(pose._Window(source))["frames"], np.ndarray)
+        return
+    want = outcome(read_whole_file, source)
+    assert outcome(pose.load_pose, source) == want
+    if want[0] == "reads":  # nor is a valid file read whole
+        with open(source, encoding="utf-8") as f:
+            assert isinstance(pose._scan(pose._Window(file=f))["frames"], np.ndarray)
 
 
 class Members(list):
@@ -402,23 +417,134 @@ def test_scanner_matches_whole_document_reader_on_broken_syntax(old, new):
     assert_reads_like_whole_document_reader(text.replace(old, new, 1))
 
 
-def test_parse_peak_memory_is_a_small_multiple_of_the_block():
-    # 300 frames of 543 points, laid out as the holistic benchmark clips are
+def _names_doc(names, frames=2):
+    """A document whose points carry these names, as UTF-8 bytes."""
+    doc = small_doc(frames=frames, points=len(names))
+    doc["components"][0]["points"] = names
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def _at_byte(data, offset, at):
+    """data with leading spaces, so that its byte at offset lands at byte at."""
+    return b" " * (at - offset) + data
+
+
+_NAMED = _names_doc(["\u00c4rm", "\U0001f44b\u00e9", "\u540d\u524d"])
+_SPACED = json.dumps(small_doc(frames=3), indent=1)
+# 8192 bytes is the reader's buffer: a character or a fault that straddles it
+_BUFFER = 8192
+_STREAMED_FILES = {
+    "crlf": _SPACED.replace("\n", "\r\n").encode(),
+    "lone-cr": _SPACED.replace("\n", "\r").encode(),
+    "cr-then-lf-apart": _SPACED.replace("\n", "\r \n").encode() + b"\r",
+    "bom": b"\xef\xbb\xbf" + json.dumps(small_doc()).encode(),
+    "multibyte-names": _NAMED,
+    "multibyte-name-at-buffer-edge": _at_byte(_NAMED, _NAMED.index(b"\xf0") + 1, _BUFFER),
+    "bad-utf8-in-name": _NAMED.replace(b"\xc3\x84", b"\xc3("),
+    "bad-utf8-in-frames": json.dumps(small_doc()).encode().replace(b"0.5", b"0.\xff", 1),
+    "bad-utf8-at-buffer-edge": _at_byte(_NAMED.replace(b"\xe5", b"\xff", 1),
+                                        _NAMED.index(b"\xe5"), _BUFFER - 1),
+    "cut-multibyte-at-end": _NAMED + b"\xe5\x90",
+    "split-number": b'{"fps": 25, "version": "poseseq-json/1", "components": '
+                    b'[{"name": "B", "points": ["P"]}], "frames": [[[2.5e-1, -0.0, 1E+2, 1]]]}',
+    "split-exponent": json.dumps(small_doc()).encode().replace(b"50", b"2.5E+1", 1),
+    "truncated": json.dumps(small_doc(frames=3)).encode()[:-3],
+    "bad-frame": json.dumps(small_doc(frames=6)).encode().replace(b"4.0, 1.0", b'4.0, "1"', 1),
+    "bad-first-frame": json.dumps(small_doc(frames=3)).encode().replace(b"[[0.0", b"[[[0.0]", 1),
+    "frames-first": render(Members([
+        ("frames", [[[0.5, Token("-0"), 1, 1.0], [Token("2E-1"), 0.0, 3, 0.5]]]),
+        ("fps", 25), ("version", pose.FORMAT_VERSION),
+        ("components", [Members([("name", "BODY"), ("points", ["A", "B"])])])]),
+        lambda: "\n").encode(),
+    # a first frame of long numbers: the block sized from it is too short
+    # and grows after runs of 8 frames have been written
+    "block-grows": json.dumps(dict(small_doc(frames=40, points=64), frames=(
+        [[[0.123456789012345] * 4] * 64] + [[[t, 1, 0, 1]] * 64 for t in range(39)]))).encode(),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", sorted(_STREAMED_FILES))
+def test_load_pose_reads_like_the_whole_file_at_every_chunk_size(tmp_path, monkeypatch,
+                                                                 chunk, name):
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(_STREAMED_FILES[name])
+    assert_reads_like_whole_document_reader(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_load_pose_reads_like_the_whole_file_at_every_cut_and_shift(tmp_path, monkeypatch,
+                                                                    chunk):
+    # every truncation, and the document shifted so each early character meets
+    # the first chunk edge
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", chunk)
+    text = _SPACED.replace("\n", " ")
+    path = tmp_path / "clip.pose.json"
+    for cut in range(len(text) + 1):
+        path.write_text(text[:cut], encoding="utf-8")
+        assert_reads_like_whole_document_reader(path)
+    for shift in range(chunk + 8):
+        path.write_text(" " * shift + text, encoding="utf-8")
+        assert outcome(pose.load_pose, path)[0] == "reads"
+        assert_reads_like_whole_document_reader(path)
+
+
+@pytest.fixture(scope="module")
+def holistic_300():
+    """(block, text): 300 frames of 543 points, laid out as the holistic benchmark clips are."""
     comps = holistic_components()
     k = sum(len(c.points) for c in comps)
     quads = np.random.default_rng(5).random((300, k, 4)).astype(np.float32).astype(float)
     text = json.dumps({"version": pose.FORMAT_VERSION, "fps": 25.0,
                        "components": [{"name": c.name, "points": list(c.points)} for c in comps],
                        "frames": quads.tolist()}, separators=(",", ":"))
+    return quads, text
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak of the memory it allocated."""
     gc.collect()
     tracemalloc.start()
     try:
-        seq = parse_pose(text)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_block(holistic_300):
+    quads, text = holistic_300
+    seq, peak = traced_peak(lambda: parse_pose(text))
     np.testing.assert_array_equal(seq.conf, quads[:, :, 3])
     assert peak <= 3 * quads.nbytes
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_block(holistic_300, tmp_path):
+    # the file is read a window at a time into one block: neither the whole
+    # text nor a second copy of the block is held
+    quads, text = holistic_300
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    seq, peak = traced_peak(lambda: pose.load_pose(path))
+    np.testing.assert_array_equal(seq.coords, quads[:, :, :3])
+    np.testing.assert_array_equal(seq.conf, quads[:, :, 3])
+    assert peak <= 2.5 * quads.nbytes
+
+
+def test_prepare_peak_memory_is_a_fraction_of_the_block(holistic_300, tmp_path):
+    # body75 keeps 75 of 543 points, and only those are copied
+    quads, text = holistic_300
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    seq = pose.load_pose(path)
+    opts = PipelineOptions()
+    out, peak = traced_peak(lambda: prepare_pose(seq, opts))
+    want = select_points(normalize_pose(resample_fps(seq, opts.fps)), named_selector("body75"))
+    np.testing.assert_array_equal(out.coords, want.coords)
+    np.testing.assert_array_equal(out.conf, want.conf)
+    assert peak <= 0.5 * quads.nbytes
 
 
 def test_parse_rejects_malformed_json():
