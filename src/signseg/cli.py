@@ -3,13 +3,15 @@
 Subcommands: segment, train, tune, eval, bio-fidelity, hand-bench, flow-dump.
 Each subcommand takes only the shared options it reads (_READS). They resolve
 in three layers: built-in defaults, then a JSON config file (--config or
-$SIGNSEG_CONFIG), then explicit flags. Every file-writing run drops a
-`<command>.run.json` manifest with the resolved configuration next to its
-outputs; no artifact embeds a timestamp, so reruns byte-match.
+$SIGNSEG_CONFIG), then explicit flags. Every file-writing run writes its
+outputs and a `<command>.run.json` manifest of its options through _emit;
+no artifact embeds a timestamp, so reruns byte-match.
 Errors carry a stage prefix on stderr and flip the exit code to 1.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -164,14 +166,47 @@ def _write_text(path, text: str) -> None:
         f.write(text)
 
 
-def _write_manifest(out_dir, command: str, options: dict, inputs, outputs) -> str:
-    doc = {"command": command, "options": options, "inputs": list(inputs),
-           "outputs": list(outputs)}
-    path = os.path.join(out_dir, f"{command}.run.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+def _csv_text(header, rows) -> str:
+    """Comma-separated rows; a field with a comma, a quote or a newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# Parser destinations that are no option of the run: the command itself, the
+# config file (its values are in the shared options), where the outputs go
+# and segment's inputs (the manifest lists them as inputs).
+_NOT_OPTIONS = {"command", "func", "config", "out_dir", "poses"}
+
+
+@contextmanager
+def _emit(args, opts, inputs, **computed):
+    """The emit stage: makes args.out_dir, yields out(name), writes <command>.run.json.
+
+    out(name) returns the path of an output in args.out_dir and records it.
+    The manifest's options are the shared options the command read, the
+    command's own parser options, and the computed values, which replace a
+    parsed value of the same name.
+    """
+    outputs = []
+
+    def out(name):
+        outputs.append(os.path.join(args.out_dir, name))
+        return outputs[-1]
+
+    with _stage("emit"):
+        os.makedirs(args.out_dir, exist_ok=True)
+        yield out
+        own = {key: value for key, value in vars(args).items()
+               if key not in _NOT_OPTIONS and key not in _SHARED}
+        doc = {"command": args.command, "options": {**opts, **own, **computed},
+               "inputs": list(inputs), "outputs": outputs}
+        with open(os.path.join(args.out_dir, f"{args.command}.run.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
 def cmd_segment(args, opts) -> int:
@@ -195,6 +230,7 @@ def cmd_segment(args, opts) -> int:
             return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
         with _stage("features"):
             feats = prepare_features(seq, popts)
+        del seq  # frees the (T, K, 4) pose block before the forward pass
         if feats.width != model.config.input_dim:
             raise StageError(
                 "features",
@@ -209,19 +245,12 @@ def cmd_segment(args, opts) -> int:
         return _stem(path), tiers
 
     results = _map_files(args.poses, process, opts["workers"])
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-    with _stage("emit"):
+    with _emit(args, opts, args.poses) as out:
         for stem, tiers in results:
-            seg_path = os.path.join(args.out_dir, f"{stem}.segments.json")
-            save_segments(seg_path, opts["fps"], tiers)
-            outputs.append(seg_path)
+            save_segments(out(f"{stem}.segments.json"), opts["fps"], tiers)
             for tier in SEGMENTS_TIERS:
-                cue_path = os.path.join(args.out_dir, f"{stem}.{tier}.vtt")
-                _write_text(cue_path, segments_to_vtt(tiers[tier], opts["fps"], tier))
-                outputs.append(cue_path)
-        options = dict(opts, checkpoint=args.checkpoint, strict_bio=args.strict_bio)
-        _write_manifest(args.out_dir, "segment", options, args.poses, outputs)
+                _write_text(out(f"{stem}.{tier}.vtt"),
+                            segments_to_vtt(tiers[tier], opts["fps"], tier))
     return 0
 
 
@@ -255,28 +284,11 @@ def cmd_train(args, opts) -> int:
         # of the returned parameters, from the same forward
         train_f1 = (result.best_val_f1 if val_clips is train_clips
                     else training.mean_frame_f1(result.model, train_clips))
-    os.makedirs(args.out_dir, exist_ok=True)
-    with _stage("emit"):
-        ckpt_path = os.path.join(args.out_dir, "model.ckpt")
-        save_model(result.model, ckpt_path)
-        log_path = os.path.join(args.out_dir, "training_log.csv")
-        training.write_log(log_path, result.history)
-        options = dict(
-            opts, data_dir=args.data_dir, val_dir=args.val_dir,
-            hidden_dim=args.hidden_dim, layers=args.layers,
-            learning_rate=args.learning_rate, max_steps=args.max_steps,
-            patience=args.patience, val_every=args.val_every,
-            dropout=args.dropout, grad_clip=args.grad_clip,
-        )
-        options["results"] = {
-            "best_val_f1": result.best_val_f1,
-            "best_step": result.best_step,
-            "steps": result.steps,
-            "train_f1": train_f1,
-            "stopped": result.stopped,
-        }
-        _write_manifest(args.out_dir, "train", options,
-                        [args.data_dir], [ckpt_path, log_path])
+    results = {"best_val_f1": result.best_val_f1, "best_step": result.best_step,
+               "steps": result.steps, "train_f1": train_f1, "stopped": result.stopped}
+    with _emit(args, opts, [args.data_dir], results=results) as out:
+        save_model(result.model, out("model.ckpt"))
+        training.write_log(out("training_log.csv"), result.history)
     print(f"best_val_f1={result.best_val_f1:.6f} train_f1={train_f1:.6f} "
           f"steps={result.steps} stopped={result.stopped}")
     return 0
@@ -299,20 +311,13 @@ def cmd_tune(args, opts) -> int:
                                                 strict_bio=args.strict_bio)
     best = next(c for c in table
                 if c.threshold_b == best_b and c.threshold_o == best_o)
-    os.makedirs(args.out_dir, exist_ok=True)
-    with _stage("emit"):
-        table_path = os.path.join(args.out_dir, f"tune_{args.tier}.csv")
-        lines = ["threshold_b,threshold_o,iou,percentage"]
-        lines += [f"{c.threshold_b:g},{c.threshold_o:g},{c.iou:.6f},{c.percentage:.6f}"
-                  for c in table]
-        _write_text(table_path, "\n".join(lines))
-        options = dict(opts, data_dir=args.data_dir, checkpoint=args.checkpoint,
-                       tier=args.tier, strict_bio=args.strict_bio)
-        options["results"] = {
-            "threshold_b": best_b, "threshold_o": best_o,
-            "iou": best.iou, "percentage": best.percentage,
-        }
-        _write_manifest(args.out_dir, "tune", options, [args.data_dir], [table_path])
+    results = {"threshold_b": best_b, "threshold_o": best_o,
+               "iou": best.iou, "percentage": best.percentage}
+    with _emit(args, opts, [args.data_dir], results=results) as out:
+        rows = [(f"{c.threshold_b:g}", f"{c.threshold_o:g}", f"{c.iou:.6f}",
+                 f"{c.percentage:.6f}") for c in table]
+        _write_text(out(f"tune_{args.tier}.csv"),
+                    _csv_text("threshold_b,threshold_o,iou,percentage", rows))
     print(f"tier={args.tier} threshold_b={best_b:g} threshold_o={best_o:g} "
           f"iou={best.iou:.6f} percentage={best.percentage:.6f}")
     return 0
@@ -336,14 +341,8 @@ def cmd_eval(args, opts) -> int:
                               bins=args.bins)
     print(report_to_text(report))
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with _stage("emit"):
-            report_path = os.path.join(args.out_dir, "report.json")
-            _write_text(report_path, report_to_json(report))
-            options = dict(opts, pred=args.pred, gold=args.gold,
-                           frames=num_frames, bins=args.bins)
-            _write_manifest(args.out_dir, "eval", options,
-                            [args.pred, args.gold], [report_path])
+        with _emit(args, opts, [args.pred, args.gold], frames=num_frames) as out:
+            _write_text(out("report.json"), report_to_json(report))
     return 0
 
 
@@ -358,20 +357,14 @@ def cmd_bio_fidelity(args, opts) -> int:
             raise ValueError("empty --fps-list")
     with _stage("fidelity"):
         rows = fidelity_experiment(tiers[args.tier], src_fps, fps_list)
-    lines = ["fps,scheme,reproduced,exact"]
-    lines += [f"{r.fps:g},{r.scheme.value},{r.reproduced:.6f},{r.exact:.6f}"
-              for r in rows]
-    text = "\n".join(lines)
+    text = _csv_text("fps,scheme,reproduced,exact",
+                     [(f"{r.fps:g}", r.scheme.value, f"{r.reproduced:.6f}", f"{r.exact:.6f}")
+                      for r in rows])
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with _stage("emit"):
-            csv_path = os.path.join(args.out_dir, "fidelity.csv")
-            _write_text(csv_path, text)
-            options = dict(opts, gold=args.gold, tier=args.tier, fps_list=fps_list)
-            _write_manifest(args.out_dir, "bio-fidelity", options,
-                            [args.gold], [csv_path])
+        with _emit(args, opts, [args.gold], fps_list=fps_list) as out:
+            _write_text(out("fidelity.csv"), text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 
@@ -414,26 +407,18 @@ def cmd_hand_bench(args, opts) -> int:
             return label, files, group_mace, cce(HandGroup(label, members)), normalized
 
     results = _map_files(parsed, process, opts["workers"])
-    os.makedirs(args.out_dir, exist_ok=True)
-    with _stage("emit"):
-        bench_path = os.path.join(args.out_dir, "hand_bench.csv")
-        bench_lines = ["label,mace,cce"]
-        overlay_lines = ["label,member,landmark,x,y,z"]
+    with _emit(args, opts, [args.manifest]) as out:
+        bench_rows, overlay_rows = [], []
         for label, files, group_mace, group_cce, normalized in results:
-            bench_lines.append(f"{label},{group_mace:.9f},{group_cce:.9f}")
+            bench_rows.append((label, f"{group_mace:.9f}", f"{group_cce:.9f}"))
             for path, pts in zip(files, normalized):
                 member = _stem(path)
                 for li, name in enumerate(HAND_POINTS):
-                    overlay_lines.append(
-                        f"{label},{member},{name},"
-                        f"{pts[li, 0]:.9f},{pts[li, 1]:.9f},{pts[li, 2]:.9f}"
-                    )
-        _write_text(bench_path, "\n".join(bench_lines))
-        overlay_path = os.path.join(args.out_dir, "overlay.csv")
-        _write_text(overlay_path, "\n".join(overlay_lines))
-        options = dict(opts, manifest=args.manifest)
-        _write_manifest(args.out_dir, "hand-bench", options,
-                        [args.manifest], [bench_path, overlay_path])
+                    overlay_rows.append((label, member, name, f"{pts[li, 0]:.9f}",
+                                         f"{pts[li, 1]:.9f}", f"{pts[li, 2]:.9f}"))
+        _write_text(out("hand_bench.csv"), _csv_text("label,mace,cce", bench_rows))
+        _write_text(out("overlay.csv"),
+                    _csv_text("label,member,landmark,x,y,z", overlay_rows))
     return 0
 
 
@@ -441,25 +426,20 @@ def cmd_flow_dump(args, opts) -> int:
     popts = _popts(opts)
     with _stage("parse"):
         seq = load_pose(args.pose)
-    lines = ["frame,point,value"]
+    rows = []
     if seq.num_frames > 0:
         with _stage("features"):
             prepared = prepare_pose(seq, popts)
             flow = optical_flow(prepared)
         labels = [f"{c.name}/{p}" for c in prepared.components for p in c.points]
-        for t in range(flow.values.shape[0]):
-            for k, label in enumerate(labels):
-                lines.append(f"{t},{label},{flow.values[t, k]:.6f}")
-    text = "\n".join(lines)
+        rows = ((t, label, f"{flow[t, k]:.6f}")
+                for t in range(flow.shape[0]) for k, label in enumerate(labels))
+    text = _csv_text("frame,point,value", rows)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with _stage("emit"):
-            csv_path = os.path.join(args.out_dir, "flow.csv")
-            _write_text(csv_path, text)
-            _write_manifest(args.out_dir, "flow-dump", dict(opts, pose=args.pose),
-                            [args.pose], [csv_path])
+        with _emit(args, opts, [args.pose]) as out:
+            _write_text(out("flow.csv"), text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

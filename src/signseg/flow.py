@@ -8,36 +8,26 @@ from . import hands
 from .pose import PoseSequence
 
 
-@dataclass(frozen=True)
-class FlowMatrix:
-    """values: (T, K) motion magnitude in pose units per second; mask: valid entries."""
+def optical_flow(seq: PoseSequence) -> np.ndarray:
+    """(T, K) displacement magnitude between consecutive frames, in pose units per second.
 
-    values: np.ndarray
-    mask: np.ndarray
-
-
-def optical_flow(seq: PoseSequence) -> FlowMatrix:
-    """Per-point displacement magnitude between consecutive frames, scaled by fps.
-
-    A point contributes only where it is tracked in both frames; frame 0 and
-    masked entries are 0.
+    A point's entry is 0 in frame 0 and wherever the point is untracked in
+    the frame or the one before.
     """
     t, k = seq.conf.shape
     values = np.zeros((t, k), dtype=float)
-    mask = np.zeros((t, k), dtype=bool)
     if t > 1:
         disp = np.linalg.norm(seq.coords[1:] - seq.coords[:-1], axis=2)
-        mask[1:] = (seq.conf[1:] > 0) & (seq.conf[:-1] > 0)
-        values[1:] = np.where(mask[1:], disp * seq.fps, 0.0)
-    return FlowMatrix(values, mask)
+        tracked = (seq.conf[1:] > 0) & (seq.conf[:-1] > 0)
+        values[1:] = np.where(tracked, disp * seq.fps, 0.0)
+    return values
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """values: (T, F); layout: ordered (block name, width) pairs with sum F."""
+    """values: (T, F), the points' x, y, z(, flow), then any normalized hands."""
 
     values: np.ndarray
-    layout: tuple[tuple[str, int], ...]
 
     @property
     def width(self) -> int:
@@ -69,12 +59,10 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
     coords[seq.conf == 0] = 0.0
     per_point = 3
     if include_flow:
-        flow = optical_flow(seq)
-        block = np.concatenate([coords, flow.values[:, :, None]], axis=2)
+        block = np.concatenate([coords, optical_flow(seq)[:, :, None]], axis=2)
         per_point = 4
     else:
         block = coords
-    layout = [("points", k * per_point)]
     parts = [block.reshape(t, k * per_point)]
     if include_hand_norm:
         missing = [c for c in ("LEFT_HAND", "RIGHT_HAND")
@@ -83,5 +71,4 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
             raise ValueError(f"hand normalization needs components {missing} in the sequence")
         parts.append(_normalized_hand_block(seq, "LEFT_HAND", hands.Handedness.LEFT))
         parts.append(_normalized_hand_block(seq, "RIGHT_HAND", hands.Handedness.RIGHT))
-        layout.append(("hands_normalized", 126))
-    return FeatureMatrix(np.concatenate(parts, axis=1), tuple(layout))
+    return FeatureMatrix(np.concatenate(parts, axis=1))

@@ -11,7 +11,8 @@ import numpy as np
 from .flow import FeatureMatrix, assemble_features
 from .numutil import check_fps
 from .pose import (
-    PoseSequence, drop_legs, named_selector, resample_index, select_columns, shoulder_stats,
+    PoseSequence, check_selector, drop_legs, named_selector, resample_index, select_columns,
+    shoulder_stats,
 )
 
 FEATURE_FLAGS = ("flow", "handnorm")
@@ -25,6 +26,7 @@ class PipelineOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", float(check_fps(self.fps)))
+        check_selector(self.selector)
         unknown = [f for f in self.features if f not in FEATURE_FLAGS]
         if unknown:
             raise ValueError(

@@ -440,8 +440,9 @@ def load_pose(path) -> PoseSequence:
     """Reads a poseseq-json file a chunk at a time, as parse_pose reads its text.
 
     If the streamed scan fails for any reason, the file is read whole and
-    parsed as a str, so that every error is the one parse_pose gives (or the
-    UnicodeDecodeError of reading the whole file).
+    decoded by json.loads, as parse_pose decodes a text its scan rejects, so
+    that every error is the one parse_pose gives (or the UnicodeDecodeError
+    of reading the whole file).
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -450,7 +451,7 @@ def load_pose(path) -> PoseSequence:
         doc = None
     if doc is None:  # out of the handler, so the failed window is freed first
         with open(path, encoding="utf-8") as f:
-            return parse_pose(f.read())
+            doc = _decode(f.read())
     return _pose_from_doc(doc)
 
 
@@ -540,6 +541,10 @@ def normalize_pose(seq: PoseSequence) -> PoseSequence:
     return PoseSequence(seq.fps, components, coords, conf)
 
 
+# The names named_selector knows.
+SELECTORS = ("body75", "face-contour-128")
+
+
 @dataclass(frozen=True)
 class PointSelector:
     """Ordered (component, point) entries; point None selects the whole component."""
@@ -556,12 +561,16 @@ def _face_contour_entries() -> tuple[tuple[str, str], ...]:
     return tuple((comp, f"{comp}_{i}") for i in doc["indices"])
 
 
+def check_selector(name) -> None:
+    if name not in SELECTORS:
+        raise ValueError(f"unknown selector {name!r}; known: {', '.join(SELECTORS)}")
+
+
 def named_selector(name: str) -> PointSelector:
+    check_selector(name)
     if name == "body75":
         return PointSelector("body75", (("BODY", None), ("LEFT_HAND", None), ("RIGHT_HAND", None)))
-    if name == "face-contour-128":
-        return PointSelector("face-contour-128", _face_contour_entries())
-    raise ValueError(f"unknown selector {name!r}; known: body75, face-contour-128")
+    return PointSelector("face-contour-128", _face_contour_entries())
 
 
 def select_columns(components, selector: PointSelector):

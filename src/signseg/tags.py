@@ -15,8 +15,9 @@ from .numutil import check_fps, round_half_away
 
 B, I, O = 0, 1, 2
 
-# The longest timeline fidelity_experiment retimes to: encode_tags builds a
-# list entry per frame, and 10^7 frames is over 111 hours at 25 fps.
+# The longest timeline encode_tags tags: it builds a list entry per frame
+# (8 bytes each), and 10^7 frames is over 111 hours at 25 fps. So eval's
+# frame count and the timelines fidelity_experiment retimes to are bounded.
 MAX_TIMELINE_FRAMES = 10_000_000
 
 
@@ -46,7 +47,13 @@ def _check_sorted_disjoint(segments, num_frames):
 
 
 def encode_tags(segments, num_frames: int, scheme: TagScheme) -> list[int]:
-    """Tag num_frames frames from sorted, non-overlapping segments."""
+    """Tag num_frames frames from sorted, non-overlapping segments.
+
+    More than MAX_TIMELINE_FRAMES frames is a ValueError, before any list is built.
+    """
+    if num_frames > MAX_TIMELINE_FRAMES:
+        raise ValueError(f"{num_frames} frames are over the timeline limit of "
+                         f"{MAX_TIMELINE_FRAMES}")
     segments = sorted(segments)
     _check_sorted_disjoint(segments, num_frames)
     tags = [O] * num_frames

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
 import venv
+import weakref
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -149,6 +151,27 @@ def test_segment_empty_pose(corpus_dir, checkpoint, tmp_path):
     assert (tmp_path / "empty.sign.vtt").read_text(encoding="utf-8") == "WEBVTT\n"
 
 
+def test_segment_frees_the_pose_before_forward(corpus_dir, checkpoint, tmp_path,
+                                               monkeypatch):
+    loaded, alive = [], []
+    load_pose, forward = cli.load_pose, cli.forward
+
+    def loading(path):
+        seq = load_pose(path)
+        loaded.append(weakref.ref(seq))
+        return seq
+
+    def checking(*args, **kwargs):
+        alive.append(loaded[-1]() is not None)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_pose", loading)
+    monkeypatch.setattr(cli, "forward", checking)
+    assert cli.main(["segment", first_pose(corpus_dir), "--checkpoint", checkpoint,
+                     "--out-dir", str(tmp_path)]) == 0
+    assert alive == [False]
+
+
 def test_segment_rejects_2d_pose(checkpoint, tmp_path, capsys):
     doc = {"version": "poseseq-json/1", "fps": 25.0,
            "components": [{"name": "BODY", "points": ["NOSE"]}],
@@ -283,6 +306,19 @@ def test_eval_needs_frames_for_empty_inputs(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("end, frames", [(10**30, None), (20, 10_000_001)],
+                         ids=["end-1e30", "frames-10000001"])
+def test_eval_timeline_over_limit_is_a_metrics_error(tmp_path, capsys, end, frames):
+    gold = tmp_path / "gold.segments.json"
+    gold.write_text(json.dumps({"fps": 25.0, "tiers": {
+        "sign": [{"start": 0, "end": end}], "phrase": []}}), encoding="utf-8")
+    argv = ["eval", "--pred", str(gold), "--gold", str(gold)]
+    if frames is not None:
+        argv += ["--frames", str(frames)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("signseg eval: metrics: ")
+
+
 def test_bio_fidelity_stdout(corpus_dir, capsys):
     gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
     rc = cli.main(["bio-fidelity", "--gold", gold])
@@ -330,6 +366,21 @@ def test_flow_dump_csv(corpus_dir, tmp_path):
     assert (tmp_path / "flow-dump.run.json").exists()
 
 
+def test_flow_dump_quotes_point_names(tmp_path):
+    seq, _ = motion_pose(seed=0, num_frames=3)
+    right = seq.components[2]
+    renamed = tuple("I,TIP" if p == "I_TIP" else p for p in right.points)
+    seq = make_pose(seq.fps, (*seq.components[:2], PoseComponent(right.name, renamed)),
+                    seq.coords, seq.conf)
+    pose_path = tmp_path / "renamed.pose.json"
+    save_pose(pose_path, seq)
+    assert cli.main(["flow-dump", str(pose_path), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "flow.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert {len(row) for row in rows} == {3}
+    assert [row[0] for row in rows if row[1] == "RIGHT_HAND/I,TIP"] == ["0", "1", "2"]
+
+
 def write_hand_pose(path, points):
     comps = (PoseComponent("RIGHT_HAND", HAND_POINTS),)
     save_pose(path, make_pose(25.0, comps, points[None], np.ones((1, len(points)))))
@@ -371,6 +422,20 @@ def test_hand_bench(tmp_path):
     assert overlay[0] == "label,member,landmark,x,y,z"
     assert len(overlay) == 1 + (2 + 3) * 21
     assert (out / "hand-bench.run.json").exists()
+
+
+def test_hand_bench_quotes_labels(tmp_path):
+    manifest = make_bench_manifest(tmp_path)
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["groups"][0]["label"] = "left, frontal"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+    for name, width, rows_per_group in (("hand_bench.csv", 3, 1), ("overlay.csv", 6, 2 * 21)):
+        with open(out / name, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert {len(row) for row in rows} == {width}, name
+        assert [row[0] for row in rows].count("left, frontal") == rows_per_group, name
 
 
 def test_hand_bench_rejects_single_member(tmp_path, capsys):
@@ -547,6 +612,44 @@ def test_config_is_checked_only_where_read(corpus_dir, checkpoint, tmp_path, cap
                      "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("signseg segment: config:") and "bogus" in err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_out_dir_that_is_a_file_is_an_emit_error(corpus_dir, checkpoint, tmp_path, capsys,
+                                                 command):
+    argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
+    (tmp_path / "out").write_text("", encoding="utf-8")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"signseg {command}: emit: ")
+
+
+def empty_pose(tmp_path):
+    seq, _ = motion_pose(seed=0, num_frames=2)
+    path = tmp_path / "empty.pose.json"
+    save_pose(path, make_pose(25.0, seq.components, np.zeros((0, seq.num_points, 3)),
+                              np.zeros((0, seq.num_points))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["segment", "flow-dump", "train"])
+def test_unknown_selector_is_a_config_error(corpus_dir, checkpoint, tmp_path, capsys,
+                                            command):
+    out = tmp_path / "out"
+    if command == "segment":
+        argv = ["segment", empty_pose(tmp_path), "--checkpoint", checkpoint,
+                "--selector", "bogus"]
+    elif command == "flow-dump":
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"selector": 5}), encoding="utf-8")
+        argv = ["flow-dump", empty_pose(tmp_path), "--config", str(config)]
+    else:
+        argv = ["train", "--data-dir", str(corpus_dir), "--hidden-dim", "4", "--layers", "1",
+                "--max-steps", "2", "--selector", "nope"]
+    assert cli.main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg {command}: config: unknown selector ")
+    assert "known: body75, face-contour-128" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key", [

@@ -20,53 +20,50 @@ def two_point_pose(fps=25):
 
 def test_flow_oracle():
     fm = optical_flow(two_point_pose(fps=25))
-    assert fm.values.shape == (3, 2)
-    np.testing.assert_array_equal(fm.values[0], 0.0)
-    assert fm.values[1, 0] == pytest.approx(5.0 * 25)
-    assert fm.values[2, 0] == pytest.approx(12.0 * 25)
-    np.testing.assert_array_equal(fm.values[:, 1], 0.0)
+    assert fm.shape == (3, 2)
+    np.testing.assert_array_equal(fm[0], 0.0)
+    assert fm[1, 0] == pytest.approx(5.0 * 25)
+    assert fm[2, 0] == pytest.approx(12.0 * 25)
+    np.testing.assert_array_equal(fm[:, 1], 0.0)
 
 
 def test_flow_scales_with_fps():
     lo = optical_flow(two_point_pose(fps=10))
     hi = optical_flow(two_point_pose(fps=50))
-    np.testing.assert_allclose(hi.values, 5.0 * lo.values)
+    np.testing.assert_allclose(hi, 5.0 * lo)
 
 
 def test_flow_confidence_gating():
     seq = two_point_pose()
     seq.conf[0, 0] = 0.0
     fm = optical_flow(seq)
-    assert fm.values[1, 0] == 0.0          # previous frame missing
-    assert not fm.mask[1, 0]
-    assert fm.values[2, 0] == pytest.approx(12.0 * 25)
+    assert fm[1, 0] == 0.0          # previous frame missing
+    assert fm[2, 0] == pytest.approx(12.0 * 25)
     seq2 = two_point_pose()
     seq2.conf[2, 0] = 0.0
-    assert optical_flow(seq2).values[2, 0] == 0.0  # current frame missing
+    assert optical_flow(seq2)[2, 0] == 0.0  # current frame missing
 
 
 def test_flow_empty_sequence():
     comp = [PoseComponent("BODY", ("A",))]
     seq = make_pose(25, comp, np.zeros((0, 1, 3)), np.zeros((0, 1)))
-    assert optical_flow(seq).values.shape == (0, 1)
+    assert optical_flow(seq).shape == (0, 1)
 
 
 def test_features_interleaving_with_flow():
     seq = two_point_pose()
     fm = assemble_features(seq, include_flow=True)
     assert fm.width == 2 * 4
-    assert fm.layout == (("points", 8),)
     flow = optical_flow(seq)
     # per point: x, y, z, flow
     np.testing.assert_array_equal(fm.values[:, 0:3], seq.coords[:, 0])
-    np.testing.assert_array_equal(fm.values[:, 3], flow.values[:, 0])
-    np.testing.assert_array_equal(fm.values[:, 7], flow.values[:, 1])
+    np.testing.assert_array_equal(fm.values[:, 3], flow[:, 0])
+    np.testing.assert_array_equal(fm.values[:, 7], flow[:, 1])
 
 
 def test_features_without_flow():
     fm = assemble_features(two_point_pose(), include_flow=False)
     assert fm.width == 6
-    assert fm.layout == (("points", 6),)
 
 
 def test_features_zero_missing_coords():
@@ -95,7 +92,6 @@ def test_hand_norm_block_width_and_anchor():
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
     assert fm.width == 3 * k + 126
-    assert fm.layout == (("points", 3 * k), ("hands_normalized", 126))
     hands_block = fm.values[:, 3 * k:].reshape(len(seq.coords), 2, 21, 3)
     for hand in range(2):
         np.testing.assert_allclose(
@@ -173,7 +169,11 @@ def test_flow_nonnegative_random():
     comp = [PoseComponent("BODY", tuple(f"P{i}" for i in range(5)))]
     coords = rng.normal(size=(20, 5, 3))
     conf = rng.random(size=(20, 5))
+    conf[rng.random(size=conf.shape) < 0.3] = 0.0
     seq = make_pose(30, comp, coords, conf)
     fm = optical_flow(seq)
-    assert (fm.values >= 0).all()
-    assert fm.values[~fm.mask].max(initial=0.0) == 0.0
+    assert (fm >= 0).all()
+    tracked = np.zeros_like(conf, dtype=bool)  # tracked in the frame and the one before
+    tracked[1:] = (conf[1:] > 0) & (conf[:-1] > 0)
+    assert fm[~tracked].max(initial=0.0) == 0.0
+    assert (fm[tracked] > 0).all()

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from signseg.numutil import round_half_away
 from signseg.tags import (
-    B, I, O, Segment, TagScheme, clamp_segments, decode_tags, decode_gold_tags,
+    MAX_TIMELINE_FRAMES, B, I, O, Segment, TagScheme, clamp_segments, decode_tags, decode_gold_tags,
     encode_tags, fidelity_experiment, parse_segments, retime_segments,
     serialize_segments,
 )
@@ -62,6 +62,11 @@ def test_encode_rejects_overlap_and_overflow():
         encode_tags([Segment(0, 3), Segment(2, 5)], 6, BIO)
     with pytest.raises(ValueError, match="exceeds"):
         encode_tags([Segment(0, 9)], 6, BIO)
+
+
+def test_encode_rejects_timeline_over_limit():
+    with pytest.raises(ValueError, match="timeline limit"):
+        encode_tags([], MAX_TIMELINE_FRAMES + 1, BIO)
 
 
 def test_decode_bio_oracle():
