@@ -11,6 +11,7 @@ Errors carry a stage prefix on stderr and flip the exit code to 1.
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thres
 from .flow import optical_flow
 from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
-from .numutil import check_fps, is_finite_real
+from .numutil import check_fps, is_finite_real, single_blas_thread
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
 from .tagger import TaggerConfig, forward, init_model, load_model, save_model
@@ -153,8 +154,10 @@ def _stem(path) -> str:
 
 
 def _map_files(items, worker, workers: int):
+    """worker over items, in order; on a pool of threads, with BLAS on one
+    thread each, when there are workers and items to share."""
     if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, items))
     return [worker(item) for item in items]
 
@@ -179,6 +182,24 @@ def _csv_text(header, rows) -> str:
 # config file (its values are in the shared options), where the outputs go
 # and segment's inputs (the manifest lists them as inputs).
 _NOT_OPTIONS = {"command", "func", "config", "out_dir", "poses"}
+
+
+def _check_out_dir(path) -> None:
+    """The emit stage's error for an output directory that os.makedirs could
+    not make, raised before any input is read; makes nothing itself."""
+    if path is None:
+        return
+    with _stage("emit"):
+        child, probe = None, os.path.normpath(path)
+        while not os.path.lexists(probe):  # up to the nearest existing ancestor
+            child, probe = probe, os.path.dirname(probe) or "."
+        if child is None:
+            if not os.path.isdir(probe):
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+        elif not os.path.isdir(probe):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), child)
+        elif not os.access(probe, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), child)
 
 
 @contextmanager
@@ -520,6 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _resolve(args)
+        _check_out_dir(args.out_dir)
         return args.func(args, opts)
     except StageError as e:
         print(f"signseg {args.command}: {e.stage}: {e}", file=sys.stderr)

@@ -5,7 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tags import B, I, O, Segment, TagScheme, encode_tags
+from .tags import B, I, O, Segment, TagScheme, encode_tag_array
+
+
+def _tag_array(tags) -> np.ndarray:
+    """Tags as an integer array; one already of an integer type is not copied."""
+    tags = np.asarray(tags)
+    return tags if tags.dtype.kind in "iu" else tags.astype(int)
 
 
 def frame_f1(pred_tags, gold_tags) -> float:
@@ -13,15 +19,16 @@ def frame_f1(pred_tags, gold_tags) -> float:
 
     A class absent from both prediction and gold contributes F1 = 1.
     """
-    pred = np.asarray(pred_tags, dtype=int)
-    gold = np.asarray(gold_tags, dtype=int)
+    pred = _tag_array(pred_tags)
+    gold = _tag_array(gold_tags)
     if pred.shape != gold.shape:
         raise ValueError(f"length mismatch: {pred.shape} pred vs {gold.shape} gold tags")
     scores = []
     for c in (B, I, O):
-        tp = int(((pred == c) & (gold == c)).sum())
-        fp = int(((pred == c) & (gold != c)).sum())
-        fn = int(((pred != c) & (gold == c)).sum())
+        is_pred, is_gold = pred == c, gold == c
+        tp = int(np.count_nonzero(is_pred & is_gold))
+        fp = int(np.count_nonzero(is_pred)) - tp
+        fn = int(np.count_nonzero(is_gold)) - tp
         if tp + fp + fn == 0:
             scores.append(1.0)
         else:
@@ -62,7 +69,7 @@ def roc_auc_o(probs, gold_tags) -> float:
     """
     probs = np.asarray(probs, dtype=float)
     scores = probs[:, O] if probs.ndim == 2 else probs
-    gold = np.asarray(gold_tags, dtype=int)
+    gold = _tag_array(gold_tags)
     if scores.shape != gold.shape:
         raise ValueError("scores and gold tags differ in length")
     positive = gold == O
@@ -122,8 +129,8 @@ def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float
     f1, iou, pct, auc, dens = {}, {}, {}, {}, {}
     for tier, gold in gold_tiers.items():
         pred = pred_tiers.get(tier, [])
-        gold_tags = encode_tags(gold, num_frames, TagScheme.BIO)
-        pred_tags = encode_tags(pred, num_frames, TagScheme.BIO)
+        gold_tags = encode_tag_array(gold, num_frames, TagScheme.BIO)
+        pred_tags = encode_tag_array(pred, num_frames, TagScheme.BIO)
         f1[tier] = frame_f1(pred_tags, gold_tags)
         iou[tier] = segment_iou(pred, gold, num_frames)
         pct[tier] = percentage(pred, gold) if gold else None

@@ -4,6 +4,8 @@ Implemented directly on numpy arrays with hand-written backpropagation through
 time, so the gradient math is checkable against finite differences. Training
 and the gradient check run in float64. Inference (segment, tune, validation)
 runs the projection and the LSTM stack in float32 with no backprop cache.
+Each LSTM time step writes into vectors allocated once per direction, so the
+loop allocates nothing and holds the interpreter lock for less of each step.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision inference
@@ -168,14 +170,29 @@ def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
     if keep_cache:
         c = np.empty_like(h)
         act = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
+    # the step's vectors, allocated once: each step writes them in place with
+    # the operations, and operand order, of
+    #   a = tanh(xw[t] + hprev @ wh); gate = 0.5 * (1 + a)
+    #   cprev = gf * cprev + gi * ag; hprev = go * tanh(cprev)
+    a = np.empty(4 * h_dim, dtype=wh.dtype)
+    gate = np.empty_like(a)  # input, forget, output; the candidate slice is unused
+    tmp = np.empty(h_dim, dtype=wh.dtype)
+    gi, gf, go = gate[:h_dim], gate[h_dim:2 * h_dim], gate[3 * h_dim:]
+    ag = a[2 * h_dim:3 * h_dim]
     hprev = np.zeros(h_dim, dtype=wh.dtype)
     cprev = np.zeros(h_dim, dtype=wh.dtype)
     for t in order:
-        a = np.tanh(xw[t] + hprev @ wh)
-        gate = 0.5 * (1.0 + a)  # input, forget, output; the candidate slice is unused
-        cprev = gate[h_dim:2 * h_dim] * cprev + gate[:h_dim] * a[2 * h_dim:3 * h_dim]
-        hprev = gate[3 * h_dim:] * np.tanh(cprev)
-        h[t] = hprev
+        np.matmul(hprev, wh, out=a)
+        np.add(xw[t], a, out=a)
+        np.tanh(a, out=a)
+        np.add(1.0, a, out=gate)
+        np.multiply(0.5, gate, out=gate)
+        np.multiply(gi, ag, out=tmp)
+        np.multiply(gf, cprev, out=cprev)
+        np.add(cprev, tmp, out=cprev)
+        np.tanh(cprev, out=tmp)
+        hprev = h[t]
+        np.multiply(go, tmp, out=hprev)
         if keep_cache:
             c[t] = cprev
             act[t] = a

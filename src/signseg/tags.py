@@ -11,13 +11,16 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .numutil import check_fps, round_half_away
 
 B, I, O = 0, 1, 2
 
-# The longest timeline encode_tags tags: it builds a list entry per frame
-# (8 bytes each), and 10^7 frames is over 111 hours at 25 fps. So eval's
-# frame count and the timelines fidelity_experiment retimes to are bounded.
+# The longest timeline encode_tag_array tags: encode_tags turns its array
+# into a list entry per frame (8 bytes each), and 10^7 frames is over 111
+# hours at 25 fps. So eval's frame count and the timelines
+# fidelity_experiment retimes to are bounded.
 MAX_TIMELINE_FRAMES = 10_000_000
 
 
@@ -46,23 +49,29 @@ def _check_sorted_disjoint(segments, num_frames):
         prev_end = seg.end
 
 
-def encode_tags(segments, num_frames: int, scheme: TagScheme) -> list[int]:
-    """Tag num_frames frames from sorted, non-overlapping segments.
+def encode_tag_array(segments, num_frames: int, scheme: TagScheme) -> np.ndarray:
+    """Tag num_frames frames from sorted, non-overlapping segments, as int8.
 
-    More than MAX_TIMELINE_FRAMES frames is a ValueError, before any list is built.
+    Written a segment at a time, so the work grows with the segments, and a
+    frame costs one byte. More than MAX_TIMELINE_FRAMES frames is a
+    ValueError, before any array is built.
     """
     if num_frames > MAX_TIMELINE_FRAMES:
         raise ValueError(f"{num_frames} frames are over the timeline limit of "
                          f"{MAX_TIMELINE_FRAMES}")
     segments = sorted(segments)
     _check_sorted_disjoint(segments, num_frames)
-    tags = [O] * num_frames
+    tags = np.full(num_frames, O, dtype=np.int8)
     for seg in segments:
-        for t in range(seg.start, seg.end):
-            tags[t] = I
+        tags[seg.start:seg.end] = I
         if scheme is TagScheme.BIO:
             tags[seg.start] = B
     return tags
+
+
+def encode_tags(segments, num_frames: int, scheme: TagScheme) -> list[int]:
+    """The tags of encode_tag_array as a list of ints."""
+    return encode_tag_array(segments, num_frames, scheme).tolist()
 
 
 def decode_tags(tags, scheme: TagScheme) -> tuple[list[Segment], int]:

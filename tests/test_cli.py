@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from signseg import cli
+from signseg import cli, numutil
 from signseg.pose import HAND_POINTS, PoseComponent, make_pose, save_pose
 from signseg.synthetic import hand_template, motion_pose, scattered_copies, write_clip_dir
 from signseg.tags import load_segments, save_segments
@@ -127,8 +127,92 @@ def test_segment_rerun_and_workers_agree(corpus_dir, checkpoint, tmp_path):
                      "--out-dir", str(one)]) == 0
     assert cli.main(["segment", *poses, "--checkpoint", checkpoint,
                      "--out-dir", str(two), "--workers", "3"]) == 0
+    names = sorted(p.name for p in one.iterdir() if p.name != "segment.run.json")
+    assert len(names) == 3 * len(poses)  # segments.json and a VTT per tier for each clip
+    for name in names:
+        assert (two / name).read_bytes() == (one / name).read_bytes(), name
+
+
+class FakeBlas:
+    """Stands in for numpy's OpenBLAS thread-count calls."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def calls(self):
+        return (lambda: self.threads), self.set
+
+    def set(self, n):
+        self.threads = n
+
+
+@pytest.mark.parametrize("workers, items, pinned", [(2, 3, True), (1, 3, False), (2, 1, False)],
+                         ids=["pool", "serial", "one-item"])
+def test_map_files_pins_blas_only_in_the_pool(monkeypatch, workers, items, pinned):
+    blas = FakeBlas(4)
+    monkeypatch.setattr(numutil, "_openblas_threads", blas.calls)
+    seen = cli._map_files(list(range(items)), lambda item: (item, blas.threads), workers)
+    assert seen == [(item, 1 if pinned else 4) for item in range(items)]
+    assert blas.threads == 4
+
+
+def test_map_files_restores_blas_threads_when_a_worker_raises(monkeypatch):
+    blas = FakeBlas(3)
+    monkeypatch.setattr(numutil, "_openblas_threads", blas.calls)
+
+    def worker(item):
+        assert blas.threads == 1
+        if item == 1:
+            raise ValueError("bad item")
+        return item
+
+    with pytest.raises(ValueError, match="bad item"):
+        cli._map_files([0, 1, 2], worker, 2)
+    assert blas.threads == 3
+
+
+@pytest.fixture
+def openblas():
+    calls = numutil._openblas_threads()
+    if calls is None:
+        pytest.skip("this numpy has no bundled scipy-openblas64 thread calls")
+    get, set_ = calls
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def test_pool_runs_numpy_openblas_on_one_thread(openblas):
+    get, set_ = openblas
+    set_(2)
+    assert cli._map_files([0, 1, 2, 3], lambda item: get(), 2) == [1, 1, 1, 1]
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError):
+        cli._map_files([0, 1], lambda item: 1 / item, 2)
+    assert get() == 2
+
+
+def test_segment_workers_without_openblas_calls(corpus_dir, checkpoint, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setattr(numutil, "_openblas_threads", lambda: None)
+    with numutil.single_blas_thread():  # a no-op
+        pass
+    poses = sorted(str(p) for p in corpus_dir.glob("*.pose.json"))
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert cli.main(["segment", *poses, "--checkpoint", checkpoint,
+                     "--out-dir", str(one)]) == 0
+    assert cli.main(["segment", *poses, "--checkpoint", checkpoint,
+                     "--out-dir", str(two), "--workers", "2"]) == 0
     for path in sorted(one.glob("*.segments.json")):
         assert (two / path.name).read_bytes() == path.read_bytes()
+
+
+def test_importing_the_cli_looks_up_no_blas_library():
+    code = ("import signseg.cli\n"
+            "from signseg import numutil\n"
+            "assert numutil._openblas_threads.cache_info().currsize == 0\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_segment_argmax_mode(corpus_dir, checkpoint, tmp_path):
@@ -424,6 +508,16 @@ def test_hand_bench(tmp_path):
     assert (out / "hand-bench.run.json").exists()
 
 
+def test_hand_bench_workers_agree(tmp_path):
+    manifest = make_bench_manifest(tmp_path)
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(one)]) == 0
+    assert cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(two),
+                     "--workers", "2"]) == 0
+    for name in ("hand_bench.csv", "overlay.csv"):
+        assert (two / name).read_bytes() == (one / name).read_bytes(), name
+
+
 def test_hand_bench_quotes_labels(tmp_path):
     manifest = make_bench_manifest(tmp_path)
     doc = json.loads(manifest.read_text(encoding="utf-8"))
@@ -621,6 +715,33 @@ def test_out_dir_that_is_a_file_is_an_emit_error(corpus_dir, checkpoint, tmp_pat
     (tmp_path / "out").write_text("", encoding="utf-8")
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"signseg {command}: emit: ")
+
+
+@pytest.mark.parametrize("command", ["segment", "train"])
+@pytest.mark.parametrize("blocker", ["file", "file-ancestor", "read-only-ancestor"])
+def test_unusable_out_dir_fails_before_any_work(corpus_dir, checkpoint, tmp_path, capsys,
+                                                monkeypatch, command, blocker):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output directory was checked")
+
+    monkeypatch.setattr(cli.training, "train", never)
+    monkeypatch.setattr(cli, "forward", never)
+    monkeypatch.setattr(cli, "load_model", never)
+    argv = command_argv(command, corpus_dir, checkpoint, tmp_path)[:-2]
+    if blocker == "read-only-ancestor":
+        out = tmp_path / "missing" / "out"
+        access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: path != str(tmp_path) and access(path, mode))
+        expected = "Permission denied"
+    else:
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out = tmp_path / "taken" / ("" if blocker == "file" else "sub/out")
+        expected = "File exists" if blocker == "file" else "Not a directory"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg {command}: emit: ") and expected in err
+    assert not (tmp_path / "missing").exists()
 
 
 def empty_pose(tmp_path):

@@ -230,9 +230,9 @@ def test_dropout_forward_runs():
     assert np.isfinite(value)
 
 
-# Reference copies of the whole-array Adam update and the per-step
-# concatenating backward loop that train_step and _backward_direction
-# replaced. The fast paths must match them bit for bit.
+# Reference copies of the whole-array Adam update, the per-step
+# concatenating backward loop and the allocating forward step that
+# train_step, _backward_direction and _run_direction replaced. The fast paths must match them bit for bit.
 
 def reference_backward_direction(dh_out, cache, wx, wh):
     u = cache["u"]
@@ -259,6 +259,61 @@ def reference_backward_direction(dh_out, cache, wx, wh):
         dh_rec = da @ wh.T
         dc = dc * gf
     return da_all @ wx.T, u.T @ da_all, cache["hprev"].T @ da_all, da_all.sum(axis=0)
+
+
+def reference_run_direction(u, wx, wh, b, reverse, keep_cache=False):
+    """_run_direction as it was before its step wrote into preallocated vectors."""
+    t_len, h_dim = u.shape[0], wh.shape[0]
+    scale = tagger._gate_scale(h_dim, wh.dtype)
+    xw = (u @ wx + b) * scale
+    wh = wh * scale
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    h = np.empty((t_len, h_dim), dtype=wh.dtype)
+    c = np.empty_like(h)
+    act = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
+    hprev = np.zeros(h_dim, dtype=wh.dtype)
+    cprev = np.zeros(h_dim, dtype=wh.dtype)
+    for t in order:
+        a = np.tanh(xw[t] + hprev @ wh)
+        gate = 0.5 * (1.0 + a)
+        cprev = gate[h_dim:2 * h_dim] * cprev + gate[:h_dim] * a[2 * h_dim:3 * h_dim]
+        hprev = gate[3 * h_dim:] * np.tanh(cprev)
+        h[t], c[t], act[t] = hprev, cprev, a
+    if not keep_cache:
+        return h, None
+    hprev_all, cprev_all = np.zeros_like(h), np.zeros_like(c)
+    if reverse:
+        hprev_all[:-1], cprev_all[:-1] = h[1:], c[1:]
+    else:
+        hprev_all[1:], cprev_all[1:] = h[:-1], c[:-1]
+    sig = 0.5 * (1.0 + act)
+    return h, {"u": u, "h": h, "c": c, "gi": sig[:, :h_dim], "gf": sig[:, h_dim:2 * h_dim],
+               "gg": act[:, 2 * h_dim:3 * h_dim], "go": sig[:, 3 * h_dim:],
+               "hprev": hprev_all, "cprev": cprev_all, "order": list(order)}
+
+
+@pytest.mark.parametrize("keep_cache", [False, True], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+@pytest.mark.parametrize("t_len", [1, 2, 7, 33])
+def test_run_direction_matches_reference(t_len, reverse, dtype, keep_cache):
+    rng = np.random.default_rng(t_len)
+    h_dim, d_in = 256, 512  # the default tagger's hidden width and upper-layer input
+    u = rng.normal(size=(t_len, d_in)).astype(dtype)
+    wx, wh = (rng.uniform(-1 / 16, 1 / 16, size=(n, 4 * h_dim)).astype(dtype)
+              for n in (d_in, h_dim))
+    b = rng.uniform(-1 / 16, 1 / 16, size=4 * h_dim).astype(dtype)
+    h, cache = tagger._run_direction(u, wx, wh, b, reverse, keep_cache)
+    want_h, want_cache = reference_run_direction(u, wx, wh, b, reverse, keep_cache)
+    assert h.dtype == dtype and np.array_equal(h, want_h)
+    if not keep_cache:
+        assert cache is None
+        return
+    assert set(cache) == set(want_cache)
+    assert cache["order"] == want_cache["order"]
+    for key in set(cache) - {"order"}:
+        got, want = cache[key], want_cache[key]
+        assert got.dtype == want.dtype and np.array_equal(got, want), key
 
 
 def reference_train_step(model, features, gold, state, dropout_rng=None):

@@ -1,13 +1,14 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from signseg.numutil import round_half_away
 from signseg.tags import (
     MAX_TIMELINE_FRAMES, B, I, O, Segment, TagScheme, clamp_segments, decode_tags, decode_gold_tags,
-    encode_tags, fidelity_experiment, parse_segments, retime_segments,
+    encode_tag_array, encode_tags, fidelity_experiment, parse_segments, retime_segments,
     serialize_segments,
 )
 
@@ -67,6 +68,41 @@ def test_encode_rejects_overlap_and_overflow():
 def test_encode_rejects_timeline_over_limit():
     with pytest.raises(ValueError, match="timeline limit"):
         encode_tags([], MAX_TIMELINE_FRAMES + 1, BIO)
+
+
+def reference_encode_tags(segments, num_frames, scheme):
+    """The per-frame list encoder that encode_tag_array replaced."""
+    tags = [O] * num_frames
+    for seg in segments:
+        for t in range(seg.start, seg.end):
+            tags[t] = I
+        if scheme is BIO:
+            tags[seg.start] = B
+    return tags
+
+
+@given(segment_sets(max_frames=60), st.sampled_from([BIO, IO]), st.booleans())
+@example((0, []), BIO, False)
+@example((5, []), BIO, False)
+@example((6, [Segment(0, 2), Segment(2, 3), Segment(3, 6)]), BIO, True)
+def test_encoders_match_the_per_frame_reference(case, scheme, reverse):
+    t, segs = case
+    want = reference_encode_tags(segs, t, scheme)
+    if reverse:  # the encoders sort their input
+        segs = segs[::-1]
+    tags = encode_tag_array(segs, t, scheme)
+    assert tags.dtype == np.int8 and tags.shape == (t,)
+    assert tags.tolist() == want
+    listed = encode_tags(segs, t, scheme)
+    assert listed == want and all(type(tag) is int for tag in listed)
+
+
+def test_encode_tag_array_rejects_what_encode_tags_rejects():
+    for segs, frames, match in (([Segment(0, 3), Segment(2, 5)], 6, "overlap"),
+                                ([Segment(0, 9)], 6, "exceeds"),
+                                ([], MAX_TIMELINE_FRAMES + 1, "timeline limit")):
+        with pytest.raises(ValueError, match=match):
+            encode_tag_array(segs, frames, BIO)
 
 
 def test_decode_bio_oracle():
