@@ -259,7 +259,7 @@ def cmd_segment(args, opts) -> int:
                 f"input width {model.config.input_dim}",
             )
         with _stage("forward"):
-            probs = forward(model, feats.values, dtype=np.float32)
+            probs = forward(model, feats.values)
         with _stage("decode"):
             tiers = {tier: decode(probs[tier] * 100.0, dparams)
                      for tier in SEGMENTS_TIERS}
@@ -281,6 +281,10 @@ def cmd_train(args, opts) -> int:
         train_clips = training.load_corpus(args.data_dir, popts)
         val_clips = (training.load_corpus(args.val_dir, popts)
                      if args.val_dir else train_clips)
+        width, val_width = train_clips[0].features.shape[1], val_clips[0].features.shape[1]
+        if val_width != width:
+            raise ValueError(f"validation clips have feature width {val_width}, "
+                             f"training clips {width}")
     with _stage("weights"):
         weights = training.corpus_class_weights(train_clips)
     with _stage("model"):
@@ -324,7 +328,7 @@ def cmd_tune(args, opts) -> int:
     with _stage("forward"):
         dev = []
         for clip in clips:
-            probs = forward(model, clip.features, dtype=np.float32)
+            probs = forward(model, clip.features)
             gold = decode_gold_tags(clip.gold[args.tier], TagScheme.BIO)
             dev.append((probs[args.tier] * 100.0, gold))
     with _stage("tune"):

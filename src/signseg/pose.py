@@ -259,6 +259,11 @@ _RUN_POINTS = 512
 # value is longer than the text held), so it holds a few MiB of text, not
 # the whole document: a minute of holistic pose is about 52 MB.
 _CHUNK_CHARS = 1 << 20
+# _Window.decode refills before it decodes when less than this much text is
+# left unread, so a value cut by the end of a chunk is rare: a failed decode
+# builds a JSONDecodeError, whose line count walks the window. A frame of 543
+# points is about 35,000 characters.
+_REFILL_CHARS = 1 << 16
 
 
 class _Unreadable(Exception):
@@ -318,10 +323,13 @@ class _Window:
     def decode(self, i):
         """The JSON value at text[i] and the index after it.
 
-        A value that fails or ends within two characters of the end of text is
-        decoded again after a refill: a number there may go on (2|5, 2.|5,
-        2e-|5), and anything else may be cut.
+        With less than _REFILL_CHARS of text left, the window refills first. A
+        value that still fails or ends within two characters of the end of
+        text is decoded again after a refill: a number there may go on (2|5,
+        2.|5, 2e-|5), and anything else may be cut.
         """
+        if len(self.text) - i < _REFILL_CHARS and self._more(i):
+            i = 0
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, i)

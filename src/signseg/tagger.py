@@ -1,16 +1,20 @@
 """Frame tagger: linear projection, stacked bidirectional LSTM, two BIO heads.
 
 Implemented directly on numpy arrays with hand-written backpropagation through
-time, so the gradient math is checkable against finite differences. Training
-and the gradient check run in float64. Inference (segment, tune, validation)
-runs the projection and the LSTM stack in float32 with no backprop cache.
-Each LSTM time step writes into vectors allocated once per direction, so the
-loop allocates nothing and holds the interpreter lock for less of each step.
+time, so the gradient math is checkable against finite differences. The
+projection, the LSTM stack, their gradients and Adam run in the dtype of the
+parameters: float32 as init_model makes them and as load_model returns them,
+so training and inference share one path and no call takes a dtype. The two
+heads, the softmax and the loss run in float64; the head gradients are cast
+to the parameters' dtype once. gradient_check runs on a float64 copy, the
+reference the float32 path is checked against. Each LSTM time step writes
+into vectors allocated once per direction, so the loop allocates nothing and
+holds the interpreter lock for less of each step.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
-as raw little-endian float32 in _param_shapes order: the precision inference
-runs in. load_model returns read-only float32 views of that payload, so
-loading decodes no text and inference casts nothing.
+as raw little-endian float32 in _param_shapes order: the precision training
+and inference run in. load_model returns read-only float32 views of that
+payload, so loading decodes no text and inference casts nothing.
 
 Parameter layout per LSTM direction: Wx (input, 4H), Wh (H, 4H), b (4H,) with
 gate order [input, forget, candidate, output]. Forget-gate biases start at 1.
@@ -84,8 +88,9 @@ class TaggerConfig:
 @dataclass
 class TaggerModel:
     config: TaggerConfig
-    # name -> ndarray, insertion order fixed by _param_shapes: float64 from
-    # init_model and training, read-only float32 as loaded from a checkpoint
+    # name -> ndarray, insertion order fixed by _param_shapes: float32 from
+    # init_model and training, read-only float32 as loaded from a checkpoint,
+    # float64 in the gradient_check reference (cast_model)
     params: dict
 
 
@@ -120,16 +125,15 @@ def param_count(config: TaggerConfig) -> int:
 
 
 def init_model(config: TaggerConfig) -> TaggerModel:
-    """Uniform(-1/sqrt(H), 1/sqrt(H)) init, quantized to float32-representable
-    values so a fresh checkpoint round-trips bit-exactly; forget biases = 1."""
+    """Uniform(-1/sqrt(H), 1/sqrt(H)) init as float32, so a fresh checkpoint
+    round-trips bit-exactly; forget biases = 1."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.hidden_dim)
     params = {}
     h = config.hidden_dim
     for name, shape in _param_shapes(config).items():
-        arr = rng.uniform(-bound, bound, size=shape)
-        arr = arr.astype(np.float32).astype(np.float64)
+        arr = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         if name.endswith(".b") and name.startswith("lstm"):
             arr[h:2 * h] = 1.0
         params[name] = arr
@@ -216,7 +220,7 @@ def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
 
 
 def _backward_direction(dh_out, cache, wx, wh):
-    """Gradient through one direction. Returns (du, dWx, dWh, db).
+    """Gradient through one direction, in the dtype of wh. Returns (du, dWx, dWh, db).
 
     The gate factors for the whole sequence are stacked before the time loop,
     so a step writes its row of da in place with four multiplies. Each
@@ -231,9 +235,9 @@ def _backward_direction(dh_out, cache, wx, wh):
     by_dc = np.stack([gg, cache["cprev"], gi], axis=1)  # (T, 3, H): di, df, dg = dc * .
     first = np.concatenate([gi, gf, 1.0 - gg * gg, go], axis=1)
     second = 1.0 - np.concatenate([gi, gf, np.zeros_like(gg), go], axis=1)
-    da_all = np.empty((t_len, 4 * h_dim))
-    dh_rec = np.zeros(h_dim)
-    dc = np.zeros(h_dim)
+    da_all = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
+    dh_rec = np.zeros(h_dim, dtype=wh.dtype)
+    dc = np.zeros(h_dim, dtype=wh.dtype)
     for t in reversed(cache["order"]):
         dh = dh_out[t] + dh_rec
         dc = dc + dh * go[t] * dtc[t]
@@ -251,23 +255,20 @@ def _backward_direction(dh_out, cache, wx, wh):
     return du, dwx, dwh, db
 
 
-def cast_encoder(model: TaggerModel, dtype) -> TaggerModel:
-    """The model with its projection and LSTM parameters cast to dtype once,
-    so that forward(..., dtype=dtype) on it casts nothing per call. The
-    heads, which forward runs in float64, keep their arrays."""
+def cast_model(model: TaggerModel, dtype) -> TaggerModel:
+    """The model with every parameter cast to dtype; forward, loss_and_grads
+    and train_step on it then run in dtype."""
     return TaggerModel(model.config, {
-        name: arr if name.startswith("head.") else arr.astype(dtype, copy=False)
-        for name, arr in model.params.items()})
+        name: arr.astype(dtype, copy=False) for name, arr in model.params.items()})
 
 
-def forward(model: TaggerModel, features, return_cache: bool = False,
-            dropout_rng=None, dtype=np.float64):
+def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rng=None):
     """Run the network; returns per-tier (T, 3) probability rows.
 
     features: (T, F) array with F == config.input_dim. The projection and the
-    LSTM stack run in `dtype`, with the parameters cast once per call; the
-    heads and the softmax run in float64. The backprop cache is built only
-    when return_cache is set.
+    LSTM stack run in the dtype of the parameters, the features cast to
+    it; the heads and the softmax run in float64. The backprop cache is
+    built only when return_cache is set.
     """
     cfg = model.config
     x = np.asarray(features, dtype=float)
@@ -277,11 +278,8 @@ def forward(model: TaggerModel, features, return_cache: bool = False,
             f"model input_dim {cfg.input_dim}"
         )
     p = model.params
-
-    def cast(name):
-        return p[name].astype(dtype, copy=False)
-
-    z = x.astype(dtype, copy=False) @ cast("proj.W") + cast("proj.b")
+    dtype = p["proj.W"].dtype
+    z = x.astype(dtype, copy=False) @ p["proj.W"] + p["proj.b"]
     layer_caches = []
     drop_masks = []
     cur = z
@@ -291,12 +289,13 @@ def forward(model: TaggerModel, features, return_cache: bool = False,
         for d in _directions(cfg):
             name = f"lstm{layer}.{d}"
             h, caches[d] = _run_direction(
-                cur, cast(f"{name}.Wx"), cast(f"{name}.Wh"), cast(f"{name}.b"),
+                cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
                 reverse=(d == "bwd"), keep_cache=return_cache)
             outs.append(h)
         cur = np.concatenate(outs, axis=1)
         if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
-            mask = (dropout_rng.random(cur.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            mask = ((dropout_rng.random(cur.shape) >= cfg.dropout)
+                    / (1.0 - cfg.dropout)).astype(cur.dtype, copy=False)
             cur *= mask
             drop_masks.append(mask)
         else:
@@ -310,7 +309,9 @@ def forward(model: TaggerModel, features, return_cache: bool = False,
         probs[tier] = _softmax(logits[tier]) if len(enc) else np.zeros((0, 3))
     if not return_cache:
         return probs
-    cache = {"x": x, "z": z, "enc": enc, "layers": layer_caches,
+    # x in the parameters' dtype, for the projection's gradient; cast again
+    # here so that inference holds no cast copy of the features
+    cache = {"x": x.astype(dtype, copy=False), "z": z, "enc": enc, "layers": layer_caches,
              "logits": logits, "drop": drop_masks}
     return probs, cache
 
@@ -365,8 +366,10 @@ def _logits_loss(logits: dict, gold: dict, weights: dict) -> float:
 def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
     """Full-sequence loss plus analytic gradients for every parameter.
 
-    Each gradient is assigned once, as it is produced; the dict is returned
-    in _param_shapes order, the order train_step sums the clipping norm in.
+    Each gradient is assigned once, as it is produced, in the dtype of its
+    parameter; the head gradients and the encoder's gradient, which the
+    float64 heads produce, are cast to it once. The dict is returned in
+    _param_shapes order, the order train_step sums the clipping norm in.
     """
     cfg = model.config
     probs, cache = forward(model, features, return_cache=True, dropout_rng=dropout_rng)
@@ -381,11 +384,12 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
         dlogits = probs[tier] * w[y][:, None]
         dlogits[np.arange(t_len), y] -= w[y]
         dlogits /= t_len
-        grads[f"head.{tier}.W"] = cache["enc"].T @ dlogits
-        grads[f"head.{tier}.b"] = dlogits.sum(axis=0)
-        denc += dlogits @ p[f"head.{tier}.W"].T
+        head_w, head_b = f"head.{tier}.W", f"head.{tier}.b"
+        grads[head_w] = (cache["enc"].T @ dlogits).astype(p[head_w].dtype, copy=False)
+        grads[head_b] = dlogits.sum(axis=0).astype(p[head_b].dtype, copy=False)
+        denc += dlogits @ p[head_w].T
     h_dim = cfg.hidden_dim
-    dcur = denc
+    dcur = denc.astype(cache["z"].dtype, copy=False)
     for layer in reversed(range(cfg.layers)):
         if cache["drop"][layer] is not None:
             dcur = dcur * cache["drop"][layer]
@@ -407,22 +411,24 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
 
 @dataclass
 class AdamState:
-    """Step count and moment estimates; train_step allocates m and v on the
-    first step and updates them in place from then on."""
+    """Step count and moment estimates; train_step allocates m and v, in the
+    gradients' dtype, on the first step and updates them in place from then on."""
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-# Elements per Adam chunk: its two float64 scratch rows (512 KiB) stay in
-# cache, so each chunk of p, g, m and v is read from memory once per step.
+# Elements per Adam chunk: its two scratch rows, in the parameters' dtype
+# (256 KiB in float32), stay in cache, so each chunk of p, g, m and v is read
+# from memory once per step.
 ADAM_BLOCK = 32768
 
 
 def _adam_update(p, g, m, v, t: int, lr: float, scratch) -> None:
     """p, m and v updated in place, chunk by chunk, with the operations of
     m += (1-b1)(g-m); v += (1-b2)(g*g-v); p -= lr*mhat / (sqrt(vhat)+eps)
-    in that order, so the result is bit-identical to the whole-array form."""
+    in that order, so the result is bit-identical to the whole-array form.
+    scratch is (2, ADAM_BLOCK) in the dtype of p."""
     if not p.flags.c_contiguous:  # reshape would copy, and the update be lost
         raise ValueError("Adam updates C-contiguous parameters only")
     c1 = 1 - ADAM_BETA1 ** t
@@ -465,23 +471,23 @@ def train_step(model: TaggerModel, features, gold: dict, state: AdamState,
         state.m = {name: np.zeros_like(g) for name, g in grads.items()}
         state.v = {name: np.zeros_like(g) for name, g in grads.items()}
     state.step += 1
-    scratch = np.empty((2, ADAM_BLOCK))
+    scratch = np.empty((2, ADAM_BLOCK), dtype=np.result_type(*grads.values()))
     for name, g in grads.items():
         _adam_update(model.params[name], g, state.m[name], state.v[name],
                      state.step, cfg.learning_rate, scratch)
     return value
 
 
-def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4,
-                   grads: dict = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    both on a float64 copy of the model: the reference for the float32 path.
 
     Intended for small models only (hidden <= 16, short sequences).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if grads is None:
-        _, grads = loss_and_grads(model, features, gold)
+    model = cast_model(model, np.float64)
+    _, grads = loss_and_grads(model, features, gold)
     weights = model.config.class_weights
 
     def loss_at():

@@ -9,7 +9,7 @@ import numpy as np
 from .metrics import frame_f1
 from .pipeline import PipelineOptions, prepare_features
 from .pose import load_pose
-from .tagger import AdamState, TaggerModel, cast_encoder, forward, train_step
+from .tagger import AdamState, TaggerModel, forward, train_step
 from .tags import (SEGMENTS_TIERS, TagScheme, clamp_segments, encode_tags,
                    load_segments, retime_segments)
 
@@ -68,10 +68,9 @@ def corpus_class_weights(clips) -> dict:
 
 def mean_frame_f1(model: TaggerModel, clips) -> float:
     """Mean over clips and tiers of F1 between argmax tags and gold tags."""
-    model = cast_encoder(model, np.float32)
     scores = []
     for clip in clips:
-        probs = forward(model, clip.features, dtype=np.float32)
+        probs = forward(model, clip.features)
         for tier in SEGMENTS_TIERS:
             pred = np.argmax(probs[tier], axis=1)
             scores.append(frame_f1(pred, clip.gold[tier]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from signseg import cli, numutil
+from signseg import cli, numutil, tagger
 from signseg.pose import HAND_POINTS, PoseComponent, make_pose, save_pose
 from signseg.synthetic import hand_template, motion_pose, scattered_copies, write_clip_dir
 from signseg.tags import load_segments, save_segments
@@ -99,6 +99,59 @@ def test_train_runs_one_f1_pass_per_evaluation(corpus_dir, tmp_path, monkeypatch
     results = results["options"]["results"]
     assert results["train_f1"] == results["best_val_f1"]
     assert f"train_f1={results['train_f1']:.6f}" in capsys.readouterr().out
+
+
+def test_train_runs_in_float32_and_reruns_byte_identically(corpus_dir, tmp_path, monkeypatch):
+    dtypes = []  # (what, dtype) of every array a step reads or writes
+    loss_and_grads, train_step = tagger.loss_and_grads, cli.training.train_step
+
+    def recording_grads(*args, **kwargs):
+        value, grads = loss_and_grads(*args, **kwargs)
+        dtypes.extend(("grad", g.dtype) for g in grads.values())
+        return value, grads
+
+    def recording_step(model, features, gold, state, **kwargs):
+        value = train_step(model, features, gold, state, **kwargs)
+        dtypes.extend(("param", a.dtype) for a in model.params.values())
+        dtypes.extend(("moment", a.dtype) for a in (*state.m.values(), *state.v.values()))
+        return value
+
+    monkeypatch.setattr(tagger, "loss_and_grads", recording_grads)
+    monkeypatch.setattr(cli.training, "train_step", recording_step)
+    argv = ["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+            "--hidden-dim", "8", "--layers", "2", "--max-steps", "4", "--dropout", "0.2"]
+    runs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        runs.append({name: (tmp_path / name).read_bytes()
+                     for name in ("model.ckpt", "training_log.csv", "train.run.json")})
+    assert runs[0] == runs[1]
+    assert {what for what, _ in dtypes} == {"grad", "param", "moment"}
+    assert {dtype for _, dtype in dtypes} == {np.dtype(np.float32)}
+
+
+def test_train_rejects_a_val_set_of_another_width_before_any_step(corpus_dir, tmp_path,
+                                                                  capsys, monkeypatch):
+    # the validation clip's BODY has one point more, so its features are wider
+    val_dir = tmp_path / "val"
+    val_dir.mkdir()
+    seq, tiers = motion_pose(0)
+    body, *rest = seq.components
+    k = len(body.points)
+    wider = (PoseComponent(body.name, body.points + ("EXTRA",)), *rest)
+    save_pose(val_dir / "clip000.pose.json",
+              make_pose(seq.fps, wider, np.insert(seq.coords, k, seq.coords[:, 0], axis=1),
+                        np.insert(seq.conf, k, seq.conf[:, 0], axis=1)))
+    save_segments(val_dir / "clip000.segments.json", seq.fps, tiers)
+    steps = []
+    monkeypatch.setattr(cli.training, "train_step", lambda *args, **kw: steps.append(1))
+    rc = cli.main(["train", "--data-dir", str(corpus_dir), "--val-dir", str(val_dir),
+                   "--out-dir", str(tmp_path / "out"), "--hidden-dim", "4", "--layers", "1",
+                   "--max-steps", "5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("signseg train: data: validation clips have feature width ")
+    assert not steps
 
 
 def test_segment_end_to_end(corpus_dir, checkpoint, tmp_path):

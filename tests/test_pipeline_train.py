@@ -276,7 +276,8 @@ def test_train_holds_one_gradient_set():
     t_len = 8
     clip = ClipData("c", rng.normal(size=(t_len, cfg.input_dim)),
                     {tier: rng.integers(0, 3, size=t_len).tolist() for tier in SEGMENTS_TIERS})
-    scratch = 2 * ADAM_BLOCK * 8  # Adam's two float64 chunk rows
+    itemsize = model.params["proj.W"].itemsize  # float32, the dtype training runs in
+    scratch = 2 * ADAM_BLOCK * itemsize  # Adam's two chunk rows
     tracemalloc.start()
     try:
         train(model, [clip], [clip], max_steps=1, patience=0)

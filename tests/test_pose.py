@@ -473,6 +473,19 @@ def test_load_pose_reads_like_the_whole_file_at_every_chunk_size(tmp_path, monke
     assert_reads_like_whole_document_reader(path)
 
 
+@pytest.mark.parametrize("margin", [0, 5, 40])
+@pytest.mark.parametrize("name", sorted(_STREAMED_FILES))
+def test_load_pose_reads_like_the_whole_file_at_every_refill_margin(tmp_path, monkeypatch,
+                                                                    margin, name):
+    # values longer than the refill margin still meet the end of text, and
+    # are decoded again after a refill
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", 7)
+    monkeypatch.setattr(pose, "_REFILL_CHARS", margin)
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(_STREAMED_FILES[name])
+    assert_reads_like_whole_document_reader(path)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 def test_load_pose_reads_like_the_whole_file_at_every_cut_and_shift(tmp_path, monkeypatch,
                                                                     chunk):
@@ -545,6 +558,30 @@ def test_prepare_peak_memory_is_a_fraction_of_the_block(holistic_300, tmp_path):
     np.testing.assert_array_equal(out.coords, want.coords)
     np.testing.assert_array_equal(out.conf, want.conf)
     assert peak <= 0.5 * quads.nbytes
+
+
+def test_load_pose_refills_before_a_value_is_cut(holistic_300, tmp_path, monkeypatch):
+    # the window refills before it decodes near its end, so no decode of a
+    # multi-chunk file fails (each failure builds a JSONDecodeError)
+    quads, text = holistic_300
+    assert len(text) > 4 * pose._CHUNK_CHARS
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    want = outcome(parse_pose, text)
+    failures = []
+    decoder = pose._DECODER
+
+    class CountingDecoder:
+        def raw_decode(self, s, i):
+            try:
+                return decoder.raw_decode(s, i)
+            except ValueError:
+                failures.append(i)
+                raise
+
+    monkeypatch.setattr(pose, "_DECODER", CountingDecoder())
+    assert outcome(pose.load_pose, path) == want
+    assert failures == []
 
 
 def test_parse_rejects_malformed_json():

@@ -13,16 +13,20 @@ from signseg.decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode
 from signseg.pipeline import PipelineOptions
 from signseg.synthetic import write_clip_dir
 from signseg.tagger import (
-    ADAM_BLOCK, AdamState, TaggerConfig, TaggerModel, _param_shapes, class_weights_from_tags,
-    forward, gradient_check, init_model, load_model, loss, loss_and_grads, param_count,
-    save_model, train_step,
+    ADAM_BLOCK, AdamState, TaggerConfig, TaggerModel, _param_shapes, cast_model,
+    class_weights_from_tags, forward, gradient_check, init_model, load_model, loss,
+    loss_and_grads, param_count, save_model, train_step,
 )
 from signseg.tags import SEGMENTS_TIERS
 from signseg.train import corpus_class_weights, load_corpus, train
 
-# Inference runs in float32; its probabilities may differ from the float64
-# reference by at most this much (max abs, on the 0-1 scale).
+# Training and inference run in float32; the probabilities may differ from
+# the float64 reference by at most this much (max abs, on the 0-1 scale), and
+# each parameter's gradient by at most this fraction of its largest float64
+# entry: about 170 float32 epsilons (1.2e-7), room for what the recurrence
+# accumulates over a clip.
 FLOAT32_PROB_TOL = 1e-5
+FLOAT32_GRAD_TOL = 2e-5
 
 
 def tiny_config(**kw):
@@ -93,7 +97,7 @@ def test_forward_shapes_and_simplex():
 def test_forward_empty_sequence():
     model = init_model(tiny_config())
     for dtype in (np.float64, np.float32):
-        probs = forward(model, np.zeros((0, 6)), dtype=dtype)
+        probs = forward(cast_model(model, dtype), np.zeros((0, 6)))
         for tier in SEGMENTS_TIERS:
             assert probs[tier].shape == (0, 3)
             assert probs[tier].dtype == np.float64
@@ -103,7 +107,7 @@ def test_forward_rejects_width_mismatch():
     model = init_model(tiny_config())
     for dtype in (np.float64, np.float32):
         with pytest.raises(ValueError, match="input_dim"):
-            forward(model, np.zeros((4, 5)), dtype=dtype)
+            forward(cast_model(model, dtype), np.zeros((4, 5)))
 
 
 def test_cache_free_forward_matches_cached():
@@ -120,8 +124,9 @@ def test_float32_forward_matches_float64():
     cfg = tiny_config(input_dim=20, hidden_dim=32, layers=2)
     model = init_model(cfg)
     x, _ = random_case(cfg, t=200, seed=5)
-    ref = forward(model, x)
-    fast = forward(model, x, dtype=np.float32)
+    assert all(arr.dtype == np.float32 for arr in model.params.values())
+    ref = forward(cast_model(model, np.float64), x)
+    fast = forward(model, x)
     for tier in SEGMENTS_TIERS:
         assert fast[tier].dtype == np.float64
         np.testing.assert_allclose(fast[tier].sum(axis=1), 1.0, atol=1e-12)
@@ -145,9 +150,10 @@ def test_float32_decodes_match_float64_on_clips(trained_on_clips):
     modes = [DecodeParams(tb, to) for tb in DEFAULT_GRID for to in DEFAULT_GRID]
     modes += [DecodeParams(mode=DecodeMode.ARGMAX), DecodeParams(strict_bio=True)]
     segments = 0
+    reference = cast_model(model, np.float64)
     for clip in clips:
-        ref = forward(model, clip.features)
-        fast = forward(model, clip.features, dtype=np.float32)
+        ref = forward(reference, clip.features)
+        fast = forward(model, clip.features)
         for tier in SEGMENTS_TIERS:
             assert np.abs(fast[tier] - ref[tier]).max() <= FLOAT32_PROB_TOL
             for params in modes:
@@ -155,6 +161,35 @@ def test_float32_decodes_match_float64_on_clips(trained_on_clips):
                 assert decode(fast[tier] * 100.0, params) == want
                 segments += len(want)
     assert segments > 0
+
+
+def test_float32_gradients_match_float64_on_clips(trained_on_clips):
+    # at the init point and after training, on every clip
+    trained, clips = trained_on_clips
+    for model in (init_model(trained.config), trained):
+        reference = cast_model(model, np.float64)
+        for clip in clips:
+            value, grads = loss_and_grads(model, clip.features, clip.gold)
+            want_value, want = loss_and_grads(reference, clip.features, clip.gold)
+            assert value == pytest.approx(want_value, rel=1e-6)
+            for name, g in grads.items():
+                assert g.dtype == np.float32, name
+                scale = np.abs(want[name]).max()
+                assert np.abs(g - want[name]).max() <= FLOAT32_GRAD_TOL * scale, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_training_runs_in_the_parameters_dtype(dtype):
+    cfg = tiny_config(layers=2, dropout=0.3, grad_clip=0.5)
+    model = cast_model(init_model(cfg), dtype)
+    x, gold = random_case(cfg, t=9)
+    _, grads = loss_and_grads(model, x, gold, dropout_rng=np.random.default_rng(0))
+    assert all(g.dtype == dtype for g in grads.values())
+    state = AdamState()
+    for _ in range(2):
+        train_step(model, x, gold, state, dropout_rng=np.random.default_rng(0))
+    for name, arr in model.params.items():
+        assert arr.dtype == state.m[name].dtype == state.v[name].dtype == dtype, name
 
 
 def test_loss_uniform_oracle():
@@ -344,7 +379,8 @@ def reference_train_step(model, features, gold, state, dropout_rng=None):
 ], ids=["plain", "grad-clip", "dropout"])
 def test_train_step_matches_reference(monkeypatch, kw):
     cfg = tiny_config(hidden_dim=96, **kw)
-    fast, ref = init_model(cfg), init_model(cfg)
+    # bit-identity is checked on the float64 reference
+    fast, ref = (cast_model(init_model(cfg), np.float64) for _ in range(2))
     # Wh (96 x 384) spans two Adam chunks, the second one partial
     assert ADAM_BLOCK < fast.params["lstm0.fwd.Wh"].size < 2 * ADAM_BLOCK
     fast_state, ref_state = AdamState(), AdamState()
@@ -367,7 +403,7 @@ def test_train_step_matches_reference(monkeypatch, kw):
 @pytest.mark.parametrize("t_len", [0, 1, 37])
 def test_backward_direction_matches_reference(t_len):
     cfg = tiny_config(hidden_dim=12)
-    model = init_model(cfg)
+    model = cast_model(init_model(cfg), np.float64)
     x, _ = random_case(cfg, t=t_len, seed=t_len)
     _, cache = forward(model, x, return_cache=True)
     # a column slice, as loss_and_grads passes it
@@ -448,7 +484,7 @@ def test_loaded_checkpoint_keeps_float32(tmp_path):
         assert arr.flags.aligned and not arr.flags.writeable
     x, _ = random_case(cfg)
     for dtype in (np.float32, np.float64):
-        got, want = forward(back, x, dtype=dtype), forward(model, x, dtype=dtype)
+        got, want = forward(cast_model(back, dtype), x), forward(cast_model(model, dtype), x)
         for tier in got:
             np.testing.assert_array_equal(got[tier], want[tier])
 
