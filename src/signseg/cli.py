@@ -24,7 +24,7 @@ import numpy as np
 from . import train as training
 from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thresholds
 from .flow import optical_flow
-from .hands import HandGroup, Handedness, HandPose, cce, hand_normalize, mean_landmark_std
+from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
 from .numutil import check_fps, is_finite_real, single_blas_thread
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
@@ -34,7 +34,7 @@ from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experim
                    load_segments, save_segments)
 from .vtt import segments_to_vtt
 
-_MODES = {"threshold": DecodeMode.THRESHOLD, "argmax": DecodeMode.ARGMAX}
+_MODES = tuple(m.value for m in DecodeMode)
 
 # Shared options: built-in default and argparse keywords of each.
 _SHARED = {
@@ -119,7 +119,7 @@ def _resolve(args) -> dict:
             _popts(opts)
         if "mode" in opts:
             if opts["mode"] not in _MODES:
-                raise ValueError(f"unknown mode {opts['mode']!r}; expected threshold or argmax")
+                raise ValueError(f"unknown mode {opts['mode']!r}; expected {' or '.join(_MODES)}")
             for key in ("threshold_b", "threshold_o"):
                 if not is_finite_real(opts[key]):
                     raise ValueError(f"{key} must be a finite number")
@@ -140,7 +140,7 @@ def _dparams(opts, strict_bio: bool) -> DecodeParams:
     return DecodeParams(
         threshold_b=float(opts["threshold_b"]),
         threshold_o=float(opts["threshold_o"]),
-        mode=_MODES[opts["mode"]],
+        mode=DecodeMode(opts["mode"]),
         strict_bio=strict_bio,
     )
 
@@ -429,7 +429,7 @@ def cmd_hand_bench(args, opts) -> int:
         with _stage("bench"):
             normalized = np.stack([hand_normalize(m).points for m in members])
             group_mace = mean_landmark_std(normalized)
-            return label, files, group_mace, cce(HandGroup(label, members)), normalized
+            return label, files, group_mace, cce(members), normalized
 
     results = _map_files(parsed, process, opts["workers"])
     with _emit(args, opts, [args.manifest]) as out:

@@ -117,8 +117,6 @@ def tune_thresholds(dev_set, grid=DEFAULT_GRID, strict_bio: bool = False):
     if n_gold == 0:
         raise ValueError("dev set has no gold segments")
     table = []
-    best = None
-    best_key = None
     for tb, to in product(grid, repeat=2):
         params = DecodeParams(tb, to, DecodeMode.THRESHOLD, strict_bio)
         inter = union = n_pred = 0
@@ -131,8 +129,5 @@ def tune_thresholds(dev_set, grid=DEFAULT_GRID, strict_bio: bool = False):
         iou = inter / union if union else 1.0
         pct = n_pred / n_gold
         table.append(TuneCell(tb, to, iou, pct))
-        key = (-iou, abs(pct - 1.0), tb, to)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (tb, to)
-    return best[0], best[1], table
+    best = min(table, key=lambda c: (-c.iou, abs(c.percentage - 1), c.threshold_b, c.threshold_o))
+    return best.threshold_b, best.threshold_o, table

@@ -123,31 +123,22 @@ def hand_normalize(hand: HandPose) -> HandPose:
     return HandPose(out[0], Handedness.RIGHT)
 
 
-@dataclass(frozen=True)
-class HandGroup:
-    label: str
-    members: tuple[HandPose, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-
-
 def mean_landmark_std(stacks: np.ndarray) -> float:
     """Population std of (N, 21, 3) hands per landmark and axis, then the mean of all 63."""
     return float(stacks.std(axis=0, ddof=0).mean())
 
 
-def mace(group: HandGroup) -> float:
+def mace(members: list[HandPose]) -> float:
     """Multi-angle consistency: mean landmark std across members after full normalization."""
-    if len(group.members) < 2:
+    if len(members) < 2:
         raise ValueError("consistency metrics need at least 2 members")
-    stacks = np.stack([hand_normalize(m).points for m in group.members])
+    stacks = np.stack([hand_normalize(m).points for m in members])
     return mean_landmark_std(stacks)
 
 
-def cce(group: HandGroup) -> float:
+def cce(members: list[HandPose]) -> float:
     """Crop consistency: mean landmark std after wrist alignment only."""
-    if len(group.members) < 2:
+    if len(members) < 2:
         raise ValueError("consistency metrics need at least 2 members")
-    stacks = np.stack([m.points - m.points[WRIST] for m in group.members])
+    stacks = np.stack([m.points - m.points[WRIST] for m in members])
     return mean_landmark_std(stacks)

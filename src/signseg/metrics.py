@@ -77,17 +77,10 @@ def roc_auc_o(probs, gold_tags) -> float:
     n_neg = len(gold) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc_o needs both O and non-O frames in gold")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=float)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1  # average 1-based rank over the tie run
-        i = j + 1
-    rank_sum = float(ranks[positive].sum())
+    # c ties ending at 1-based rank e share e - (c - 1) / 2; return_index ranks NaNs by index
+    _, _, run, counts = np.unique(scores, return_index=True, return_inverse=True,
+                                  return_counts=True, equal_nan=False)
+    rank_sum = float((np.cumsum(counts) - (counts - 1) / 2)[run][positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 

@@ -269,8 +269,12 @@ _REFILL_CHARS = 1 << 16
 class _Unreadable(Exception):
     """A chunk of the file is no valid UTF-8.
 
-    No ValueError, so that no scanner handler takes it for a syntax error;
-    load_pose then reads the file whole, and the error names the offset.
+    No ValueError, as UnicodeDecodeError is: a refill while _scan_frames
+    decodes a frame can meet a bad byte far past the array, in whitespace
+    after the closing brace. Taking it for a broken frame, _scan_frames would
+    decode the array again from a window that already holds the rest of the
+    document, and with the file given up the document would read as valid.
+    load_pose reads the file whole instead, and the error names the offset.
     """
 
 

@@ -334,10 +334,10 @@ def loss(probs: dict, gold: dict, weights: dict) -> float:
 
 def class_weights_from_tags(tag_lists) -> tuple:
     """w_c = total / (3 * count_c) over a corpus of tag sequences for one tier."""
-    counts = np.zeros(3)
-    for tags in tag_lists:
-        for t in tags:
-            counts[t] += 1
+    tags = np.concatenate([np.zeros(0, np.intp), *(np.asarray(t, np.intp) for t in tag_lists)])
+    if tags.size and not 0 <= tags.min() <= tags.max() <= 2:
+        raise ValueError(f"tags must be 0 (B), 1 (I) or 2 (O); got {tags.min()}..{tags.max()}")
+    counts = np.bincount(tags, minlength=3)
     total = counts.sum()
     if (counts == 0).any():
         missing = [name for name, c in zip("BIO", counts) if c == 0]
@@ -462,7 +462,7 @@ def train_step(model: TaggerModel, features, gold: dict, state: AdamState,
         raise RuntimeError(f"non-finite training loss {value!r}; aborting step")
     cfg = model.config
     if cfg.grad_clip > 0:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
         if norm > cfg.grad_clip:
             scale = cfg.grad_clip / norm
             for g in grads.values():

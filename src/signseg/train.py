@@ -9,7 +9,7 @@ import numpy as np
 from .metrics import frame_f1
 from .pipeline import PipelineOptions, prepare_features
 from .pose import load_pose
-from .tagger import AdamState, TaggerModel, forward, train_step
+from .tagger import AdamState, TaggerModel, class_weights_from_tags, forward, train_step
 from .tags import (SEGMENTS_TIERS, TagScheme, clamp_segments, encode_tags,
                    load_segments, retime_segments)
 
@@ -60,10 +60,7 @@ def load_corpus(data_dir, opts: PipelineOptions) -> list[ClipData]:
 
 
 def corpus_class_weights(clips) -> dict:
-    from .tagger import class_weights_from_tags
-
-    return {tier: class_weights_from_tags([c.gold[tier] for c in clips])
-            for tier in SEGMENTS_TIERS}
+    return {tier: class_weights_from_tags([c.gold[tier] for c in clips]) for tier in SEGMENTS_TIERS}
 
 
 def mean_frame_f1(model: TaggerModel, clips) -> float:

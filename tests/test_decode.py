@@ -229,3 +229,21 @@ def test_greedy_decode_matches_the_row_loop_on_every_grid_cell(strict_bio):
             assert greedy_decode(probs, params) == row_loop_greedy_decode(probs, params)
     assert (tune_thresholds(dev, strict_bio=strict_bio)
             == row_loop_tune_thresholds(dev, strict_bio))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tune_picks_the_running_minimum_among_tied_cells(seed):
+    # B and O take three values each, so whole bands of thresholds decode
+    # alike: the best IoU and percentage are tied and the thresholds decide
+    rng = np.random.default_rng(seed)
+    dev = []
+    for t in rng.integers(1, 30, size=3):
+        b = rng.choice([0.0, 40.0, 80.0], size=t)
+        o = np.minimum(rng.choice([0.0, 15.0, 55.0], size=t), 100.0 - b)
+        probs = np.stack([b, 100.0 - b - o, o], axis=1)
+        gold = decode_gold_tags(rng.integers(0, 3, size=t).tolist(), TagScheme.BIO)
+        dev.append((probs, gold or [Segment(0, 1)]))
+    tb, to, table = tune_thresholds(dev)
+    assert (tb, to, table) == row_loop_tune_thresholds(dev, False)
+    best = next(c for c in table if (c.threshold_b, c.threshold_o) == (tb, to))
+    assert sum((c.iou, c.percentage) == (best.iou, best.percentage) for c in table) > 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from signseg.hands import (
-    BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, HandGroup, Handedness, HandPose,
+    BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, Handedness, HandPose,
     cce, hand_normalize, mace, normalize_hands,
 )
 from signseg.synthetic import hand_template, random_rotation, scattered_copies
@@ -136,24 +136,23 @@ def test_normalize_hands_empty_batch():
 
 
 def test_consistency_metrics_identical_members():
-    group = HandGroup("same", [right_hand(), right_hand()])
+    group = [right_hand(), right_hand()]
     assert mace(group) == pytest.approx(0.0, abs=1e-12)
     assert cce(group) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cce_ignores_translation_only():
     shifted = hand_template() + np.array([5.0, -2.0, 1.0])
-    group = HandGroup("shift", [right_hand(), right_hand(shifted)])
+    group = [right_hand(), right_hand(shifted)]
     assert cce(group) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mace_removes_rotation_cce_does_not():
     members = [right_hand(p) for p in scattered_copies(hand_template(), 4, seed=2)]
-    group = HandGroup("views", members)
-    assert mace(group) < 1e-9
-    assert cce(group) > 0.01
+    assert mace(members) < 1e-9
+    assert cce(members) > 0.01
 
 
 def test_consistency_needs_two_members():
     with pytest.raises(ValueError):
-        mace(HandGroup("solo", [right_hand()]))
+        mace([right_hand()])

@@ -145,6 +145,50 @@ def test_auc_matches_pair_counting(pairs):
     assert roc_auc_o(scores, gold) == pytest.approx(pair_count_auc(scores, gold), abs=1e-12)
 
 
+def tie_loop_auc(scores, gold_tags):
+    """roc_auc_o's average ranks from a loop over the tie runs of a stable sort, kept as
+    the reference: NaNs compare unequal, so each is a run of its own, in index order."""
+    scores = np.asarray(scores, dtype=float)
+    positive = np.asarray(gold_tags) == O
+    n_pos = int(positive.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=float)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2 + 1  # average 1-based rank over the tie run
+        i = j + 1
+    rank_sum = float(ranks[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
+_TIED_SCORE = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0, float("nan")])
+
+
+@given(st.lists(st.tuples(_TIED_SCORE, st.booleans()), min_size=2, max_size=300).filter(
+    lambda ps: any(lab for _, lab in ps) and any(not lab for _, lab in ps)))
+@settings(max_examples=200)
+def test_auc_equals_the_tie_loop_with_ties_and_nans(pairs):
+    scores = [s for s, _ in pairs]
+    gold = [O if lab else B for _, lab in pairs]
+    assert roc_auc_o(scores, gold) == tie_loop_auc(scores, gold)
+
+
+def test_auc_equals_the_tie_loop_on_long_runs_of_nans():
+    # past numpy's small-array insertion sort, an unstable sort would put the
+    # NaNs out of index order and move rank between O and non-O frames
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        scores = rng.integers(0, 5, 3000) / 4
+        scores[rng.random(3000) < 0.3] = np.nan
+        gold = np.where(rng.random(3000) < 0.5, O, I)
+        assert roc_auc_o(scores, gold) == tie_loop_auc(scores, gold)
+
+
 def test_auc_monotone_transform_invariant():
     rng = np.random.default_rng(7)
     scores = rng.random(30)

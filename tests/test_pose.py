@@ -445,6 +445,9 @@ _STREAMED_FILES = {
     "bad-utf8-at-buffer-edge": _at_byte(_NAMED.replace(b"\xe5", b"\xff", 1),
                                         _NAMED.index(b"\xe5"), _BUFFER - 1),
     "cut-multibyte-at-end": _NAMED + b"\xe5\x90",
+    # whitespace, then a bad byte after the document: at chunk 64 a refill
+    # inside the frames array meets it while the window holds the rest
+    "bad-utf8-after-the-document": json.dumps(small_doc()).encode() + b" " * 9000 + b"\xff",
     "split-number": b'{"fps": 25, "version": "poseseq-json/1", "components": '
                     b'[{"name": "B", "points": ["P"]}], "frames": [[[2.5e-1, -0.0, 1E+2, 1]]]}',
     "split-exponent": json.dumps(small_doc()).encode().replace(b"50", b"2.5E+1", 1),
@@ -484,6 +487,17 @@ def test_load_pose_reads_like_the_whole_file_at_every_refill_margin(tmp_path, mo
     path = tmp_path / "clip.pose.json"
     path.write_bytes(_STREAMED_FILES[name])
     assert_reads_like_whole_document_reader(path)
+
+
+def test_load_pose_rejects_bad_utf8_after_a_long_frames_array(tmp_path, monkeypatch):
+    # the refill that meets the bad byte comes while a frame is decoded, and
+    # the window already holds every character of JSON the file has
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", 4096)
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(json.dumps(small_doc(frames=2000)).encode() + b" " * 70000 + b"\xff")
+    assert_reads_like_whole_document_reader(path)
+    with pytest.raises(UnicodeDecodeError):
+        pose.load_pose(path)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])

@@ -216,6 +216,36 @@ def test_class_weights_oracle():
         class_weights_from_tags([[1, 2]])
 
 
+def counting_loop_class_weights(tag_lists):
+    """class_weights_from_tags counted a frame at a time, kept as the reference."""
+    counts = np.zeros(3)
+    for tags in tag_lists:
+        for t in tags:
+            counts[t] += 1
+    return tuple(counts.sum() / (3.0 * counts))
+
+
+@pytest.mark.parametrize("kind", ["lists", "int8", "with-empty-clip"])
+def test_class_weights_match_the_counting_loop(kind):
+    rng = np.random.default_rng(17)
+    corpus = [rng.choice(3, size=n, p=(0.05, 0.25, 0.7)) for n in (1, 23, 250, 61)]
+    corpus = {"lists": [c.tolist() for c in corpus],
+              "int8": [c.astype(np.int8) for c in corpus],
+              "with-empty-clip": [corpus[0].tolist(), [], *corpus[1:]]}[kind]
+    weights = class_weights_from_tags(corpus)
+    assert weights == counting_loop_class_weights(corpus)
+    assert all(type(w) is np.float64 for w in weights)
+
+
+def test_class_weights_reject_an_empty_corpus_and_tags_outside_bio():
+    for corpus in ([], [[]]):
+        with pytest.raises(ValueError, match="corpus has no B/I/O tags"):
+            class_weights_from_tags(corpus)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="tags must be 0"):
+            class_weights_from_tags([[0, 1, 2], [2, bad, 1]])
+
+
 def test_gradient_check_small():
     cfg = tiny_config(hidden_dim=4, layers=1)
     model = init_model(cfg)
@@ -254,6 +284,26 @@ def test_grad_clip_limits_update_norm():
     for name, arr in model.params.items():
         assert np.isfinite(arr).all()
         assert np.abs(arr - before[name]).max() <= cfg.learning_rate * 1.01
+
+
+def test_clipped_step_matches_the_float64_norm(monkeypatch):
+    # train_step sums the clipping norm from float32 dot products; the
+    # gradients it hands to Adam must equal those clipped by the float64 norm
+    # of all gradients within a relative 1e-6 (about 8 float32 epsilons)
+    cfg = tiny_config(hidden_dim=32, layers=2, grad_clip=1e-3)
+    model = init_model(cfg)
+    x, gold = random_case(cfg, t=40, seed=9)
+    _, grads = loss_and_grads(model, x, gold)
+    norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+    assert norm > 10 * cfg.grad_clip
+    seen = []
+    monkeypatch.setattr(tagger, "_adam_update", lambda param, g, *rest: seen.append(g.copy()))
+    train_step(model, x, gold, AdamState())
+    assert len(seen) == len(grads)
+    for got, (name, g) in zip(seen, grads.items()):
+        want = g.astype(np.float64) * (cfg.grad_clip / norm)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0, err_msg=name)
 
 
 def test_dropout_forward_runs():
@@ -355,7 +405,7 @@ def reference_train_step(model, features, gold, state, dropout_rng=None):
     value, grads = loss_and_grads(model, features, gold, dropout_rng=dropout_rng)
     cfg = model.config
     if cfg.grad_clip > 0:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
         if norm > cfg.grad_clip:
             scale = cfg.grad_clip / norm
             grads = {n: g * scale for n, g in grads.items()}
