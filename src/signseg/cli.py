@@ -246,12 +246,12 @@ def cmd_segment(args, opts) -> int:
 
     def process(path):
         with _stage("parse"):
-            seq = load_pose(path)
+            seq = load_pose(path, popts.read_columns)
         if seq.num_frames == 0:
             return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
         with _stage("features"):
             feats = prepare_features(seq, popts)
-        del seq  # frees the (T, K, 4) pose block before the forward pass
+        del seq  # frees the pose block before the forward pass
         if feats.width != model.config.input_dim:
             raise StageError(
                 "features",
@@ -450,7 +450,7 @@ def cmd_hand_bench(args, opts) -> int:
 def cmd_flow_dump(args, opts) -> int:
     popts = _popts(opts)
     with _stage("parse"):
-        seq = load_pose(args.pose)
+        seq = load_pose(args.pose, popts.read_columns)
     rows = []
     if seq.num_frames > 0:
         with _stage("features"):

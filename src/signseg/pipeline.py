@@ -12,7 +12,7 @@ from .flow import FeatureMatrix, assemble_features
 from .numutil import check_fps
 from .pose import (
     PoseSequence, check_selector, drop_legs, named_selector, resample_index, select_columns,
-    shoulder_stats,
+    shoulder_columns, shoulder_stats,
 )
 
 FEATURE_FLAGS = ("flow", "handnorm")
@@ -33,10 +33,29 @@ class PipelineOptions:
                 f"unknown feature flags {unknown}; known flags: {', '.join(FEATURE_FLAGS)}"
             )
 
+    def read_columns(self, components) -> list[int] | None:
+        """The columns prepare_pose reads of a pose with these components, as
+        load_pose's columns: the selected points and the two shoulders, in
+        ascending order. None where prepare_pose raises on the components;
+        the whole pose is then read, and prepare_pose raises in its stage."""
+        try:
+            shoulders = shoulder_columns(components)
+            selected = _selected_columns(components, self.selector)[1]
+        except ValueError:
+            return None
+        return sorted({*shoulders, *selected})
+
 
 def parse_feature_flags(text: str) -> tuple[str, ...]:
     """Comma-separated flag list; empty string means bare coordinates."""
     return tuple(part for part in text.split(",") if part)
+
+
+def _selected_columns(components, selector: str):
+    """The components prepare_pose returns, and the columns of their points."""
+    kept, keep = drop_legs(components)
+    selected, order = select_columns(kept, named_selector(selector))
+    return selected, [keep[i] for i in order]
 
 
 def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
@@ -44,14 +63,15 @@ def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
 
     The statistics come from the resampled frames as normalize_pose takes
     them; then only the selected points of those frames are copied and
-    transformed. body75 reads 75 of a holistic pose's 543 points.
+    transformed. body75 reads 65 of a holistic pose's 543 points: its 75
+    less the 10 leg points that normalization drops. On a pose that
+    load_pose cut to opts.read_columns it gives the same bits.
     """
     idx = resample_index(seq, opts.fps)
     fps, frames = (seq.fps, np.arange(seq.num_frames)) if idx is None else (opts.fps, idx)
     mean_mid, mean_dist = shoulder_stats(seq, frames)
-    kept, keep = drop_legs(seq.components)
-    components, order = select_columns(kept, named_selector(opts.selector))
-    rows, cols = frames[:, None], [keep[i] for i in order]
+    components, cols = _selected_columns(seq.components, opts.selector)
+    rows = frames[:, None]
     coords = (seq.coords[rows, cols] - mean_mid) / mean_dist
     conf = seq.conf[rows, cols]
     coords[conf == 0] = 0.0

@@ -99,15 +99,6 @@ class PoseSequence:
                 f"component {component!r} has no point named {point!r}"
             ) from None
 
-    def find_point(self, point: str) -> int:
-        """Global column index of the first point with this name, any component."""
-        off = 0
-        for c in self.components:
-            if point in c.points:
-                return off + c.points.index(point)
-            off += len(c.points)
-        raise ValueError(f"pose has no point named {point!r}")
-
 
 def holistic_components() -> tuple[PoseComponent, ...]:
     """Canonical full-body skeleton: 33-point body, 468-point face, two 21-point hands."""
@@ -120,6 +111,25 @@ def holistic_components() -> tuple[PoseComponent, ...]:
     )
 
 
+# What _validate_arrays rejects in a pose's values, in the order it checks.
+_VALUE_FAULTS = ("pose contains a non-finite coordinate",
+                 "pose contains a non-finite confidence",
+                 "confidence values must lie in [0, 1]")
+
+
+def _value_faults(coords, conf) -> list[bool]:
+    """Which of _VALUE_FAULTS the values show, each a bool."""
+    return [not np.isfinite(coords).all(), not np.isfinite(conf).all(),
+            bool(conf.size) and bool(conf.min() < 0 or conf.max() > 1)]
+
+
+def _check_values(faults) -> None:
+    """Raises the first of _VALUE_FAULTS that faults marks."""
+    for fault, message in zip(faults, _VALUE_FAULTS):
+        if fault:
+            raise ValueError(message)
+
+
 def _validate_arrays(components, coords, conf):
     k = sum(len(c.points) for c in components)
     if coords.ndim != 3 or coords.shape[1:] != (k, 3):
@@ -128,12 +138,7 @@ def _validate_arrays(components, coords, conf):
         )
     if conf.shape != coords.shape[:2]:
         raise ValueError(f"conf shape {conf.shape} does not match coords")
-    if not np.isfinite(coords).all():
-        raise ValueError("pose contains a non-finite coordinate")
-    if not np.isfinite(conf).all():
-        raise ValueError("pose contains a non-finite confidence")
-    if conf.size and (conf.min() < 0 or conf.max() > 1):
-        raise ValueError("confidence values must lie in [0, 1]")
+    _check_values(_value_faults(coords, conf))
 
 
 def make_pose(fps, components, coords, conf) -> PoseSequence:
@@ -192,20 +197,8 @@ def _decode(text: str):
         raise ValueError(f"malformed pose document: {e}") from None
 
 
-def _pose_from_doc(doc) -> PoseSequence:
-    """The pose of a document from json.loads or _scan.
-
-    _scan hands the frames over as a (T, k, 4) block, k the first frame's
-    length, unless a frame breaks a _point_block rule; then as a list.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("malformed pose document: top level is not an object")
-    version = doc.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported pose format version {version!r}")
-    fps = check_fps(doc.get("fps"))
-
-    raw_components = doc.get("components")
+def _components(raw_components) -> tuple[PoseComponent, ...]:
+    """The components a document's components value declares."""
     if not isinstance(raw_components, list):
         raise ValueError("components must be a list")
     components = []
@@ -221,14 +214,57 @@ def _pose_from_doc(doc) -> PoseSequence:
         if len(set(rc["points"])) != len(rc["points"]):
             raise ValueError(f"component {rc['name']!r} has duplicate point names")
         components.append(PoseComponent(rc["name"], tuple(rc["points"])))
+    return tuple(components)
+
+
+def _restrict(components, columns) -> tuple[PoseComponent, ...]:
+    """The components cut to the points at these ascending columns; a
+    component left with no point is dropped."""
+    names = [(c.name, p) for c in components for p in c.points]
+    kept: dict[str, list[str]] = {}
+    for col in columns:
+        name, point = names[col]
+        kept.setdefault(name, []).append(point)
+    return tuple(PoseComponent(name, tuple(points)) for name, points in kept.items())
+
+
+@dataclass
+class _Frames:
+    """A frames array as _scan_frames reads it.
+
+    block is (T, len(columns), 4): the given columns of its k-point frames,
+    or all k of them when columns is None. faults are the _value_faults of
+    every value of every frame, the dropped columns' too.
+    """
+
+    block: np.ndarray
+    k: int
+    columns: np.ndarray | None
+    faults: list
+
+
+def _pose_from_doc(doc, columns=None) -> PoseSequence:
+    """The pose of a document from json.loads or _scan, cut to columns (see load_pose).
+
+    _scan hands the frames over as _Frames, or as a list if a frame breaks a
+    _point_block rule. Frames that were not cut as they were read are cut
+    here.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("malformed pose document: top level is not an object")
+    version = doc.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported pose format version {version!r}")
+    fps = check_fps(doc.get("fps"))
+    components = _components(doc.get("components"))
     k = sum(len(c.points) for c in components)
 
     frames = doc.get("frames")
-    if isinstance(frames, np.ndarray) and frames.shape[1] == k:
-        block = frames
+    if isinstance(frames, _Frames) and frames.k == k:
+        block, kept, faults = frames.block, frames.columns, frames.faults
     else:
-        if isinstance(frames, np.ndarray):  # no frames, or frame 0 of the wrong length
-            frames = frames.tolist()
+        if isinstance(frames, _Frames):  # no frames, or frame 0 of the wrong length
+            frames = frames.block.tolist()
         if not isinstance(frames, list):
             raise ValueError("frames must be a list")
         try:
@@ -237,10 +273,16 @@ def _pose_from_doc(doc) -> PoseSequence:
                 raise ValueError(_first_fault(frames, k))
         except OverflowError as e:
             raise ValueError(f"malformed pose document: {e}") from None
+        kept, faults = None, _value_faults(block[:, :, :3], block[:, :, 3])
+    _check_values(faults)
+    if kept is None and columns is not None:  # the frames came first, or whole
+        kept = columns(components)
+        if kept is not None:
+            block = block[:, kept]
+    if kept is not None:
+        components = _restrict(components, kept)
     # coords and conf are views into the one (T, K, 4) block
-    coords, conf = block[:, :, :3], block[:, :, 3]
-    _validate_arrays(tuple(components), coords, conf)
-    return PoseSequence(fps, tuple(components), coords, conf)
+    return PoseSequence(fps, components, block[:, :, :3], block[:, :, 3])
 
 
 # The scanner follows json.loads token for token: the same decoder for every
@@ -256,9 +298,13 @@ _SKIP_WS = json.decoder.WHITESPACE.match
 # 32768 points set off about 1100 collections per holistic clip.
 _RUN_POINTS = 512
 # load_pose reads its file this many characters at a time (more when one
-# value is longer than the text held), so it holds a few MiB of text, not
-# the whole document: a minute of holistic pose is about 52 MB.
-_CHUNK_CHARS = 1 << 20
+# value is longer than the text held), so it holds a few hundred KiB of
+# text, not the whole document: a minute of holistic pose is about 52 MB.
+# A refill holds several chunk-sized copies at once (the file's bytes, their
+# text, the joined window), so the chunk bounds what a load holds beside its
+# block: 2.2 MB at this size, against 6.1 MB at 1 MiB, on 300 frames of 543
+# points cut to body75's columns.
+_CHUNK_CHARS = 1 << 18
 # _Window.decode refills before it decodes when less than this much text is
 # left unread, so a value cut by the end of a chunk is rare: a failed decode
 # builds a JSONDecodeError, whose line count walks the window. A frame of 543
@@ -345,18 +391,19 @@ class _Window:
             i = 0
 
 
-def _scan_frames(win: _Window, i: int):
+def _scan_frames(win: _Window, i: int, k=None, columns=None):
     """Decodes the frames array that opens at text[i] a run of frames at a time.
 
-    Returns (frames, end index): a (T, k, 4) block with k the first frame's
-    length (0 if there are none), or, if a frame breaks a _point_block rule,
-    the array as json.loads decodes it. The runs go into one block, sized
-    for a document of frames as long as the first, that grows by half when a
+    Returns (frames, end index): _Frames of k-point frames, k the first
+    frame's length (0 if there are none) unless given, that hold only the
+    given columns if any; or, if a frame breaks a _point_block rule, the
+    array as json.loads decodes it. The runs go into one block, sized for a
+    document of frames as long as the first, that grows by half when a
     document has more. A syntax error raises ValueError, and so does a frame
     that breaks a rule once the start of the array has left the window.
     """
     at = win.start + i
-    block, t, run = None, 0, []
+    block, t, run, faults = None, 0, [], [False] * len(_VALUE_FAULTS)
     try:
         j = win.past(i, "[")
         last = win.text.startswith("]", j)
@@ -365,10 +412,12 @@ def _scan_frames(win: _Window, i: int):
                 first = win.start + j
             frame, j = win.decode(j)
             if block is None:
-                k = len(frame) if type(frame) is list else 0
+                if k is None:
+                    k = len(frame) if type(frame) is list else 0
                 per_run = max(1, _RUN_POINTS // max(k, 1))
                 rows = (win.length - first) // (win.start + j - first) + 1
-                block = np.empty((rows + rows // 16, k, 4))
+                width = k if columns is None else len(columns)
+                block = np.empty((rows + rows // 16, width, 4))
             run.append(frame)
             j = win.skip(j)
             last = not win.text.startswith(",", j)
@@ -376,8 +425,13 @@ def _scan_frames(win: _Window, i: int):
                 points = _point_block(run, k)
                 if points is None:
                     raise ValueError("a frame breaks a point rule")
+                # every value is checked before the unread columns are dropped
+                new = _value_faults(points[:, :, :3], points[:, :, 3])
+                faults = [a or b for a, b in zip(faults, new)]
+                if columns is not None:
+                    points = points[:, columns]
                 if t + len(points) > len(block):
-                    grown = np.empty((max(t + len(points), len(block) * 3 // 2), k, 4))
+                    grown = np.empty((max(t + len(points), len(block) * 3 // 2), width, 4))
                     grown[:t] = block[:t]
                     block = grown
                 block[t:t + len(points)] = points
@@ -391,17 +445,35 @@ def _scan_frames(win: _Window, i: int):
             raise ValueError("the frames array has left the window") from None
         return win.decode(at - win.start)
     if block is None:
-        return np.zeros((0, 0, 4)), j
-    return block[:t], j
+        k = k or 0
+        block = np.zeros((0, k if columns is None else len(columns), 4))
+    return _Frames(block[:t], k, columns, faults), j
 
 
-def _scan(win: _Window) -> dict:
+def _cut_plan(raw_components, columns):
+    """(k, columns) for _scan_frames from a document's components value, or
+    None, to read every column, if they are malformed or columns keeps all."""
+    try:
+        components = _components(raw_components)
+    except ValueError:
+        return None
+    kept = columns(components)
+    if kept is None:
+        return None
+    return sum(len(c.points) for c in components), np.asarray(kept, dtype=np.intp)
+
+
+def _scan(win: _Window, columns=None) -> dict:
     """The top-level members of a pose document, each frames array scanned.
 
-    Raises ValueError or RecursionError where json.loads does.
+    A frames array that follows the components is read cut to columns (see
+    load_pose). Raises ValueError or RecursionError where json.loads does,
+    and ValueError if components follow frames that were cut to the columns
+    of earlier ones.
     """
     i = win.past(win.skip(0), "{")
     doc = {}
+    basis = None  # the components value the frames were cut for
     last = win.text.startswith("}", i)
     while not last:
         if not win.text.startswith('"', i):
@@ -409,7 +481,11 @@ def _scan(win: _Window) -> dict:
         key, i = win.decode(i)
         i = win.past(win.skip(i), ":")
         if key == "frames" and win.text.startswith("[", i):
-            doc[key], i = _scan_frames(win, i)
+            plan = None
+            if columns is not None and "components" in doc:
+                plan = _cut_plan(doc["components"], columns)
+                basis = doc["components"]
+            doc[key], i = _scan_frames(win, i, *(plan or ()))
         else:
             doc[key], i = win.decode(i)
         i = win.skip(i)
@@ -418,6 +494,10 @@ def _scan(win: _Window) -> dict:
             i = win.past(i, ",")
     if win.past(i, "}") != len(win.text):
         raise ValueError("extra data")
+    frames = doc.get("frames")
+    if (isinstance(frames, _Frames) and frames.columns is not None
+            and doc["components"] is not basis):
+        raise ValueError("components follow the frames cut to earlier ones")
     return doc
 
 
@@ -448,8 +528,15 @@ def serialize_pose(seq: PoseSequence) -> str:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
-def load_pose(path) -> PoseSequence:
+def load_pose(path, columns=None) -> PoseSequence:
     """Reads a poseseq-json file a chunk at a time, as parse_pose reads its text.
+
+    columns, if given, maps the document's components to the ascending
+    columns to keep, or to None to keep them all. The pose then holds only
+    those points, its components cut to them (a component left with none is
+    dropped). When the components come before the frames, only those
+    columns are stored as the frames are read; every value is still checked,
+    so a document that is no valid pose raises what load_pose(path) raises.
 
     If the streamed scan fails for any reason, the file is read whole and
     decoded by json.loads, as parse_pose decodes a text its scan rejects, so
@@ -458,13 +545,13 @@ def load_pose(path) -> PoseSequence:
     """
     try:
         with open(path, encoding="utf-8") as f:
-            doc = _scan(_Window(file=f))
+            doc = _scan(_Window(file=f), columns)
     except (ValueError, RecursionError, _Unreadable):
         doc = None
     if doc is None:  # out of the handler, so the failed window is freed first
         with open(path, encoding="utf-8") as f:
             doc = _decode(f.read())
-    return _pose_from_doc(doc)
+    return _pose_from_doc(doc, columns)
 
 
 def save_pose(path, seq: PoseSequence) -> None:
@@ -496,14 +583,28 @@ def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
     return PoseSequence(target_fps, seq.components, seq.coords[idx].copy(), seq.conf[idx].copy())
 
 
+def find_point(components, point: str) -> int:
+    """Column of the first point with this name, in any component."""
+    off = 0
+    for c in components:
+        if point in c.points:
+            return off + c.points.index(point)
+        off += len(c.points)
+    raise ValueError(f"pose has no point named {point!r}")
+
+
+def shoulder_columns(components) -> tuple[int, int]:
+    """The columns of the two shoulders that shoulder_stats reads."""
+    return find_point(components, "LEFT_SHOULDER"), find_point(components, "RIGHT_SHOULDER")
+
+
 def shoulder_stats(seq: PoseSequence, frames=slice(None)):
     """(mean_mid, mean_dist) of normalize_pose over seq's frames (an index).
 
     The mean shoulder distance and midpoint, each frame weighted by the
     product of its two shoulder confidences.
     """
-    li = seq.find_point("LEFT_SHOULDER")
-    ri = seq.find_point("RIGHT_SHOULDER")
+    li, ri = shoulder_columns(seq.components)
     left = seq.coords[frames, li, :]
     right = seq.coords[frames, ri, :]
     w = seq.conf[frames, li] * seq.conf[frames, ri]

@@ -9,7 +9,9 @@ heads, the softmax and the loss run in float64; the head gradients are cast
 to the parameters' dtype once. gradient_check runs on a float64 copy, the
 reference the float32 path is checked against. Each LSTM time step writes
 into vectors allocated once per direction, so the loop allocates nothing and
-holds the interpreter lock for less of each step.
+holds the interpreter lock for less of each step. A direction projects its
+input a block of rows at a time and writes its outputs into the layer's
+output, so inference holds no (T, 4H) array.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision training
@@ -159,25 +161,42 @@ def _gate_scale(h_dim: int, dtype) -> np.ndarray:
     return scale
 
 
-def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
+# _run_direction projects its input this many rows at a time, so a
+# direction holds a (XW_ROWS, 4H) block of input projections, not (T, 4H).
+# Row blocks give the bits of the whole-array product; a 1-row product goes
+# to gemv and does not, so a 1-row tail joins the block before it.
+XW_ROWS = 256
+
+
+def _row_blocks(t_len: int, reverse: bool):
+    """The (start, stop) rows of each projection block, in step order."""
+    edges = list(range(0, t_len, XW_ROWS)) + [t_len]
+    if len(edges) > 2 and t_len - edges[-2] == 1:
+        del edges[-2]
+    blocks = list(zip(edges, edges[1:]))
+    if reverse:  # the same blocks from the other end, as the steps run
+        blocks = [(t_len - stop, t_len - start) for start, stop in blocks]
+    return blocks
+
+
+def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False):
     """One LSTM direction over u (T, Din) in the dtype of its parameters.
 
-    Returns h (T, H) and, when keep_cache, the backprop cache (else None).
+    Writes the outputs into h (T, H), a view into the layer's output, and
+    returns the backprop cache when keep_cache, else None.
     """
     t_len = u.shape[0]
     h_dim = wh.shape[0]
     scale = _gate_scale(h_dim, wh.dtype)
-    xw = (u @ wx + b) * scale
     wh = wh * scale
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    h = np.empty((t_len, h_dim), dtype=wh.dtype)
     if keep_cache:
-        c = np.empty_like(h)
+        c = np.empty((t_len, h_dim), dtype=wh.dtype)
         act = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
     # the step's vectors, allocated once: each step writes them in place with
     # the operations, and operand order, of
-    #   a = tanh(xw[t] + hprev @ wh); gate = 0.5 * (1 + a)
+    #   xw = (u @ wx + b) * scale; a = tanh(xw[t] + hprev @ wh); gate = 0.5 * (1 + a)
     #   cprev = gf * cprev + gi * ag; hprev = go * tanh(cprev)
+    xw = np.empty((min(t_len, XW_ROWS + 1), 4 * h_dim), dtype=wh.dtype)
     a = np.empty(4 * h_dim, dtype=wh.dtype)
     gate = np.empty_like(a)  # input, forget, output; the candidate slice is unused
     tmp = np.empty(h_dim, dtype=wh.dtype)
@@ -185,25 +204,31 @@ def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
     ag = a[2 * h_dim:3 * h_dim]
     hprev = np.zeros(h_dim, dtype=wh.dtype)
     cprev = np.zeros(h_dim, dtype=wh.dtype)
-    for t in order:
-        np.matmul(hprev, wh, out=a)
-        np.add(xw[t], a, out=a)
-        np.tanh(a, out=a)
-        np.add(1.0, a, out=gate)
-        np.multiply(0.5, gate, out=gate)
-        np.multiply(gi, ag, out=tmp)
-        np.multiply(gf, cprev, out=cprev)
-        np.add(cprev, tmp, out=cprev)
-        np.tanh(cprev, out=tmp)
-        hprev = h[t]
-        np.multiply(go, tmp, out=hprev)
-        if keep_cache:
-            c[t] = cprev
-            act[t] = a
+    for start, stop in _row_blocks(t_len, reverse):
+        rows = xw[:stop - start]
+        np.matmul(u[start:stop], wx, out=rows)
+        rows += b
+        rows *= scale
+        for t in range(stop - 1, start - 1, -1) if reverse else range(start, stop):
+            np.matmul(hprev, wh, out=a)
+            np.add(rows[t - start], a, out=a)
+            np.tanh(a, out=a)
+            np.add(1.0, a, out=gate)
+            np.multiply(0.5, gate, out=gate)
+            np.multiply(gi, ag, out=tmp)
+            np.multiply(gf, cprev, out=cprev)
+            np.add(cprev, tmp, out=cprev)
+            np.tanh(cprev, out=tmp)
+            hprev = h[t]
+            np.multiply(go, tmp, out=hprev)
+            if keep_cache:
+                c[t] = cprev
+                act[t] = a
     if not keep_cache:
-        return h, None
-    # the state entering step t is the one the previous step in `order` left
-    hprev_all = np.zeros_like(h)
+        return None
+    # the state entering step t is the one the previous step left; h itself
+    # is not kept, as forward scales it in place when it applies dropout
+    hprev_all = np.zeros_like(c)
     cprev_all = np.zeros_like(c)
     if reverse:
         hprev_all[:-1], cprev_all[:-1] = h[1:], c[1:]
@@ -212,11 +237,12 @@ def _run_direction(u, wx, wh, b, reverse, keep_cache=False):
     for block in (act[:, :2 * h_dim], act[:, 3 * h_dim:]):  # tanh -> sigmoid, in place
         block += 1.0
         block *= 0.5
-    cache = {"u": u, "h": h, "c": c,
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    cache = {"u": u, "c": c,
              "gi": act[:, :h_dim], "gf": act[:, h_dim:2 * h_dim],
              "gg": act[:, 2 * h_dim:3 * h_dim], "go": act[:, 3 * h_dim:],
              "hprev": hprev_all, "cprev": cprev_all, "order": list(order)}
-    return h, cache
+    return cache
 
 
 def _backward_direction(dh_out, cache, wx, wh):
@@ -228,7 +254,7 @@ def _backward_direction(dh_out, cache, wx, wh):
     (dg * (1 - gg^2)) * 1, and so on; multiplying by 1.0 is exact.
     """
     u = cache["u"]
-    t_len, h_dim = cache["h"].shape
+    t_len, h_dim = cache["c"].shape
     gi, gf, gg, go = cache["gi"], cache["gf"], cache["gg"], cache["go"]
     tc = np.tanh(cache["c"])
     dtc = 1.0 - tc * tc
@@ -283,16 +309,18 @@ def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rn
     layer_caches = []
     drop_masks = []
     cur = z
+    h_dim = cfg.hidden_dim
     for layer in range(cfg.layers):
-        outs = []
+        # one output per layer: the directions write theirs side by side into it
+        out = np.empty((len(z), cfg.encoder_dim), dtype=dtype)
         caches = {}
-        for d in _directions(cfg):
+        for di, d in enumerate(_directions(cfg)):
             name = f"lstm{layer}.{d}"
-            h, caches[d] = _run_direction(
+            caches[d] = _run_direction(
                 cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
-                reverse=(d == "bwd"), keep_cache=return_cache)
-            outs.append(h)
-        cur = np.concatenate(outs, axis=1)
+                out[:, di * h_dim:(di + 1) * h_dim], reverse=(d == "bwd"),
+                keep_cache=return_cache)
+        cur = out
         if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
             mask = ((dropout_rng.random(cur.shape) >= cfg.dropout)
                     / (1.0 - cfg.dropout)).astype(cur.dtype, copy=False)

@@ -41,7 +41,7 @@ def list_pairs(data_dir) -> list[tuple[str, str, str]]:
 
 
 def load_clip(stem: str, pose_path, segments_path, opts: PipelineOptions) -> ClipData:
-    feats = prepare_features(load_pose(pose_path), opts)
+    feats = prepare_features(load_pose(pose_path, opts.read_columns), opts)
     t_out = feats.values.shape[0]
     seg_fps, tiers = load_segments(segments_path)
     gold = {}

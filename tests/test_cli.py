@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from signseg import cli, numutil, tagger
-from signseg.pose import HAND_POINTS, PoseComponent, make_pose, save_pose
+from signseg.pose import HAND_POINTS, PoseComponent, holistic_components, make_pose, save_pose
 from signseg.synthetic import hand_template, motion_pose, scattered_copies, write_clip_dir
 from signseg.tags import load_segments, save_segments
 
@@ -293,8 +293,8 @@ def test_segment_frees_the_pose_before_forward(corpus_dir, checkpoint, tmp_path,
     loaded, alive = [], []
     load_pose, forward = cli.load_pose, cli.forward
 
-    def loading(path):
-        seq = load_pose(path)
+    def loading(path, *columns):
+        seq = load_pose(path, *columns)
         loaded.append(weakref.ref(seq))
         return seq
 
@@ -964,3 +964,112 @@ def test_config_loader_fuzz(tmp_path, capsys, text):
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"signseg segment: {stage}: ")
+
+
+# CLI fuzzing of pose ingest: structure-aware mutations of a small holistic
+# document go through segment (with a tiny checkpoint) and flow-dump. Each run
+# exits 0, or 1 with a named stage; never with the catch-all "error:".
+HOLISTIC = holistic_components()
+HOLISTIC_WIDTH = 65 * 4  # body75 less the legs, with flow
+_BODY = [p for c in HOLISTIC[:1] for p in c.points]
+# points whose faults land in different places: read by body75 (nose,
+# shoulder, hands), or dropped unread (a leg, the face)
+_FUZZ_POINTS = [0, _BODY.index("LEFT_SHOULDER"), _BODY.index("RIGHT_SHOULDER"),
+                _BODY.index("LEFT_KNEE"), len(_BODY) + 40, len(_BODY) + 468, 542]
+_ODD = [float("nan"), float("inf"), 1.5, -0.5, True, None, "0.5", 10**400,
+        0, -0.0, 2**70, 1, 0.25, 1e300]
+
+
+@pytest.fixture(scope="module")
+def tiny_holistic_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "model.ckpt"
+    config = tagger.TaggerConfig(input_dim=HOLISTIC_WIDTH, hidden_dim=4, layers=1)
+    tagger.save_model(tagger.init_model(config), path)
+    return str(path)
+
+
+def _mutate_holistic(data, doc):
+    """One edit to a frame value, point or frame, the frames, a component,
+    a header field, or the order of the members; an edit that no longer
+    fits the document, as earlier edits left it, is skipped."""
+    draw = data.draw
+    frames, comps = doc.get("frames"), doc.get("components")
+    op = draw(st.sampled_from(["value", "point", "frame", "frames", "component", "field",
+                               "order", "untrack"]))
+    if op == "untrack" and isinstance(frames, list):  # a shoulder never tracked
+        for frame in frames:
+            if isinstance(frame, list) and len(frame) > 11 and isinstance(frame[11], list):
+                frame[11][-1] = 0
+    elif op in ("value", "point", "frame"):
+        frame = draw(st.sampled_from(frames)) if isinstance(frames, list) and frames else None
+        k = draw(st.sampled_from(_FUZZ_POINTS))
+        if not (isinstance(frame, list) and k < len(frame) and isinstance(frame[k], list)
+                and len(frame[k]) == 4):
+            return
+        if op == "value":
+            frame[k][draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD))
+        elif op == "point":
+            frame[k] = draw(st.sampled_from([[0.5] * 3, [], [0.5] * 5, 0.5, {"x": 1}]))
+        elif draw(st.booleans()):
+            del frame[k]
+        else:
+            frame.append([0.5] * 4)
+    elif op == "frames" and isinstance(frames, list):
+        doc["frames"] = draw(st.sampled_from([[], frames[:1], frames + frames, 7, [[]]]))
+    elif op == "component" and isinstance(comps, list) and comps:
+        comp = draw(st.sampled_from(comps))
+        if not (isinstance(comp, dict) and comp.get("points")):
+            return
+        edit = draw(st.sampled_from(["rename", "rename-point", "drop-point", "dup-point",
+                                     "remove"]))
+        if edit == "rename":
+            comp["name"] = draw(st.sampled_from(["HAND", "BODY", "FACE", ""]))
+        elif edit == "rename-point":  # the shoulders, if this is the body
+            comp["points"][draw(st.sampled_from([11, 12, 0]))] = "X"
+        elif edit == "remove":
+            comps.remove(comp)
+        elif edit == "drop-point":
+            del comp["points"][draw(st.integers(0, len(comp["points"]) - 1))]
+        else:
+            comp["points"].append(comp["points"][0])
+    elif op == "field":
+        key = draw(st.sampled_from(["version", "fps", "components"]))
+        value = draw(st.sampled_from([None, 0, "25", 1e308, -1, 12.5, [], "poseseq-json/2"]))
+        if draw(st.booleans()):
+            doc[key] = value
+        else:
+            doc.pop(key, None)
+    elif op == "order" and "frames" in doc:  # the frames before the other members
+        doc.update({key: doc.pop(key) for key in [k for k in doc if k != "frames"]})
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_pose_ingest_fuzz(tmp_path, capsys, tiny_holistic_checkpoint, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+    quads = rng.random((3, 543, 4))
+    doc = {"version": "poseseq-json/1", "fps": 25.0,
+           "components": [{"name": c.name, "points": list(c.points)} for c in HOLISTIC],
+           "frames": quads.tolist()}
+    for _ in range(data.draw(st.integers(0, 2))):
+        _mutate_holistic(data, doc)
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 4)) == 4:
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(st.sampled_from(["", ",", "]", "}", "x"])) + text[cut:]
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    for command, argv in (
+            ("segment", ["segment", str(path), "--checkpoint", tiny_holistic_checkpoint,
+                         "--out-dir", out]),
+            ("flow-dump", ["flow-dump", str(path), "--out-dir", out])):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == ""
+        else:
+            assert rc == 1
+            stage = err.removeprefix(f"signseg {command}: ").split(":", 1)[0]
+            assert err.startswith(f"signseg {command}: ") and stage not in ("", "error"), err

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 import sys
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signseg import pose
-from signseg.pipeline import PipelineOptions, prepare_pose
+from signseg.pipeline import PipelineOptions, prepare_features, prepare_pose
 from signseg.numutil import check_fps, round_half_away
 from signseg.pose import (
-    BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, PoseComponent, holistic_components,
-    make_pose, named_selector, normalize_pose, parse_pose, resample_fps,
-    select_points, serialize_pose,
+    BODY_POINTS, FACE_POINT_COUNT, HAND_POINTS, SELECTORS, PoseComponent,
+    holistic_components, make_pose, named_selector, normalize_pose, parse_pose,
+    resample_fps, select_points, serialize_pose,
 )
+from signseg.synthetic import motion_pose
 
 
 def small_doc(fps=50, frames=10, points=2):
@@ -66,7 +68,7 @@ def test_parse_rejects_2d_points():
         parse_pose(json.dumps(doc))
 
 
-@pytest.mark.parametrize("mutate, match", [
+BAD_DOCUMENTS = [
     (lambda d: d.update(fps=0), "fps"),
     (lambda d: d.update(fps=-25), "fps"),
     (lambda d: d.update(fps=float("inf")), "fps"),
@@ -74,7 +76,10 @@ def test_parse_rejects_2d_points():
     (lambda d: d.update(version="poseseq-json/2"), "version"),
     (lambda d: d.pop("components"), "components"),
     (lambda d: d["frames"][0].pop(), "points"),
-])
+]
+
+
+@pytest.mark.parametrize("mutate, match", BAD_DOCUMENTS)
 def test_parse_rejects_bad_documents(mutate, match):
     doc = small_doc(frames=2)
     mutate(doc)
@@ -110,7 +115,7 @@ def _both(first, second):
 QUAD = "is not an [x, y, z, confidence] quadruple"
 
 
-@pytest.mark.parametrize("mutate, message", [
+BAD_POINTS = [
     (_set_value(1, 0, 2, True), f"frame 1 point 0 {QUAD}"),
     (_set_value(2, 1, 3, False), f"frame 2 point 1 {QUAD}"),
     (_set_value(0, 1, 0, "0.5"), f"frame 0 point 1 {QUAD}"),
@@ -124,7 +129,10 @@ QUAD = "is not an [x, y, z, confidence] quadruple"
     # two faults: the earlier one in document order is reported
     (_both(_set_frame(3, []), _set_value(1, 1, 0, True)), f"frame 1 point 1 {QUAD}"),
     (_both(_set_value(2, 1, 0, None), _set_point(2, 0, [0.0])), f"frame 2 point 0 {QUAD}"),
-])
+]
+
+
+@pytest.mark.parametrize("mutate, message", BAD_POINTS)
 def test_parse_names_first_bad_frame_and_point(mutate, message):
     doc = small_doc(frames=5)
     mutate(doc)
@@ -286,13 +294,47 @@ def assert_reads_like_whole_document_reader(source):
         want = outcome(whole_document_reader, source)
         assert outcome(parse_pose, source) == want
         if want[0] == "reads":  # a valid document never leaves the scanner's block path
-            assert isinstance(pose._scan(pose._Window(source))["frames"], np.ndarray)
+            assert isinstance(pose._scan(pose._Window(source))["frames"], pose._Frames)
         return
     want = outcome(read_whole_file, source)
     assert outcome(pose.load_pose, source) == want
     if want[0] == "reads":  # nor is a valid file read whole
         with open(source, encoding="utf-8") as f:
-            assert isinstance(pose._scan(pose._Window(file=f))["frames"], np.ndarray)
+            assert isinstance(pose._scan(pose._Window(file=f))["frames"], pose._Frames)
+    assert_cut_load_reads_like_the_full_load(source, every_other_column)
+
+
+def every_other_column(components):
+    """A column set for load_pose: every other point, from the second."""
+    return list(range(1, sum(len(c.points) for c in components), 2))
+
+
+def cut_after_full_load(path, columns):
+    """load_pose(path), then cut to columns: the oracle of a column-set load."""
+    seq = pose.load_pose(path)
+    kept = columns(seq.components)
+    if kept is None:
+        return seq
+    named = [(c.name, p) for c in seq.components for p in c.points]
+    components = tuple(
+        PoseComponent(name, tuple(p for _, p in group))
+        for name, group in itertools.groupby((named[i] for i in kept), key=lambda n: n[0]))
+    return pose.PoseSequence(seq.fps, components, seq.coords[:, kept], seq.conf[:, kept])
+
+
+def values(read, *args):
+    """What a reader makes of its input: the pose's values, or the error message."""
+    try:
+        seq = read(*args)
+    except ValueError as e:
+        return "rejects", str(e)
+    return ("reads", type(seq.fps), seq.fps, seq.components,
+            [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes())
+             for a in (seq.coords, seq.conf)])
+
+
+def assert_cut_load_reads_like_the_full_load(path, columns):
+    assert values(pose.load_pose, path, columns) == values(cut_after_full_load, path, columns)
 
 
 class Members(list):
@@ -596,6 +638,225 @@ def test_load_pose_refills_before_a_value_is_cut(holistic_300, tmp_path, monkeyp
     monkeypatch.setattr(pose, "_DECODER", CountingDecoder())
     assert outcome(pose.load_pose, path) == want
     assert failures == []
+
+
+# Column sets: load_pose(path, columns) stores only the points its caller
+# reads, and must read like the full load cut to them afterwards.
+
+
+def test_column_set_load_peak_memory_is_a_fraction_of_the_block(holistic_300, tmp_path):
+    # body75 reads 65 of the 543 points: the window of text, a run and the
+    # cut block are held, never the whole block
+    quads, text = holistic_300
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    opts = PipelineOptions()
+    seq, peak = traced_peak(lambda: pose.load_pose(path, opts.read_columns))
+    assert seq.num_points == 65
+    assert peak <= 0.5 * quads.nbytes
+    assert values(lambda: seq) == values(cut_after_full_load, path, opts.read_columns)
+
+
+def _upper_body_text():
+    seq, _ = motion_pose(5, num_frames=120)
+    return serialize_pose(seq)
+
+
+@pytest.mark.parametrize("features", [("flow",), ("flow", "handnorm"), ()],
+                         ids=["flow", "flow-handnorm", "bare"])
+@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("clip", ["holistic", "upper-body"])
+def test_column_set_load_prepares_the_same_features(holistic_300, tmp_path, clip, selector,
+                                                    features):
+    path = tmp_path / "clip.pose.json"
+    path.write_text(holistic_300[1] if clip == "holistic" else _upper_body_text(),
+                    encoding="utf-8")
+    opts = PipelineOptions(selector=selector, features=features)
+
+    def features_of(seq):
+        try:
+            feats = prepare_features(seq, opts).values
+        except ValueError as e:
+            return "rejects", str(e)
+        return feats.dtype.str, feats.shape, feats.tobytes()
+
+    full = pose.load_pose(path)
+    cut = pose.load_pose(path, opts.read_columns)
+    assert features_of(cut) == features_of(full)
+    kept = opts.read_columns(full.components)
+    assert cut.num_points == (full.num_points if kept is None else len(kept))
+
+
+def _reject_cases():
+    """(document, message) for every rejection above, on frames of two points."""
+    cases = []
+    for mutate, match in BAD_DOCUMENTS:
+        doc = small_doc(frames=2)
+        mutate(doc)
+        cases.append((json.dumps(doc), match))
+    for mutate, message in BAD_POINTS:
+        doc = small_doc(frames=5)
+        mutate(doc)
+        cases.append((json.dumps(doc), message))
+    doc = small_doc(frames=1)
+    doc["frames"][0] = [[1.0, 2.0, 0.9] for _ in range(2)]
+    cases.append((json.dumps(doc), "frame 0 point 0 has no z axis"))
+    doc = small_doc(frames=1)
+    doc["frames"][0][0][3] = 1.5
+    cases.append((json.dumps(doc), "confidence values must lie in [0, 1]"))
+    cases.append(("{not json", "malformed pose document"))
+    head = ('{"version": "poseseq-json/1", "fps": 25, '
+            '"components": [{"name": "BODY", "points": ["NOSE", "EAR"]}], "frames": ')
+    cases.append((head + "[[[1" + "0" * 400 + ", 0.0, 0.0, 1.0], [0, 0, 0, 1]]]}",
+                  "malformed pose document"))
+    cases.append((head + "[" * 100_000 + "]" * 100_000 + "}", "malformed pose document"))
+    return cases
+
+
+@pytest.mark.parametrize("text, message", _reject_cases())
+def test_column_set_load_rejects_as_the_full_load(tmp_path, text, message):
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        pose.load_pose(path, every_other_column)
+    assert message in str(err.value)
+    assert_cut_load_reads_like_the_full_load(path, every_other_column)
+
+
+def holistic_doc(frames=3):
+    """A holistic document of random points, every confidence in [0, 1)."""
+    comps = holistic_components()
+    k = sum(len(c.points) for c in comps)
+    quads = np.random.default_rng(frames).random((frames, k, 4))
+    return {"version": pose.FORMAT_VERSION, "fps": 25.0,
+            "components": [{"name": c.name, "points": list(c.points)} for c in comps],
+            "frames": quads.tolist()}
+
+
+FACE_POINT = len(BODY_POINTS) + 7
+KNEE = BODY_POINTS.index("LEFT_KNEE")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_value(1, FACE_POINT, 0, float("nan")), "pose contains a non-finite coordinate"),
+    (_set_value(2, KNEE, 3, 1.5), "confidence values must lie in [0, 1]"),
+    (_set_value(0, FACE_POINT, 1, True), f"frame 0 point {FACE_POINT} {QUAD}"),
+    (_set_point(2, FACE_POINT, [0.5, 0.5, 0.5]), f"frame 2 point {FACE_POINT} has no z axis"),
+    (_set_value(1, KNEE, 3, float("inf")), "pose contains a non-finite confidence"),
+    # the faults of all frames are weighed in _validate_arrays' order
+    (_both(_set_value(0, KNEE, 3, 1.5), _set_value(2, FACE_POINT, 2, float("inf"))),
+     "pose contains a non-finite coordinate"),
+    (_both(_set_value(0, KNEE, 3, -0.5), _set_value(2, FACE_POINT, 3, float("nan"))),
+     "pose contains a non-finite confidence"),
+], ids=["nan-face-coordinate", "leg-confidence-1.5", "true-in-face-point",
+        "3-element-face-point", "inf-leg-confidence", "early-confidence-late-coordinate",
+        "early-range-late-nan-confidence"])
+def test_faults_in_unread_columns_are_reported(tmp_path, mutate, message):
+    doc = holistic_doc()
+    mutate(doc)
+    path = tmp_path / "clip.pose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    columns = PipelineOptions().read_columns
+    assert FACE_POINT not in columns(holistic_components())
+    assert KNEE not in columns(holistic_components())
+    with pytest.raises(ValueError) as err:
+        pose.load_pose(path, columns)
+    assert str(err.value).startswith(message)
+    assert_cut_load_reads_like_the_full_load(path, columns)
+
+
+def _members(doc, order):
+    return Members([(key, doc[key]) for key in order])
+
+
+@pytest.mark.parametrize("order, cut_while_read", [
+    (("version", "fps", "components", "frames"), True),
+    (("frames", "version", "fps", "components"), False),
+    (("version", "components", "frames", "fps"), True),
+], ids=["components-first", "frames-first", "fps-last"])
+def test_column_set_load_reads_frames_before_components_whole(tmp_path, order,
+                                                              cut_while_read):
+    doc = holistic_doc()
+    path = tmp_path / "clip.pose.json"
+    path.write_text(render(_members(doc, order), lambda: " "), encoding="utf-8")
+    columns = PipelineOptions().read_columns
+    with open(path, encoding="utf-8") as f:
+        frames = pose._scan(pose._Window(file=f), columns)["frames"]
+    assert (frames.columns is not None) == cut_while_read
+    assert frames.block.shape[1] == (65 if cut_while_read else 543)
+    assert pose.load_pose(path, columns).num_points == 65
+    assert_cut_load_reads_like_the_full_load(path, columns)
+
+
+def test_components_after_cut_frames_are_read_whole(tmp_path):
+    # the last of duplicate keys counts: frames cut to the first components
+    # cannot serve the second, so the document is read again whole
+    doc = holistic_doc()
+    other = [{"name": "BODY", "points": list(BODY_POINTS)},
+             {"name": "LEFT_HAND", "points": list(HAND_POINTS)},
+             {"name": "RIGHT_HAND", "points": list(HAND_POINTS)},
+             {"name": "FACE", "points": [f"FACE_{i}" for i in range(FACE_POINT_COUNT)]}]
+    members = Members([("version", doc["version"]), ("fps", 25),
+                       ("components", doc["components"]), ("frames", doc["frames"]),
+                       ("components", other)])
+    path = tmp_path / "clip.pose.json"
+    path.write_text(render(members, lambda: ""), encoding="utf-8")
+    columns = PipelineOptions().read_columns
+    seq = pose.load_pose(path, columns)
+    assert [c.name for c in seq.components] == ["BODY", "LEFT_HAND", "RIGHT_HAND"]
+    assert_cut_load_reads_like_the_full_load(path, columns)
+
+
+# A small skeleton that body75 and face-contour-128 can both read from
+_SKELETON = [("BODY", ["NOSE", "LEFT_SHOULDER", "RIGHT_SHOULDER", "LEFT_HIP"]),
+             ("FACE", ["FACE_0", "FACE_10", "FACE_21"]),
+             ("LEFT_HAND", ["WRIST", "T_TIP"]), ("RIGHT_HAND", ["WRIST", "T_TIP"])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_column_set_load_matches_the_full_load_on_mutated_documents(tmp_path_factory, data):
+    draw = data.draw
+    comps = [(name, list(points)) for name, points in _SKELETON]
+    if draw(st.booleans()):  # a point renamed, dropped or added, or a component gone
+        ci = draw(st.integers(0, len(comps) - 1))
+        name, points = comps[ci]
+        op = draw(st.sampled_from(["rename", "drop", "add", "remove"]))
+        if op == "remove":
+            del comps[ci]
+        elif op == "add":
+            points.append(draw(st.sampled_from(["LEFT_SHOULDER", "LEFT_KNEE", "X"])))
+        elif points:
+            at = draw(st.integers(0, len(points) - 1))
+            if op == "drop":
+                del points[at]
+            else:
+                points[at] = draw(st.sampled_from(["RIGHT_SHOULDER", "FACE_0", "Y"]))
+    k = sum(len(points) for _, points in comps)
+    t = draw(st.integers(0, 4))
+    frames = [[[draw(st.floats(0, 1)) for _ in range(4)] for _ in range(k)] for _ in range(t)]
+    for _ in range(draw(st.integers(0, 2)) if frames and k else 0):
+        _mutate_frames(data, frames, k)
+    components = [Members([("name", name), ("points", points)]) for name, points in comps]
+    members = [("version", pose.FORMAT_VERSION), ("fps", 25),
+               ("components", components), ("frames", frames)]
+    if draw(st.booleans()):
+        members.append(("components", draw(st.sampled_from([components[:1], 7]))))
+    members = draw(st.permutations(members))
+    text = render(Members(members), lambda: "")
+    if draw(st.sampled_from([False] * 3 + [True])):  # a character put in or taken out
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", ",", "]", "0"])) + text[at + 1:]
+    path = tmp_path_factory.mktemp("doc") / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    opts = PipelineOptions(selector=draw(st.sampled_from(SELECTORS)))
+    run_points = pose._RUN_POINTS
+    pose._RUN_POINTS = draw(st.sampled_from([run_points, 1, 3, 8]))  # runs that split frames
+    try:
+        assert_cut_load_reads_like_the_full_load(path, opts.read_columns)
+        assert_cut_load_reads_like_the_full_load(path, every_other_column)
+    finally:
+        pose._RUN_POINTS = run_points
 
 
 def test_parse_rejects_malformed_json():

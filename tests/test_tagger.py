@@ -1,7 +1,9 @@
 import base64
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,7 +323,7 @@ def test_dropout_forward_runs():
 
 def reference_backward_direction(dh_out, cache, wx, wh):
     u = cache["u"]
-    t_len, h_dim = cache["h"].shape
+    t_len, h_dim = cache["c"].shape
     da_all = np.zeros((t_len, 4 * h_dim))
     dh_rec = np.zeros(h_dim)
     dc = np.zeros(h_dim)
@@ -377,10 +379,12 @@ def reference_run_direction(u, wx, wh, b, reverse, keep_cache=False):
                "hprev": hprev_all, "cprev": cprev_all, "order": list(order)}
 
 
+# 255-257 and 513 put the end of a clip on either side of a projection
+# block's edge (XW_ROWS = 256); 257 and 513 leave a 1-row tail.
 @pytest.mark.parametrize("keep_cache", [False, True], ids=["no-cache", "cache"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
-@pytest.mark.parametrize("t_len", [1, 2, 7, 33])
+@pytest.mark.parametrize("t_len", [1, 2, 7, 33, 255, 256, 257, 513])
 def test_run_direction_matches_reference(t_len, reverse, dtype, keep_cache):
     rng = np.random.default_rng(t_len)
     h_dim, d_in = 256, 512  # the default tagger's hidden width and upper-layer input
@@ -388,13 +392,20 @@ def test_run_direction_matches_reference(t_len, reverse, dtype, keep_cache):
     wx, wh = (rng.uniform(-1 / 16, 1 / 16, size=(n, 4 * h_dim)).astype(dtype)
               for n in (d_in, h_dim))
     b = rng.uniform(-1 / 16, 1 / 16, size=4 * h_dim).astype(dtype)
-    h, cache = tagger._run_direction(u, wx, wh, b, reverse, keep_cache)
+    # the direction writes into its columns of a layer output, as forward has it
+    out = np.full((t_len, 2 * h_dim), np.nan, dtype=dtype)
+    cols, other = slice(h_dim, None), slice(None, h_dim)
+    if not reverse:
+        cols, other = other, cols
+    cache = tagger._run_direction(u, wx, wh, b, out[:, cols], reverse, keep_cache)
     want_h, want_cache = reference_run_direction(u, wx, wh, b, reverse, keep_cache)
-    assert h.dtype == dtype and np.array_equal(h, want_h)
+    assert np.array_equal(out[:, cols], want_h)
+    assert np.isnan(out[:, other]).all()
     if not keep_cache:
         assert cache is None
         return
-    assert set(cache) == set(want_cache)
+    # h is no longer cached: forward scales the layer output in place under dropout
+    assert set(cache) == set(want_cache) - {"h"}
     assert cache["order"] == want_cache["order"]
     for key in set(cache) - {"order"}:
         got, want = cache[key], want_cache[key]
@@ -466,6 +477,88 @@ def test_backward_direction_matches_reference(t_len):
         want = reference_backward_direction(*args)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b), d
+
+
+def reference_forward(model, features, return_cache=False, dropout_rng=None):
+    """forward as it was before the projection ran in row blocks and the
+    directions wrote into one layer output: each direction's own h, joined
+    by np.concatenate, and the whole-array projection of reference_run_direction."""
+    cfg = model.config
+    x = np.asarray(features, dtype=float)
+    p = model.params
+    dtype = p["proj.W"].dtype
+    z = x.astype(dtype, copy=False) @ p["proj.W"] + p["proj.b"]
+    layer_caches, drop_masks, cur = [], [], z
+    for layer in range(cfg.layers):
+        outs, caches = [], {}
+        for d in ("fwd", "bwd"):
+            name = f"lstm{layer}.{d}"
+            h, caches[d] = reference_run_direction(
+                cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
+                reverse=(d == "bwd"), keep_cache=return_cache)
+            outs.append(h)
+        cur = np.concatenate(outs, axis=1)
+        if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
+            mask = ((dropout_rng.random(cur.shape) >= cfg.dropout)
+                    / (1.0 - cfg.dropout)).astype(cur.dtype, copy=False)
+            cur *= mask
+            drop_masks.append(mask)
+        else:
+            drop_masks.append(None)
+        layer_caches.append(caches)
+    enc = cur.astype(np.float64, copy=False)
+    logits = {t: enc @ p[f"head.{t}.W"] + p[f"head.{t}.b"] for t in SEGMENTS_TIERS}
+    probs = {t: tagger._softmax(logits[t]) if len(enc) else np.zeros((0, 3))
+             for t in SEGMENTS_TIERS}
+    if not return_cache:
+        return probs
+    return probs, {"x": x.astype(dtype, copy=False), "z": z, "enc": enc,
+                   "layers": layer_caches, "logits": logits, "drop": drop_masks}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("t_len", [0, 1, 40, 300])
+def test_loss_and_grads_match_the_concatenating_forward_with_dropout(monkeypatch, dtype,
+                                                                     t_len):
+    # dropout scales the shared layer output in place, after the directions
+    # have written it; the backward pass must read none of it through a cache
+    cfg = tiny_config(hidden_dim=16, layers=3, dropout=0.3)
+    model = cast_model(init_model(cfg), dtype)
+    x, gold = random_case(cfg, t=t_len, seed=4)
+    probs = forward(model, x)
+    value, grads = loss_and_grads(model, x, gold, dropout_rng=np.random.default_rng(9))
+    monkeypatch.setattr(tagger, "forward", reference_forward)
+    want_probs = reference_forward(model, x)
+    want_value, want = loss_and_grads(model, x, gold, dropout_rng=np.random.default_rng(9))
+    for tier in SEGMENTS_TIERS:
+        assert np.array_equal(probs[tier], want_probs[tier])
+    assert value == want_value
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype == dtype and np.array_equal(g, want[name]), name
+
+
+def test_inference_forward_allocates_no_projection_of_the_whole_clip():
+    cfg = TaggerConfig(input_dim=4, hidden_dim=128, layers=2)
+    model = init_model(cfg)
+    t_len = 2000
+    x = np.random.default_rng(0).normal(size=(t_len, cfg.input_dim))
+    want = reference_forward(model, x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        probs = forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for tier in SEGMENTS_TIERS:
+        assert np.array_equal(probs[tier], want[tier])
+    # forward holds at most the projection z, the last layer's output and its
+    # float64 copy at once (a layer's input and output take no more), and
+    # blocks of rows beside them; a (T, 4H) float32 array would not fit
+    z, layer, enc = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4, 2 * 8))
+    xw = t_len * 4 * cfg.hidden_dim * 4
+    assert peak < z + layer + enc + xw / 4
 
 
 def test_adam_state_allocates_its_buffers_once():
