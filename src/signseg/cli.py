@@ -26,7 +26,7 @@ from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thres
 from .flow import optical_flow
 from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
-from .numutil import check_fps, is_finite_real, single_blas_thread
+from .numutil import check_fps, is_finite_real, load_json, single_blas_thread
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
 from .tagger import TaggerConfig, forward, init_model, load_model, save_model
@@ -85,10 +85,7 @@ def _load_base_config(path_flag):
         return {}
     with _stage("config"):
         with open(path, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except RecursionError as e:  # nesting too deep
-                raise ValueError(f"config file {path} is malformed: {e}") from None
+            doc = load_json(f.read(), f"config file {path}")
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         # one file serves every command: keys that another command reads pass
@@ -409,7 +406,7 @@ def _load_bench_hand(path) -> HandPose:
 def cmd_hand_bench(args, opts) -> int:
     with _stage("manifest"):
         with open(args.manifest, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = load_json(f.read(), "hand-bench manifest")
         groups = doc.get("groups") if isinstance(doc, dict) else None
         if not isinstance(groups, list) or not groups:
             raise ValueError("manifest must hold {\"groups\": [{\"label\", \"files\"}, ...]}")

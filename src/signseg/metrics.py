@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numutil import check_fps
 from .tags import B, I, O, Segment, TagScheme, encode_tag_array
 
 
@@ -94,8 +95,7 @@ def length_density(segments, fps: float, bins: int = 10) -> Histogram:
     """Normalized density of segment durations in seconds; integrates to 1."""
     if len(segments) == 0:
         raise ValueError("length_density needs at least one segment")
-    if not fps > 0:
-        raise ValueError("fps must be positive")
+    check_fps(fps)
     durations = np.array([(s.end - s.start) / fps for s in segments])
     density, edges = np.histogram(durations, bins=bins, density=True)
     return Histogram(edges, density)

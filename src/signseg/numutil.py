@@ -1,6 +1,7 @@
 """Small numeric helpers shared across modules."""
 
 import functools
+import json
 import math
 import os
 import sys
@@ -33,6 +34,15 @@ def check_fps(fps, name: str = "fps"):
     if not (is_finite_real(fps) and fps > 0):
         raise ValueError(f"{name} must be a positive finite number")
     return fps
+
+
+def load_json(text, what: str):
+    """json.loads(text), each error it raises (nesting too deep and invalid
+    UTF-8 in bytes too) a ValueError "malformed <what>: <the error>"."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"malformed {what}: {e}") from None
 
 
 @functools.cache

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numutil import check_fps, round_half_away
+from .numutil import check_fps, load_json, round_half_away
 
 FORMAT_VERSION = "poseseq-json/1"
 
@@ -190,13 +190,6 @@ def _first_fault(frames: list, k: int) -> str:
     raise AssertionError("_point_block rejected frames that pass every rule")
 
 
-def _decode(text: str):
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
-        raise ValueError(f"malformed pose document: {e}") from None
-
-
 def _components(raw_components) -> tuple[PoseComponent, ...]:
     """The components a document's components value declares."""
     if not isinstance(raw_components, list):
@@ -312,18 +305,6 @@ _CHUNK_CHARS = 1 << 18
 _REFILL_CHARS = 1 << 16
 
 
-class _Unreadable(Exception):
-    """A chunk of the file is no valid UTF-8.
-
-    No ValueError, as UnicodeDecodeError is: a refill while _scan_frames
-    decodes a frame can meet a bad byte far past the array, in whitespace
-    after the closing brace. Taking it for a broken frame, _scan_frames would
-    decode the array again from a window that already holds the rest of the
-    document, and with the file given up the document would read as valid.
-    load_pose reads the file whole instead, and the error names the offset.
-    """
-
-
 class _Window:
     """The scanner's view of a document: text, indices into it, and refills.
 
@@ -341,11 +322,7 @@ class _Window:
 
     def _more(self, i) -> bool:
         """Drops text[:i] and reads at least as much as is left; False at the end."""
-        try:
-            more = self.file.read(max(_CHUNK_CHARS, len(self.text) - i)) if self.file else ""
-        except UnicodeDecodeError:
-            self.file = None
-            raise _Unreadable from None
+        more = self.file.read(max(_CHUNK_CHARS, len(self.text) - i)) if self.file else ""
         if not more:
             self.file = None
             return False
@@ -376,18 +353,20 @@ class _Window:
         With less than _REFILL_CHARS of text left, the window refills first. A
         value that still fails or ends within two characters of the end of
         text is decoded again after a refill: a number there may go on (2|5,
-        2.|5, 2e-|5), and anything else may be cut.
+        2.|5, 2e-|5), and anything else may be cut. A refill's own error (a
+        chunk that is no valid UTF-8) is raised, never retried.
         """
         if len(self.text) - i < _REFILL_CHARS and self._more(i):
             i = 0
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, i)
-                if len(self.text) - end > 2 or not self._more(i):
-                    return value, end
             except (ValueError, RecursionError):
                 if not self._more(i):
                     raise
+            else:
+                if len(self.text) - end > 2 or not self._more(i):
+                    return value, end
             i = 0
 
 
@@ -397,53 +376,54 @@ def _scan_frames(win: _Window, i: int, k=None, columns=None):
     Returns (frames, end index): _Frames of k-point frames, k the first
     frame's length (0 if there are none) unless given, that hold only the
     given columns if any; or, if a frame breaks a _point_block rule, the
-    array as json.loads decodes it. The runs go into one block, sized for a
-    document of frames as long as the first, that grows by half when a
-    document has more. A syntax error raises ValueError, and so does a frame
-    that breaks a rule once the start of the array has left the window.
+    array as json.loads decodes it, so that _pose_from_doc can name the
+    frame. The runs go into one block, sized for a document of frames as
+    long as the first, that grows by half when a document has more. A syntax
+    error raises what the decoder raises; a frame that breaks a rule once the
+    start of the array has left the window raises ValueError.
     """
     at = win.start + i
     block, t, run, faults = None, 0, [], [False] * len(_VALUE_FAULTS)
-    try:
-        j = win.past(i, "[")
-        last = win.text.startswith("]", j)
-        while not last:
-            if block is None:
-                first = win.start + j
-            frame, j = win.decode(j)
-            if block is None:
-                if k is None:
-                    k = len(frame) if type(frame) is list else 0
-                per_run = max(1, _RUN_POINTS // max(k, 1))
-                rows = (win.length - first) // (win.start + j - first) + 1
-                width = k if columns is None else len(columns)
-                block = np.empty((rows + rows // 16, width, 4))
-            run.append(frame)
-            j = win.skip(j)
-            last = not win.text.startswith(",", j)
-            if last or len(run) == per_run:
+    j = win.past(i, "[")
+    last = win.text.startswith("]", j)
+    while not last:
+        if block is None:
+            first = win.start + j
+        frame, j = win.decode(j)
+        if block is None:
+            if k is None:
+                k = len(frame) if type(frame) is list else 0
+            per_run = max(1, _RUN_POINTS // max(k, 1))
+            rows = (win.length - first) // (win.start + j - first) + 1
+            width = k if columns is None else len(columns)
+            block = np.empty((rows + rows // 16, width, 4))
+        run.append(frame)
+        j = win.skip(j)
+        last = not win.text.startswith(",", j)
+        if last or len(run) == per_run:
+            try:
                 points = _point_block(run, k)
-                if points is None:
-                    raise ValueError("a frame breaks a point rule")
-                # every value is checked before the unread columns are dropped
-                new = _value_faults(points[:, :, :3], points[:, :, 3])
-                faults = [a or b for a, b in zip(faults, new)]
-                if columns is not None:
-                    points = points[:, columns]
-                if t + len(points) > len(block):
-                    grown = np.empty((max(t + len(points), len(block) * 3 // 2), width, 4))
-                    grown[:t] = block[:t]
-                    block = grown
-                block[t:t + len(points)] = points
-                t += len(points)
-                run = []
-            if not last:
-                j = win.past(j, ",")
-        j = win.past(j, "]")
-    except (ValueError, OverflowError):  # a syntax error raises again here
-        if at < win.start:
-            raise ValueError("the frames array has left the window") from None
-        return win.decode(at - win.start)
+            except OverflowError:
+                points = None
+            if points is None:
+                if at < win.start:
+                    raise ValueError("the frames array has left the window")
+                return win.decode(at - win.start)
+            # every value is checked before the unread columns are dropped
+            new = _value_faults(points[:, :, :3], points[:, :, 3])
+            faults = [a or b for a, b in zip(faults, new)]
+            if columns is not None:
+                points = points[:, columns]
+            if t + len(points) > len(block):
+                grown = np.empty((max(t + len(points), len(block) * 3 // 2), width, 4))
+                grown[:t] = block[:t]
+                block = grown
+            block[t:t + len(points)] = points
+            t += len(points)
+            run = []
+        if not last:
+            j = win.past(j, ",")
+    j = win.past(j, "]")
     if block is None:
         k = k or 0
         block = np.zeros((0, k if columns is None else len(columns), 4))
@@ -510,7 +490,7 @@ def parse_pose(text: str) -> PoseSequence:
     try:
         doc = _scan(_Window(text))
     except (ValueError, RecursionError):
-        doc = _decode(text)
+        doc = load_json(text, "pose document")
     return _pose_from_doc(doc)
 
 
@@ -546,11 +526,11 @@ def load_pose(path, columns=None) -> PoseSequence:
     try:
         with open(path, encoding="utf-8") as f:
             doc = _scan(_Window(file=f), columns)
-    except (ValueError, RecursionError, _Unreadable):
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         doc = None
     if doc is None:  # out of the handler, so the failed window is freed first
         with open(path, encoding="utf-8") as f:
-            doc = _decode(f.read())
+            doc = load_json(f.read(), "pose document")
     return _pose_from_doc(doc, columns)
 
 

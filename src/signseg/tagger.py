@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numutil import is_finite_real
+from .numutil import is_finite_real, load_json
 from .tags import SEGMENTS_TIERS
 
 ADAM_BETA1 = 0.9
@@ -608,10 +608,7 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def _read_manifest(line: bytes) -> dict:
-    try:
-        manifest = json.loads(line)
-    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
-        raise ValueError(f"malformed checkpoint manifest: {e}") from None
+    manifest = load_json(line, "checkpoint manifest")
     if not isinstance(manifest, dict):
         raise ValueError("malformed checkpoint manifest: not a JSON object")
     if manifest.get("version") != CKPT_VERSION:

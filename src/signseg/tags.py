@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numutil import check_fps, round_half_away
+from .numutil import check_fps, load_json, round_half_away
 
 B, I, O = 0, 1, 2
 
@@ -120,8 +120,8 @@ def retime_segments(segments, src_fps, dst_fps) -> list[Segment]:
     segment that collapses keeps one frame; overlaps created by rounding are
     merged. Adjacent segments stay adjacent, not merged.
     """
-    if not (src_fps > 0 and dst_fps > 0):
-        raise ValueError("frame rates must be positive")
+    check_fps(src_fps, "src_fps")
+    check_fps(dst_fps, "dst_fps")
 
     def frame(index):
         x = index * dst_fps / src_fps
@@ -204,10 +204,7 @@ SEGMENTS_TIERS = ("sign", "phrase")
 
 
 def parse_segments(text: str) -> tuple[float, dict[str, list[Segment]]]:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
-        raise ValueError(f"malformed segments document: {e}") from None
+    doc = load_json(text, "segments document")
     if not isinstance(doc, dict) or not isinstance(doc.get("tiers"), dict):
         raise ValueError("segments document must be an object with a tiers mapping")
     fps = check_fps(doc.get("fps"), "segments fps")

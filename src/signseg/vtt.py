@@ -1,5 +1,7 @@
 """WebVTT cue output for decoded segments."""
 
+from .numutil import check_fps
+
 
 def format_timestamp(seconds: float) -> str:
     if seconds < 0:
@@ -13,8 +15,7 @@ def format_timestamp(seconds: float) -> str:
 
 def segments_to_vtt(segments, fps: float, label: str) -> str:
     """One cue per segment; cue text is the label plus a 1-based index."""
-    if not fps > 0:
-        raise ValueError("fps must be positive")
+    check_fps(fps)
     lines = ["WEBVTT", ""]
     for n, seg in enumerate(sorted(segments), 1):
         start = format_timestamp(seg.start / fps)

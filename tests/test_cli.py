@@ -1073,3 +1073,30 @@ def test_cli_pose_ingest_fuzz(tmp_path, capsys, tiny_holistic_checkpoint, data):
             assert rc == 1
             stage = err.removeprefix(f"signseg {command}: ").split(":", 1)[0]
             assert err.startswith(f"signseg {command}: ") and stage not in ("", "error"), err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_pose_ingest_rejects_bad_utf8_in_parse(tmp_path, capsys, tiny_holistic_checkpoint,
+                                                   data):
+    # a 0xFF byte anywhere, in a valid or a mutated document: the scanner never
+    # takes it for a broken frame, and the whole read reports it
+    rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+    doc = {"version": "poseseq-json/1", "fps": 25.0,
+           "components": [{"name": c.name, "points": list(c.points)} for c in HOLISTIC],
+           "frames": rng.random((3, 543, 4)).tolist()}
+    for _ in range(data.draw(st.integers(0, 1))):
+        _mutate_holistic(data, doc)
+    raw = json.dumps(doc).encode()
+    at = data.draw(st.integers(0, len(raw)))
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    out = str(tmp_path / "out")
+    for command, argv in (
+            ("segment", ["segment", str(path), "--checkpoint", tiny_holistic_checkpoint,
+                         "--out-dir", out]),
+            ("flow-dump", ["flow-dump", str(path), "--out-dir", out])):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"signseg {command}: parse: "), err

@@ -494,6 +494,8 @@ _STREAMED_FILES = {
                     b'[{"name": "B", "points": ["P"]}], "frames": [[[2.5e-1, -0.0, 1E+2, 1]]]}',
     "split-exponent": json.dumps(small_doc()).encode().replace(b"50", b"2.5E+1", 1),
     "truncated": json.dumps(small_doc(frames=3)).encode()[:-3],
+    # no comma between frames 0 and 1: the decoder's error goes to the whole read
+    "syntax-in-frames": json.dumps(small_doc(frames=6)).encode().replace(b"]], [[", b"]] [[", 1),
     "bad-frame": json.dumps(small_doc(frames=6)).encode().replace(b"4.0, 1.0", b'4.0, "1"', 1),
     "bad-first-frame": json.dumps(small_doc(frames=3)).encode().replace(b"[[0.0", b"[[[0.0]", 1),
     "frames-first": render(Members([
@@ -540,6 +542,16 @@ def test_load_pose_rejects_bad_utf8_after_a_long_frames_array(tmp_path, monkeypa
     assert_reads_like_whole_document_reader(path)
     with pytest.raises(UnicodeDecodeError):
         pose.load_pose(path)
+
+
+def test_scan_raises_the_decode_error_of_a_refill(tmp_path, monkeypatch):
+    # a refill inside the frames array meets the bad byte while the window
+    # holds the rest of the document: the scan must not read the array again
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", 64)
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(json.dumps(small_doc()).encode() + b" " * 9000 + b"\xff")
+    with open(path, encoding="utf-8") as f, pytest.raises(UnicodeDecodeError):
+        pose._scan(pose._Window(file=f))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])

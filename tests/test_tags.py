@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from signseg.metrics import length_density
 from signseg.numutil import round_half_away
 from signseg.tags import (
     MAX_TIMELINE_FRAMES, B, I, O, Segment, TagScheme, clamp_segments, decode_tags, decode_gold_tags,
     encode_tag_array, encode_tags, fidelity_experiment, parse_segments, retime_segments,
     serialize_segments,
 )
+from signseg.vtt import segments_to_vtt
 
 BIO, IO = TagScheme.BIO, TagScheme.IO
 
@@ -280,3 +282,15 @@ def test_parse_segments_raises_only_value_error(text):
     except ValueError:
         return
     assert fps > 0 and all(isinstance(s, Segment) for segs in tiers.values() for s in segs)
+
+
+@pytest.mark.parametrize("fps", [0, -1, float("inf"), float("nan"), True])
+@pytest.mark.parametrize("call", [
+    lambda fps: segments_to_vtt([Segment(0, 5)], fps, "sign"),
+    lambda fps: length_density([Segment(0, 5)], fps),
+    lambda fps: retime_segments([Segment(0, 5), Segment(10, 20)], fps, 25),
+    lambda fps: retime_segments([Segment(0, 5), Segment(10, 20)], 25, fps),
+], ids=["vtt", "length_density", "retime_src", "retime_dst"])
+def test_fps_takes_the_one_rule_everywhere(call, fps):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        call(fps)
