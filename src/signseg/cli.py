@@ -84,7 +84,7 @@ def _load_base_config(path_flag):
     if not path:
         return {}
     with _stage("config"):
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             doc = load_json(f.read(), f"config file {path}")
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
@@ -247,7 +247,8 @@ def cmd_segment(args, opts) -> int:
         if seq.num_frames == 0:
             return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
         with _stage("features"):
-            feats = prepare_features(seq, popts)
+            # in the parameters' dtype, so that forward casts no copy
+            feats = prepare_features(seq, popts, model.params["proj.W"].dtype)
         del seq  # frees the pose block before the forward pass
         if feats.width != model.config.input_dim:
             raise StageError(
@@ -405,7 +406,7 @@ def _load_bench_hand(path) -> HandPose:
 
 def cmd_hand_bench(args, opts) -> int:
     with _stage("manifest"):
-        with open(args.manifest, encoding="utf-8") as f:
+        with open(args.manifest, "rb") as f:
             doc = load_json(f.read(), "hand-bench manifest")
         groups = doc.get("groups") if isinstance(doc, dict) else None
         if not isinstance(groups, list) or not groups:

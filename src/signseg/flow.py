@@ -49,26 +49,30 @@ def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.
 
 
 def assemble_features(seq: PoseSequence, include_flow: bool = True,
-                      include_hand_norm: bool = False) -> FeatureMatrix:
+                      include_hand_norm: bool = False, dtype=np.float64) -> FeatureMatrix:
     """Per-frame tagger input: x,y,z(,flow) per point, then optional normalized hands.
 
-    Missing points (confidence 0) contribute zeros everywhere.
+    Missing points (confidence 0) contribute zeros everywhere. Each block is
+    computed in float64 and written into one (T, F) array of dtype, which
+    rounds it as astype(dtype) would.
     """
-    t, k = seq.conf.shape
-    coords = seq.coords.copy()
-    coords[seq.conf == 0] = 0.0
-    per_point = 3
-    if include_flow:
-        block = np.concatenate([coords, optical_flow(seq)[:, :, None]], axis=2)
-        per_point = 4
-    else:
-        block = coords
-    parts = [block.reshape(t, k * per_point)]
     if include_hand_norm:
         missing = [c for c in ("LEFT_HAND", "RIGHT_HAND")
                    if all(comp.name != c for comp in seq.components)]
         if missing:
             raise ValueError(f"hand normalization needs components {missing} in the sequence")
-        parts.append(_normalized_hand_block(seq, "LEFT_HAND", hands.Handedness.LEFT))
-        parts.append(_normalized_hand_block(seq, "RIGHT_HAND", hands.Handedness.RIGHT))
-    return FeatureMatrix(np.concatenate(parts, axis=1))
+    t, k = seq.conf.shape
+    per_point = 4 if include_flow else 3
+    width = k * per_point
+    out = np.empty((t, width + 126 * include_hand_norm), dtype=dtype)
+    # each point's columns of out: splitting the last axis of a row slice
+    # gives a view, so these writes land in out
+    points = out[:, :width].reshape(t, k, per_point)
+    points[:, :, :3] = seq.coords
+    points[seq.conf == 0] = 0.0
+    if include_flow:
+        points[:, :, 3] = optical_flow(seq)
+    if include_hand_norm:
+        out[:, width:width + 63] = _normalized_hand_block(seq, "LEFT_HAND", hands.Handedness.LEFT)
+        out[:, width + 63:] = _normalized_hand_block(seq, "RIGHT_HAND", hands.Handedness.RIGHT)
+    return FeatureMatrix(out)

@@ -78,9 +78,12 @@ def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
     return PoseSequence(fps, components, coords, conf)
 
 
-def prepare_features(seq: PoseSequence, opts: PipelineOptions) -> FeatureMatrix:
+def prepare_features(seq: PoseSequence, opts: PipelineOptions,
+                     dtype=np.float64) -> FeatureMatrix:
+    """The features of the prepared pose, as a (T, F) array of dtype."""
     return assemble_features(
         prepare_pose(seq, opts),
         include_flow="flow" in opts.features,
         include_hand_norm="handnorm" in opts.features,
+        dtype=dtype,
     )

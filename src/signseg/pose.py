@@ -541,7 +541,7 @@ def save_pose(path, seq: PoseSequence) -> None:
 
 def resample_index(seq: PoseSequence, target_fps: float):
     """The input frame of each frame resample_fps outputs, or None at the same rate."""
-    if not target_fps > 0:
+    if isinstance(target_fps, (bool, np.bool_)) or not target_fps > 0:
         raise ValueError("target fps must be positive")
     if seq.fps == target_fps:
         return None

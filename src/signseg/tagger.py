@@ -11,7 +11,8 @@ reference the float32 path is checked against. Each LSTM time step writes
 into vectors allocated once per direction, so the loop allocates nothing and
 holds the interpreter lock for less of each step. A direction projects its
 input a block of rows at a time and writes its outputs into the layer's
-output, so inference holds no (T, 4H) array.
+output, so inference holds no (T, 4H) array; nor does it keep the (T, H)
+projection once the first layer has read it.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision training
@@ -292,12 +293,13 @@ def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rn
     """Run the network; returns per-tier (T, 3) probability rows.
 
     features: (T, F) array with F == config.input_dim. The projection and the
-    LSTM stack run in the dtype of the parameters, the features cast to
-    it; the heads and the softmax run in float64. The backprop cache is
-    built only when return_cache is set.
+    LSTM stack run in the dtype of the parameters, the features cast to it
+    (no copy when they are in it already); the heads and the softmax run in
+    float64. The backprop cache is built only when return_cache is set; at
+    inference the projection is freed once the first layer has read it.
     """
     cfg = model.config
-    x = np.asarray(features, dtype=float)
+    x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else '?'} does not match "
@@ -305,14 +307,13 @@ def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rn
         )
     p = model.params
     dtype = p["proj.W"].dtype
-    z = x.astype(dtype, copy=False) @ p["proj.W"] + p["proj.b"]
+    cur = x.astype(dtype, copy=False) @ p["proj.W"] + p["proj.b"]
     layer_caches = []
     drop_masks = []
-    cur = z
     h_dim = cfg.hidden_dim
     for layer in range(cfg.layers):
         # one output per layer: the directions write theirs side by side into it
-        out = np.empty((len(z), cfg.encoder_dim), dtype=dtype)
+        out = np.empty((len(x), cfg.encoder_dim), dtype=dtype)
         caches = {}
         for di, d in enumerate(_directions(cfg)):
             name = f"lstm{layer}.{d}"
@@ -339,7 +340,7 @@ def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rn
         return probs
     # x in the parameters' dtype, for the projection's gradient; cast again
     # here so that inference holds no cast copy of the features
-    cache = {"x": x.astype(dtype, copy=False), "z": z, "enc": enc, "layers": layer_caches,
+    cache = {"x": x.astype(dtype, copy=False), "enc": enc, "layers": layer_caches,
              "logits": logits, "drop": drop_masks}
     return probs, cache
 
@@ -417,7 +418,7 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
         grads[head_b] = dlogits.sum(axis=0).astype(p[head_b].dtype, copy=False)
         denc += dlogits @ p[head_w].T
     h_dim = cfg.hidden_dim
-    dcur = denc.astype(cache["z"].dtype, copy=False)
+    dcur = denc.astype(p["proj.W"].dtype, copy=False)
     for layer in reversed(range(cfg.layers)):
         if cache["drop"][layer] is not None:
             dcur = dcur * cache["drop"][layer]

@@ -595,6 +595,15 @@ def test_hand_bench_rejects_single_member(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("signseg hand-bench: manifest:")
 
 
+def test_hand_bench_rejects_invalid_utf8_manifest(tmp_path, capsys):
+    manifest = tmp_path / "bad.json"
+    manifest.write_bytes(b"\xff" + json.dumps({"groups": []}).encode())
+    rc = cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("signseg hand-bench: manifest: malformed hand-bench manifest: "), err
+
+
 def count_frames(csv_text):
     frames = {line.split(",")[0] for line in csv_text.splitlines()[1:]}
     return len(frames)
@@ -733,6 +742,16 @@ def test_unread_flag_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
+
+
+def test_config_rejects_invalid_utf8(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_bytes(b"\xff" + json.dumps({"fps": 12.5}).encode())
+    rc = cli.main(["segment", "in.pose.json", "--checkpoint", str(tmp_path / "none.ckpt"),
+                   "--config", str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg segment: config: malformed config file {config}: "), err
 
 
 def test_config_key_the_command_does_not_read_is_ignored(corpus_dir, tmp_path):

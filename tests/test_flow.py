@@ -164,6 +164,30 @@ def test_hand_norm_block_matches_per_frame_loop():
     assert np.abs(blocks[5, 1, 8]).max() > 0 and np.abs(blocks[3, 1]).max() > 0
 
 
+def noisy_hands_pose(frames=30, seed=5):
+    """hands_pose moved off the float32 grid, with untracked points and
+    untracked anchors of both hands."""
+    seq = hands_pose(frames)
+    rng = np.random.default_rng(seed)
+    seq.coords[:] += rng.normal(size=seq.coords.shape) * 0.05
+    seq.conf[rng.random(size=seq.conf.shape) < 0.1] = 0.0
+    nb = len(seq.components[0].points)
+    seq.conf[4, nb + WRIST] = 0.0
+    seq.conf[6, nb + 21 + M_MCP] = 0.0
+    return seq
+
+
+@pytest.mark.parametrize("include_flow", [True, False])
+@pytest.mark.parametrize("include_hand_norm", [True, False])
+def test_features_in_float32_round_the_float64_features(include_flow, include_hand_norm):
+    seq = noisy_hands_pose()
+    want = assemble_features(seq, include_flow, include_hand_norm).values
+    got = assemble_features(seq, include_flow, include_hand_norm, dtype=np.float32).values
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.array_equal(got, want.astype(np.float32))
+    assert not np.array_equal(got, want)  # the float32 grid is not a no-op here
+
+
 def test_flow_nonnegative_random():
     rng = np.random.default_rng(11)
     comp = [PoseComponent("BODY", tuple(f"P{i}" for i in range(5)))]

@@ -974,6 +974,12 @@ def test_resample_rejects_non_finite_frame_count(dst):
         resample_fps(ramp_pose(25, 100), dst)
 
 
+@pytest.mark.parametrize("dst", [True, np.True_])
+def test_resample_rejects_a_bool_target(dst):
+    with pytest.raises(ValueError, match="target fps must be positive"):
+        resample_fps(ramp_pose(25, 10), dst)
+
+
 def shoulder_pose(dist=4.0, mid=(10.0, -2.0, 1.0), frames=3, conf_pairs=None):
     comp = [PoseComponent("BODY", ("LEFT_SHOULDER", "RIGHT_SHOULDER", "NOSE"))]
     mid = np.array(mid)

@@ -561,6 +561,40 @@ def test_inference_forward_allocates_no_projection_of_the_whole_clip():
     assert peak < z + layer + enc + xw / 4
 
 
+def test_float32_features_give_the_float64_features_probabilities():
+    cfg = tiny_config(hidden_dim=8, layers=2)
+    model = init_model(cfg)
+    x, _ = random_case(cfg, t=40)
+    want = forward(model, x)
+    got = forward(model, x.astype(np.float32))
+    for tier in SEGMENTS_TIERS:
+        assert np.array_equal(got[tier], want[tier])
+
+
+def test_inference_forward_on_float32_features_holds_no_copy_of_them():
+    cfg = TaggerConfig(input_dim=128, hidden_dim=128, layers=2)
+    model = init_model(cfg)
+    t_len = 2000
+    x = np.random.default_rng(1).normal(size=(t_len, cfg.input_dim)).astype(np.float32)
+    want = reference_forward(model, x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        probs = forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for tier in SEGMENTS_TIERS:
+        assert np.array_equal(probs[tier], want[tier])
+    # the peak is the last layer's output beside its float64 copy for the
+    # heads, and the heads' (T, 3) rows, which take less than half of the
+    # projection z: z kept to the end breaks the bound, and so does a float64
+    # copy of the features, which is larger than z / 2
+    z, layer, enc = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4, 2 * 8))
+    assert t_len * cfg.input_dim * 8 > z / 2
+    assert peak < layer + enc + z / 2
+
+
 def test_adam_state_allocates_its_buffers_once():
     cfg = tiny_config(hidden_dim=8)
     model = init_model(cfg)

@@ -9,7 +9,7 @@ counts MB). Prints one JSON line with the peaks and the slope between the
 shortest and the longest clip in MB per minute, and exits 1 if the slope
 is above the limit.
 
-    python3 tools/segment_memory.py --minutes 1 3 --limit 25
+    python3 tools/segment_memory.py --minutes 1 3 --limit 22
 
 Linux only: it reads /proc/self/status. The clips take about 52 MB of disk
 per minute, in a temporary directory removed at exit.
