@@ -5,6 +5,8 @@ Confidence 0 marks a missing point; its coordinates are placeholders that every
 consumer must ignore.
 """
 
+import codecs
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numutil import check_fps, load_json, round_half_away
+from .numutil import check_fps, round_half_away
 
 FORMAT_VERSION = "poseseq-json/1"
 
@@ -172,21 +174,21 @@ def _point_block(frames: list, k: int):
     return block if block.shape == (len(frames), k, 4) else None
 
 
-def _first_fault(frames: list, k: int) -> str:
-    """Names the first frame or point, in document order, that _point_block rejects."""
+def _first_fault(frames: list, k: int, t: int = 0) -> str:
+    """Names the first frame (counted from t) or point that _point_block rejects."""
     for ti, frame in enumerate(frames):
         if not (isinstance(frame, list) and len(frame) == k):
             n = len(frame) if isinstance(frame, list) else "?"
-            return f"frame {ti} has {n} points, expected {k}"
+            return f"frame {t + ti} has {n} points, expected {k}"
         if _point_block([frame], k) is not None:
             continue
         for ki, pt in enumerate(frame):
             if _point_block([[pt]], 1) is not None:
                 continue
             if isinstance(pt, list) and len(pt) == 3:
-                return (f"frame {ti} point {ki} has no z axis; "
+                return (f"frame {t + ti} point {ki} has no z axis; "
                         "3D [x, y, z, confidence] points are required")
-            return f"frame {ti} point {ki} is not an [x, y, z, confidence] quadruple"
+            return f"frame {t + ti} point {ki} is not an [x, y, z, confidence] quadruple"
     raise AssertionError("_point_block rejected frames that pass every rule")
 
 
@@ -226,22 +228,22 @@ class _Frames:
     """A frames array as _scan_frames reads it.
 
     block is (T, len(columns), 4): the given columns of its k-point frames,
-    or all k of them when columns is None. faults are the _value_faults of
-    every value of every frame, the dropped columns' too.
+    or all k of them when columns is None; k is None if frame 0 is no list.
+    faults are the _value_faults of every value, the dropped columns' too;
+    fault names the first frame that breaks a _point_block rule, if any.
     """
 
     block: np.ndarray
-    k: int
+    k: int | None
     columns: np.ndarray | None
     faults: list
+    fault: str | None
 
 
 def _pose_from_doc(doc, columns=None) -> PoseSequence:
-    """The pose of a document from json.loads or _scan, cut to columns (see load_pose).
+    """The pose of a document _scan read, cut to columns (see load_pose).
 
-    _scan hands the frames over as _Frames, or as a list if a frame breaks a
-    _point_block rule. Frames that were not cut as they were read are cut
-    here.
+    Frames that were not cut as they were read are cut here.
     """
     if not isinstance(doc, dict):
         raise ValueError("malformed pose document: top level is not an object")
@@ -253,22 +255,18 @@ def _pose_from_doc(doc, columns=None) -> PoseSequence:
     k = sum(len(c.points) for c in components)
 
     frames = doc.get("frames")
-    if isinstance(frames, _Frames) and frames.k == k:
-        block, kept, faults = frames.block, frames.columns, frames.faults
-    else:
-        if isinstance(frames, _Frames):  # no frames, or frame 0 of the wrong length
-            frames = frames.block.tolist()
-        if not isinstance(frames, list):
-            raise ValueError("frames must be a list")
-        try:
-            block = _point_block(frames, k)
-            if block is None:
-                raise ValueError(_first_fault(frames, k))
-        except OverflowError as e:
-            raise ValueError(f"malformed pose document: {e}") from None
-        kept, faults = None, _value_faults(block[:, :, :3], block[:, :, 3])
-    _check_values(faults)
-    if kept is None and columns is not None:  # the frames came first, or whole
+    if not isinstance(frames, _Frames):
+        raise ValueError("frames must be a list")
+    block, kept = frames.block, frames.columns
+    if frames.k != k:  # the frames came first: frame 0 is the first bad frame, if any
+        if len(block) or frames.fault:
+            n = "?" if frames.k is None else frames.k
+            raise ValueError(f"frame 0 has {n} points, expected {k}")
+        block = np.zeros((0, k, 4))
+    if frames.fault:
+        raise ValueError(frames.fault)
+    _check_values(frames.faults)
+    if kept is None and columns is not None:  # the frames came first
         kept = columns(components)
         if kept is not None:
             block = block[:, kept]
@@ -280,7 +278,9 @@ def _pose_from_doc(doc, columns=None) -> PoseSequence:
 
 # The scanner follows json.loads token for token: the same decoder for every
 # value, json's own whitespace set, the last of duplicate keys wins, and
-# nothing but whitespace may follow the top-level object.
+# nothing but whitespace may follow the top-level value. Its own checks raise
+# json's messages as Python 3.10 to 3.12 word them; 3.13 words a trailing
+# comma in an object or array otherwise.
 _DECODER = json.JSONDecoder()
 _SKIP_WS = json.decoder.WHITESPACE.match
 # Frames go to _point_block in runs of at most this many points (one frame
@@ -290,13 +290,13 @@ _SKIP_WS = json.decoder.WHITESPACE.match
 # accumulate, and the collector does not run during the parse. Runs of
 # 32768 points set off about 1100 collections per holistic clip.
 _RUN_POINTS = 512
-# load_pose reads its file this many characters at a time (more when one
-# value is longer than the text held), so it holds a few hundred KiB of
-# text, not the whole document: a minute of holistic pose is about 52 MB.
-# A refill holds several chunk-sized copies at once (the file's bytes, their
-# text, the joined window), so the chunk bounds what a load holds beside its
-# block: 2.2 MB at this size, against 6.1 MB at 1 MiB, on 300 frames of 543
-# points cut to body75's columns.
+# load_pose reads its file this many bytes at a time (more when one value is
+# longer than the text held), so it holds a few hundred KiB of text, not the
+# whole document: a minute of holistic pose is about 52 MB. A refill holds
+# several chunk-sized copies at once (the file's bytes, their text, the
+# joined window), so the chunk bounds what a load holds beside its block:
+# 2.1 MB at this size, against 5.2 MB at 1 MiB, on 300 frames of 543 points
+# cut to body75's columns.
 _CHUNK_CHARS = 1 << 18
 # _Window.decode refills before it decodes when less than this much text is
 # left unread, so a value cut by the end of a chunk is rare: a failed decode
@@ -308,27 +308,55 @@ _REFILL_CHARS = 1 << 16
 class _Window:
     """The scanner's view of a document: text, indices into it, and refills.
 
-    A window over a str holds the whole document. A window over a file holds
-    what has not been read yet of the chunks read so far: when a skip or a
-    value reaches the end of text, _more drops the read part and appends the
-    next chunk, which moves every index. start is the offset of text[0] in
-    the document; length is the document's size, in bytes for a file (its
-    length in characters while it is ASCII).
+    A window over a str holds the whole document; one over a file opened "rb",
+    the unread part of the chunks read so far, decoded as open(path,
+    encoding="utf-8") decodes them. When a skip or a value reaches the end of
+    text, _more drops the read part and appends the next chunk, which moves
+    every index. start is the offset of text[0] in the document, lines and nl
+    count and place the newlines dropped, and length is the document's size.
     """
 
     def __init__(self, text="", file=None):
-        self.text, self.file, self.start = text, file, 0
+        self.text, self.file, self.start, self.lines, self.nl = text, file, 0, 0, -1
         self.length = len(text) if file is None else os.fstat(file.fileno()).st_size
+        if file is not None:
+            utf8 = codecs.getincrementaldecoder("utf-8")()
+            self.decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+            self._more(0)
 
     def _more(self, i) -> bool:
-        """Drops text[:i] and reads at least as much as is left; False at the end."""
-        more = self.file.read(max(_CHUNK_CHARS, len(self.text) - i)) if self.file else ""
+        """Drops text[:i] and reads at least as much as is left; False at the end.
+        Invalid UTF-8 raises the codec's message, placed as a whole read places it."""
+        more = ""
+        while not more and self.file is not None:
+            data = self.file.read(max(_CHUNK_CHARS, len(self.text) - i))
+            held = len(self.decoder.getstate()[0])  # bytes of a character cut by a chunk
+            try:
+                more = self.decoder.decode(data, final=not data)
+            except UnicodeDecodeError as e:
+                at = self.file.tell() - len(data) - held + e.start
+                self.file = None  # the first fault is the one a whole read raises
+                bad = (f"byte 0x{e.object[e.start]:02x} in position {at}" if e.end - e.start == 1
+                       else f"bytes in position {at}-{at + e.end - e.start - 1}")
+                raise ValueError(f"malformed pose document: '{e.encoding}' codec can't decode "
+                                 f"{bad}: {e.reason}") from None
+            if not data:
+                self.file = None
         if not more:
-            self.file = None
             return False
+        nl = self.text.rfind("\n", 0, i)
+        if nl >= 0:  # never, on a clip written on one line
+            self.lines, self.nl = self.lines + self.text.count("\n", 0, i), self.start + nl
         self.start += i
         self.text = self.text[i:] + more
         return True
+
+    def fault(self, msg, i) -> ValueError:
+        """json.loads' error msg at text[i], with its line, column and offset."""
+        nl, line = self.text.rfind("\n", 0, i), self.lines + self.text.count("\n", 0, i) + 1
+        column = i - nl if nl >= 0 else self.start + i - self.nl
+        return ValueError(f"malformed pose document: {msg}: line {line} column {column} "
+                          f"(char {self.start + i})")
 
     def skip(self, i) -> int:
         """The index of the first character at or after i that is no whitespace.
@@ -341,29 +369,35 @@ class _Window:
             i = _SKIP_WS(self.text, 0).end()
         return i
 
-    def past(self, i, char) -> int:
-        """The index after char at text[i] and the whitespace that follows it."""
+    def past(self, i, char, msg) -> int:
+        """The index after char at text[i] and the whitespace after it, or json's error msg."""
         if not self.text.startswith(char, i):
-            raise ValueError(f"expected {char!r}")
+            raise self.fault(msg, i)
         return self.skip(i + 1)
 
     def decode(self, i):
         """The JSON value at text[i] and the index after it.
 
         With less than _REFILL_CHARS of text left, the window refills first. A
-        value that still fails or ends within two characters of the end of
-        text is decoded again after a refill: a number there may go on (2|5,
-        2.|5, 2e-|5), and anything else may be cut. A refill's own error (a
-        chunk that is no valid UTF-8) is raised, never retried.
+        value is decoded again after a refill if it ends within two characters
+        of the end of text, as a number there may go on (2|5, 2.|5, 2e-|5), or
+        if it fails where the end of text may have cut it: within a token's
+        length of the end (-Infinity is the longest), in a string left open, or
+        in an int past Python's digit limit that runs to the end.
         """
         if len(self.text) - i < _REFILL_CHARS and self._more(i):
             i = 0
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, i)
-            except (ValueError, RecursionError):
-                if not self._more(i):
-                    raise
+            except json.JSONDecodeError as e:
+                cut = len(self.text) - e.pos < 9 or e.msg.startswith("Unterminated string")
+                if not (cut and self._more(i)):
+                    raise self.fault(e.msg, e.pos) from None
+            except (ValueError, RecursionError) as e:  # deep nesting; an int of too many digits
+                cut = isinstance(e, ValueError) and self.text[-1:].isdigit()
+                if not (cut and self._more(i)):
+                    raise ValueError(f"malformed pose document: {e}") from None
             else:
                 if len(self.text) - end > 2 or not self._more(i):
                     return value, end
@@ -371,63 +405,54 @@ class _Window:
 
 
 def _scan_frames(win: _Window, i: int, k=None, columns=None):
-    """Decodes the frames array that opens at text[i] a run of frames at a time.
+    """Decodes the array that opens at text[i] a run of frames at a time.
 
-    Returns (frames, end index): _Frames of k-point frames, k the first
-    frame's length (0 if there are none) unless given, that hold only the
-    given columns if any; or, if a frame breaks a _point_block rule, the
-    array as json.loads decodes it, so that _pose_from_doc can name the
-    frame. The runs go into one block, sized for a document of frames as
-    long as the first, that grows by half when a document has more. A syntax
-    error raises what the decoder raises; a frame that breaks a rule once the
-    start of the array has left the window raises ValueError.
+    Returns (_Frames, the index after the array); a frame has k points,
+    frame 0's number if k is not given. The runs go into one block, cut to
+    columns if given, sized for frames as long as frame 0's text, that grows
+    by half when there are more. From the first run with a frame that breaks
+    a _point_block rule, frames are decoded (a later syntax fault raises) but
+    not kept.
     """
-    at = win.start + i
-    block, t, run, faults = None, 0, [], [False] * len(_VALUE_FAULTS)
-    j = win.past(i, "[")
+    block, rows, t, run = np.zeros((0, 0 if columns is None else len(columns), 4)), None, 0, []
+    faults, fault = [False] * len(_VALUE_FAULTS), None
+    j = win.skip(i + 1)
     last = win.text.startswith("]", j)
     while not last:
-        if block is None:
-            first = win.start + j
+        at = win.start + j
         frame, j = win.decode(j)
-        if block is None:
-            if k is None:
-                k = len(frame) if type(frame) is list else 0
-            per_run = max(1, _RUN_POINTS // max(k, 1))
-            rows = (win.length - first) // (win.start + j - first) + 1
-            width = k if columns is None else len(columns)
-            block = np.empty((rows + rows // 16, width, 4))
-        run.append(frame)
+        if rows is None:  # frame 0
+            if k is None and type(frame) is list:
+                k = len(frame)
+            per_run = max(1, _RUN_POINTS // max(k or 0, 1))
+            rows = (win.length - at) // (win.start + j - at) + 1
+            block = np.empty((rows + rows // 16, k or 0 if columns is None else len(columns), 4))
+        if fault is None:
+            run.append(frame)
         j = win.skip(j)
-        last = not win.text.startswith(",", j)
-        if last or len(run) == per_run:
+        last = win.text.startswith("]", j)
+        if run and (last or len(run) == per_run):
             try:
                 points = _point_block(run, k)
-            except OverflowError:
-                points = None
-            if points is None:
-                if at < win.start:
-                    raise ValueError("the frames array has left the window")
-                return win.decode(at - win.start)
-            # every value is checked before the unread columns are dropped
-            new = _value_faults(points[:, :, :3], points[:, :, 3])
-            faults = [a or b for a, b in zip(faults, new)]
-            if columns is not None:
-                points = points[:, columns]
-            if t + len(points) > len(block):
-                grown = np.empty((max(t + len(points), len(block) * 3 // 2), width, 4))
-                grown[:t] = block[:t]
-                block = grown
-            block[t:t + len(points)] = points
-            t += len(points)
+                fault = None if points is not None else _first_fault(run, k, t)
+            except OverflowError as e:
+                fault = f"malformed pose document: {e}"
             run = []
+            if fault is None:
+                # every value is checked before the unread columns are dropped
+                new = _value_faults(points[:, :, :3], points[:, :, 3])
+                faults = [a or b for a, b in zip(faults, new)]
+                if columns is not None:
+                    points = points[:, columns]
+                if t + len(points) > len(block):
+                    grown = np.empty((max(t + len(points), len(block) * 3 // 2), *block.shape[1:]))
+                    grown[:t] = block[:t]
+                    block = grown
+                block[t:t + len(points)] = points
+                t += len(points)
         if not last:
-            j = win.past(j, ",")
-    j = win.past(j, "]")
-    if block is None:
-        k = k or 0
-        block = np.zeros((0, k if columns is None else len(columns), 4))
-    return _Frames(block[:t], k, columns, faults), j
+            j = win.past(j, ",", "Expecting ',' delimiter")
+    return _Frames(block[:t], k, columns, faults, fault), j + 1
 
 
 def _cut_plan(raw_components, columns):
@@ -443,55 +468,58 @@ def _cut_plan(raw_components, columns):
     return sum(len(c.points) for c in components), np.asarray(kept, dtype=np.intp)
 
 
-def _scan(win: _Window, columns=None) -> dict:
-    """The top-level members of a pose document, each frames array scanned.
+def _scan(win: _Window, columns=None):
+    """The document's top-level value, with each top-level frames array scanned.
 
-    A frames array that follows the components is read cut to columns (see
-    load_pose). Raises ValueError or RecursionError where json.loads does,
-    and ValueError if components follow frames that were cut to the columns
-    of earlier ones.
+    A frames array after the components is read cut to columns (see
+    load_pose); None if components follow frames cut to earlier ones. Faults
+    raise in json.loads' order: invalid UTF-8 anywhere in a file, a BOM, the
+    first syntax fault; a frame that breaks a point rule is only recorded.
     """
-    i = win.past(win.skip(0), "{")
-    doc = {}
-    basis = None  # the components value the frames were cut for
-    last = win.text.startswith("}", i)
-    while not last:
-        if not win.text.startswith('"', i):
-            raise ValueError("expected a key")
-        key, i = win.decode(i)
-        i = win.past(win.skip(i), ":")
-        if key == "frames" and win.text.startswith("[", i):
-            plan = None
-            if columns is not None and "components" in doc:
-                plan = _cut_plan(doc["components"], columns)
-                basis = doc["components"]
-            doc[key], i = _scan_frames(win, i, *(plan or ()))
+    try:
+        if win.text.startswith("\ufeff"):
+            raise win.fault("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        i = win.skip(0)
+        if not win.text.startswith("{", i):  # no pose; an array is read an element at a time
+            doc, i = _scan_frames(win, i) if win.text.startswith("[", i) else win.decode(i)
         else:
-            doc[key], i = win.decode(i)
+            doc, basis = {}, None  # basis: the components value the frames were cut for
+            i = win.skip(i + 1)
+            last = win.text.startswith("}", i)
+            while not last:
+                if not win.text.startswith('"', i):
+                    raise win.fault("Expecting property name enclosed in double quotes", i)
+                key, i = win.decode(i)
+                i = win.past(win.skip(i), ":", "Expecting ':' delimiter")
+                if key == "frames" and win.text.startswith("[", i):
+                    plan = None
+                    if columns is not None and "components" in doc:
+                        plan = _cut_plan(doc["components"], columns)
+                    basis = doc["components"] if plan else None
+                    doc[key], i = _scan_frames(win, i, *(plan or ()))
+                else:
+                    doc[key], i = win.decode(i)
+                i = win.skip(i)
+                last = win.text.startswith("}", i)
+                if not last:
+                    i = win.past(i, ",", "Expecting ',' delimiter")
+            i += 1
+            if basis is not None and doc["components"] is not basis:
+                doc = None
         i = win.skip(i)
-        last = not win.text.startswith(",", i)
-        if not last:
-            i = win.past(i, ",")
-    if win.past(i, "}") != len(win.text):
-        raise ValueError("extra data")
-    frames = doc.get("frames")
-    if (isinstance(frames, _Frames) and frames.columns is not None
-            and doc["components"] is not basis):
-        raise ValueError("components follow the frames cut to earlier ones")
+        if i != len(win.text):
+            raise win.fault("Extra data", i)
+    except ValueError:
+        while win._more(len(win.text)):  # invalid UTF-8 later in the file comes first
+            pass
+        raise
     return doc
 
 
 def parse_pose(text: str) -> PoseSequence:
-    """Reads a poseseq-json document with no more than a run of frames as lists.
-
-    Only a document that is no valid JSON is decoded whole, by json.loads,
-    so that the error names the fault and its offset.
-    """
-    try:
-        doc = _scan(_Window(text))
-    except (ValueError, RecursionError):
-        doc = load_json(text, "pose document")
-    return _pose_from_doc(doc)
+    """Reads a poseseq-json document with no more than a run of frames as lists;
+    each error is the one json.loads(text) and then the pose's checks give."""
+    return _pose_from_doc(_scan(_Window(text)))
 
 
 def serialize_pose(seq: PoseSequence) -> str:
@@ -518,19 +546,16 @@ def load_pose(path, columns=None) -> PoseSequence:
     columns are stored as the frames are read; every value is still checked,
     so a document that is no valid pose raises what load_pose(path) raises.
 
-    If the streamed scan fails for any reason, the file is read whole and
-    decoded by json.loads, as parse_pose decodes a text its scan rejects, so
-    that every error is the one parse_pose gives (or the UnicodeDecodeError
-    of reading the whole file).
+    No error reads the file whole: each is the one parse_pose gives its text,
+    or for invalid UTF-8 "malformed pose document: " and the codec's message.
+    If components follow frames cut to earlier ones, the file is scanned
+    again, streamed, with every column.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = _scan(_Window(file=f), columns)
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        doc = None
-    if doc is None:  # out of the handler, so the failed window is freed first
-        with open(path, encoding="utf-8") as f:
-            doc = load_json(f.read(), "pose document")
+    with open(path, "rb") as f:
+        doc = _scan(_Window(file=f), columns)
+        if doc is None:
+            f.seek(0)
+            doc = _scan(_Window(file=f))
     return _pose_from_doc(doc, columns)
 
 

@@ -203,7 +203,7 @@ def fidelity_experiment(gold, src_fps, fps_list, num_frames=None) -> list[Fideli
 SEGMENTS_TIERS = ("sign", "phrase")
 
 
-def parse_segments(text: str) -> tuple[float, dict[str, list[Segment]]]:
+def parse_segments(text: str | bytes) -> tuple[float, dict[str, list[Segment]]]:
     doc = load_json(text, "segments document")
     if not isinstance(doc, dict) or not isinstance(doc.get("tiers"), dict):
         raise ValueError("segments document must be an object with a tiers mapping")
@@ -235,7 +235,7 @@ def serialize_segments(fps, tiers: dict[str, list[Segment]]) -> str:
 
 
 def load_segments(path):
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:  # json.loads decodes the bytes, so invalid UTF-8 is malformed
         return parse_segments(f.read())
 
 

@@ -456,6 +456,18 @@ def test_eval_timeline_over_limit_is_a_metrics_error(tmp_path, capsys, end, fram
     assert capsys.readouterr().err.startswith("signseg eval: metrics: ")
 
 
+@pytest.mark.parametrize("command", ["eval", "bio-fidelity"])
+def test_segments_file_rejects_invalid_utf8(tmp_path, capsys, command):
+    gold = tmp_path / "gold.segments.json"
+    gold.write_bytes(b"\xff" + json.dumps({"fps": 25.0, "tiers": {"sign": []}}).encode())
+    argv = {"eval": ["eval", "--pred", str(gold), "--gold", str(gold)],
+            "bio-fidelity": ["bio-fidelity", "--gold", str(gold)]}[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"signseg {command}: parse: malformed segments document: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")
+
+
 def test_bio_fidelity_stdout(corpus_dir, capsys):
     gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
     rc = cli.main(["bio-fidelity", "--gold", gold])
@@ -1099,8 +1111,8 @@ def test_cli_pose_ingest_fuzz(tmp_path, capsys, tiny_holistic_checkpoint, data):
 @given(data=st.data())
 def test_cli_pose_ingest_rejects_bad_utf8_in_parse(tmp_path, capsys, tiny_holistic_checkpoint,
                                                    data):
-    # a 0xFF byte anywhere, in a valid or a mutated document: the scanner never
-    # takes it for a broken frame, and the whole read reports it
+    # a 0xFF byte anywhere, in a valid or a mutated document: it comes before
+    # every other fault, as it does when the file is read whole
     rng = np.random.default_rng(data.draw(st.integers(0, 3)))
     doc = {"version": "poseseq-json/1", "fps": 25.0,
            "components": [{"name": c.name, "points": list(c.points)} for c in HOLISTIC],
@@ -1118,4 +1130,14 @@ def test_cli_pose_ingest_rejects_bad_utf8_in_parse(tmp_path, capsys, tiny_holist
             ("flow-dump", ["flow-dump", str(path), "--out-dir", out])):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"signseg {command}: parse: "), err
+        assert err.startswith(f"signseg {command}: parse: malformed pose document: "
+                              "'utf-8' codec can't decode byte 0xff in position "), err
+
+
+def test_flow_dump_rejects_invalid_utf8_as_a_malformed_pose(tmp_path, capsys):
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(b"\xff{}")
+    assert cli.main(["flow-dump", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "signseg flow-dump: parse: malformed pose document: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")

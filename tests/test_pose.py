@@ -284,8 +284,12 @@ def outcome(read, text):
 
 def read_whole_file(path):
     """The file read whole, as load_pose read files before it streamed them."""
-    with open(path, encoding="utf-8") as f:
-        return whole_document_reader(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"malformed pose document: {e}") from None
+    return whole_document_reader(text)
 
 
 def assert_reads_like_whole_document_reader(source):
@@ -299,7 +303,7 @@ def assert_reads_like_whole_document_reader(source):
     want = outcome(read_whole_file, source)
     assert outcome(pose.load_pose, source) == want
     if want[0] == "reads":  # nor is a valid file read whole
-        with open(source, encoding="utf-8") as f:
+        with open(source, "rb") as f:
             assert isinstance(pose._scan(pose._Window(file=f))["frames"], pose._Frames)
     assert_cut_load_reads_like_the_full_load(source, every_other_column)
 
@@ -498,6 +502,12 @@ _STREAMED_FILES = {
     "syntax-in-frames": json.dumps(small_doc(frames=6)).encode().replace(b"]], [[", b"]] [[", 1),
     "bad-frame": json.dumps(small_doc(frames=6)).encode().replace(b"4.0, 1.0", b'4.0, "1"', 1),
     "bad-first-frame": json.dumps(small_doc(frames=3)).encode().replace(b"[[0.0", b"[[[0.0]", 1),
+    # a bad frame is only recorded: the syntax fault after it comes first
+    "bad-frame-then-syntax": json.dumps(small_doc(frames=6)).encode().replace(
+        b"1.0, 1.0", b"1.0, true", 1).replace(b"]], [[5.0", b"]] [[5.0", 1),
+    # an int past str-to-int's digit limit, which a chunk's end cuts short
+    "int-past-the-digit-limit": json.dumps(small_doc()).encode().replace(
+        b"0.5", b"1" + b"0" * 5000, 1),
     "frames-first": render(Members([
         ("frames", [[[0.5, Token("-0"), 1, 1.0], [Token("2E-1"), 0.0, 3, 0.5]]]),
         ("fps", 25), ("version", pose.FORMAT_VERSION),
@@ -540,7 +550,8 @@ def test_load_pose_rejects_bad_utf8_after_a_long_frames_array(tmp_path, monkeypa
     path = tmp_path / "clip.pose.json"
     path.write_bytes(json.dumps(small_doc(frames=2000)).encode() + b" " * 70000 + b"\xff")
     assert_reads_like_whole_document_reader(path)
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ValueError, match="malformed pose document: 'utf-8' codec can't decode "
+                                         f"byte 0xff in position {path.stat().st_size - 1}: "):
         pose.load_pose(path)
 
 
@@ -550,7 +561,7 @@ def test_scan_raises_the_decode_error_of_a_refill(tmp_path, monkeypatch):
     monkeypatch.setattr(pose, "_CHUNK_CHARS", 64)
     path = tmp_path / "clip.pose.json"
     path.write_bytes(json.dumps(small_doc()).encode() + b" " * 9000 + b"\xff")
-    with open(path, encoding="utf-8") as f, pytest.raises(UnicodeDecodeError):
+    with open(path, "rb") as f, pytest.raises(ValueError, match="'utf-8' codec can't decode"):
         pose._scan(pose._Window(file=f))
 
 
@@ -667,6 +678,26 @@ def test_column_set_load_peak_memory_is_a_fraction_of_the_block(holistic_300, tm
     assert seq.num_points == 65
     assert peak <= 0.5 * quads.nbytes
     assert values(lambda: seq) == values(cut_after_full_load, path, opts.read_columns)
+
+
+@pytest.mark.parametrize("fault", ["no-comma-before-last-frame", "0xff-before-last-brace"])
+def test_malformed_load_peak_memory_is_a_fraction_of_the_block(holistic_300, tmp_path, fault):
+    # a fault near the end is met by the one streamed read: the file is never
+    # read whole, so a malformed clip costs no more than a valid one
+    quads, text = holistic_300
+    raw = text.encode()
+    if fault == "no-comma-before-last-frame":
+        at = raw.rindex(b"]],[[") + 2
+        raw = raw[:at] + raw[at + 1:]
+    else:
+        raw = raw[:-1] + b"\xff}"
+    path = tmp_path / "clip.pose.json"
+    path.write_bytes(raw)
+    opts = PipelineOptions()
+    got, peak = traced_peak(lambda: outcome(lambda p: pose.load_pose(p, opts.read_columns), path))
+    assert got[0] == "rejects"
+    assert got == outcome(read_whole_file, path)
+    assert peak <= 0.5 * quads.nbytes
 
 
 def _upper_body_text():
@@ -792,7 +823,7 @@ def test_column_set_load_reads_frames_before_components_whole(tmp_path, order,
     path = tmp_path / "clip.pose.json"
     path.write_text(render(_members(doc, order), lambda: " "), encoding="utf-8")
     columns = PipelineOptions().read_columns
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         frames = pose._scan(pose._Window(file=f), columns)["frames"]
     assert (frames.columns is not None) == cut_while_read
     assert frames.block.shape[1] == (65 if cut_while_read else 543)
@@ -802,7 +833,7 @@ def test_column_set_load_reads_frames_before_components_whole(tmp_path, order,
 
 def test_components_after_cut_frames_are_read_whole(tmp_path):
     # the last of duplicate keys counts: frames cut to the first components
-    # cannot serve the second, so the document is read again whole
+    # cannot serve the second, so the file is scanned again with every column
     doc = holistic_doc()
     other = [{"name": "BODY", "points": list(BODY_POINTS)},
              {"name": "LEFT_HAND", "points": list(HAND_POINTS)},
