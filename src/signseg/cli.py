@@ -29,7 +29,8 @@ from .metrics import build_report, report_to_json, report_to_text
 from .numutil import check_fps, is_finite_real, load_json, single_blas_thread
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, load_pose
-from .tagger import TaggerConfig, forward, init_model, load_model, save_model
+from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
+                     save_model)
 from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experiment,
                    load_segments, save_segments)
 from .vtt import segments_to_vtt
@@ -324,11 +325,9 @@ def cmd_tune(args, opts) -> int:
     with _stage("data"):
         clips = training.load_corpus(args.data_dir, popts)
     with _stage("forward"):
-        dev = []
-        for clip in clips:
-            probs = forward(model, clip.features)
-            gold = decode_gold_tags(clip.gold[args.tier], TagScheme.BIO)
-            dev.append((probs[args.tier] * 100.0, gold))
+        probs = forward_clips(model, [clip.features for clip in clips])
+        dev = [(p[args.tier] * 100.0, decode_gold_tags(clip.gold[args.tier], TagScheme.BIO))
+               for p, clip in zip(probs, clips)]
     with _stage("tune"):
         best_b, best_o, table = tune_thresholds(dev, DEFAULT_GRID,
                                                 strict_bio=args.strict_bio)

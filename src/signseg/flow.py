@@ -8,6 +8,11 @@ from . import hands
 from .pose import PoseSequence
 
 
+# optical_flow takes the displacements of this many frames at a time, so it
+# holds one (FLOW_ROWS, K, 3) block of floats beside its (T, K) result.
+FLOW_ROWS = 64
+
+
 def optical_flow(seq: PoseSequence) -> np.ndarray:
     """(T, K) displacement magnitude between consecutive frames, in pose units per second.
 
@@ -16,10 +21,18 @@ def optical_flow(seq: PoseSequence) -> np.ndarray:
     """
     t, k = seq.conf.shape
     values = np.zeros((t, k), dtype=float)
-    if t > 1:
-        disp = np.linalg.norm(seq.coords[1:] - seq.coords[:-1], axis=2)
-        tracked = (seq.conf[1:] > 0) & (seq.conf[:-1] > 0)
-        values[1:] = np.where(tracked, disp * seq.fps, 0.0)
+    block = np.empty((min(t, FLOW_ROWS), k, 3))
+    for start in range(1, t, FLOW_ROWS):
+        stop = min(start + FLOW_ROWS, t)
+        rows, before = slice(start, stop), slice(start - 1, stop - 1)
+        # the magnitude with the operations of np.linalg.norm(axis=2), times fps
+        step = np.subtract(seq.coords[rows], seq.coords[before], out=block[:stop - start])
+        np.multiply(step, step, out=step)
+        out = values[rows]
+        np.add.reduce(step, axis=2, out=out)
+        np.sqrt(out, out=out)
+        out *= seq.fps
+        out[~((seq.conf[rows] > 0) & (seq.conf[before] > 0))] = 0.0
     return values
 
 

@@ -91,8 +91,14 @@ class Histogram:
     density: np.ndarray
 
 
+def _check_bins(bins) -> None:
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins <= 0:
+        raise ValueError("bins must be a positive integer")
+
+
 def length_density(segments, fps: float, bins: int = 10) -> Histogram:
     """Normalized density of segment durations in seconds; integrates to 1."""
+    _check_bins(bins)
     if len(segments) == 0:
         raise ValueError("length_density needs at least one segment")
     check_fps(fps)
@@ -119,6 +125,7 @@ def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float
     Frame F1 compares the BIO encodings. When per-tier probability rows are
     supplied, the O-tag ROC-AUC is added.
     """
+    _check_bins(bins)  # also when no tier has a predicted segment to bin
     f1, iou, pct, auc, dens = {}, {}, {}, {}, {}
     for tier, gold in gold_tiers.items():
         pred = pred_tiers.get(tier, [])

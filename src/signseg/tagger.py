@@ -8,11 +8,18 @@ so training and inference share one path and no call takes a dtype. The two
 heads, the softmax and the loss run in float64; the head gradients are cast
 to the parameters' dtype once. gradient_check runs on a float64 copy, the
 reference the float32 path is checked against. Each LSTM time step writes
-into vectors allocated once per direction, so the loop allocates nothing and
+into arrays allocated once per direction, so the loop allocates nothing and
 holds the interpreter lock for less of each step. A direction projects its
 input a block of rows at a time and writes its outputs into the layer's
 output, so inference holds no (T, 4H) array; nor does it keep the (T, H)
 projection once the first layer has read it.
+
+A direction runs one clip, or a time-major batch of clips sorted longest
+first in which each step advances only the clips still running, so the
+batch shares each read of Wh. forward_clips runs inference on many clips
+(tune, the validation F1 of training) in such batches. forward is the batch
+of one: its recurrent product is a 1-row product on the whole Wh, which
+goes to gemv, and the bit-identity tests of forward and training pin it.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision training
@@ -163,15 +170,26 @@ def _gate_scale(h_dim: int, dtype) -> np.ndarray:
 
 
 # _run_direction projects its input this many rows at a time, so a
-# direction holds a (XW_ROWS, 4H) block of input projections, not (T, 4H).
+# direction holds a (XW_ROWS, 4H) block of input projections, not (T, 4H); a
+# batch of B clips projects XW_ROWS // B time rows of all B at a time.
 # Row blocks give the bits of the whole-array product; a 1-row product goes
 # to gemv and does not, so a 1-row tail joins the block before it.
 XW_ROWS = 256
 
+# A batch of B > 1 clips runs its recurrent product, (B, H) @ (H, 4H), on
+# column blocks of Wh with B * columns * H <= WH_BLOCK_MACS multiply-adds,
+# so that each product stays on OpenBLAS's small-matrix path. Per step at
+# H = 256 on one BLAS thread (an AVX-512 x86-64 host): B = 4 took 79-99 us
+# whole, 32-36 us as two 512-column blocks, and 92 us as four 1-row
+# products; B = 8 took 73-123 us whole and 62-67 us as four 256-column
+# blocks; B = 3 took 44-55 us either way. One clip keeps the whole Wh (a
+# 1-row product, gemv). tools/recurrent_product.py measures it again.
+WH_BLOCK_MACS = 2 ** 19
 
-def _row_blocks(t_len: int, reverse: bool):
+
+def _row_blocks(t_len: int, reverse: bool, rows: int = XW_ROWS):
     """The (start, stop) rows of each projection block, in step order."""
-    edges = list(range(0, t_len, XW_ROWS)) + [t_len]
+    edges = list(range(0, t_len, rows)) + [t_len]
     if len(edges) > 2 and t_len - edges[-2] == 1:
         del edges[-2]
     blocks = list(zip(edges, edges[1:]))
@@ -180,53 +198,102 @@ def _row_blocks(t_len: int, reverse: bool):
     return blocks
 
 
-def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False):
-    """One LSTM direction over u (T, Din) in the dtype of its parameters.
+def wh_blocks(wh, batch: int) -> list:
+    """(first column, block) pairs that split wh (H, 4H) for the recurrent
+    product of `batch` clips: wh itself for one clip, else C-contiguous
+    copies of column blocks as wide as the widest power of two within
+    WH_BLOCK_MACS."""
+    h_dim = wh.shape[0]
+    cols = 4 * h_dim
+    if batch > 1:
+        cols = 1
+        while 2 * cols <= 4 * h_dim and batch * 2 * cols * h_dim <= WH_BLOCK_MACS:
+            cols *= 2
+    if cols == 4 * h_dim:
+        return [(0, wh)]
+    return [(c0, np.ascontiguousarray(wh[:, c0:c0 + cols])) for c0 in range(0, 4 * h_dim, cols)]
 
-    Writes the outputs into h (T, H), a view into the layer's output, and
-    returns the backprop cache when keep_cache, else None.
+
+def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False, lengths=None):
+    """One LSTM direction in the dtype of its parameters, over one clip or a batch.
+
+    u is one clip's (T, Din) input, or a time-major (T, B, Din) block of B
+    clips, clip i in its first lengths[i] rows, longest first; a row past a
+    clip's length is padding, which no step reads. Writes the outputs into
+    h, (T, H) or (T, B, H), a view into the layer's output; padding rows are
+    left as they are. Each clip starts from the zero state at its first
+    frame, or in reverse at its last. Returns the backprop cache when
+    keep_cache (one clip only), else None.
     """
-    t_len = u.shape[0]
+    if u.ndim == 2:
+        u, h = u[:, None], h[:, None]
+    t_len, batch, d_in = u.shape
+    lengths = [t_len] * batch if lengths is None else list(lengths)
     h_dim = wh.shape[0]
     scale = _gate_scale(h_dim, wh.dtype)
-    wh = wh * scale
+    blocks = wh_blocks(wh * scale, batch)
     if keep_cache:
         c = np.empty((t_len, h_dim), dtype=wh.dtype)
         act = np.empty((t_len, 4 * h_dim), dtype=wh.dtype)
-    # the step's vectors, allocated once: each step writes them in place with
-    # the operations, and operand order, of
+    # the step's arrays, allocated once: each step writes the rows of the
+    # clips still running in place, with the operations, and operand order, of
     #   xw = (u @ wx + b) * scale; a = tanh(xw[t] + hprev @ wh); gate = 0.5 * (1 + a)
     #   cprev = gf * cprev + gi * ag; hprev = go * tanh(cprev)
-    xw = np.empty((min(t_len, XW_ROWS + 1), 4 * h_dim), dtype=wh.dtype)
-    a = np.empty(4 * h_dim, dtype=wh.dtype)
+    block_rows = max(1, XW_ROWS // batch)
+    xw = np.empty((min(t_len, block_rows + 1), batch, 4 * h_dim), dtype=wh.dtype)
+    a = np.empty((batch, 4 * h_dim), dtype=wh.dtype)
     gate = np.empty_like(a)  # input, forget, output; the candidate slice is unused
-    tmp = np.empty(h_dim, dtype=wh.dtype)
-    gi, gf, go = gate[:h_dim], gate[h_dim:2 * h_dim], gate[3 * h_dim:]
-    ag = a[2 * h_dim:3 * h_dim]
-    hprev = np.zeros(h_dim, dtype=wh.dtype)
-    cprev = np.zeros(h_dim, dtype=wh.dtype)
-    for start, stop in _row_blocks(t_len, reverse):
+    tmp = np.empty((batch, h_dim), dtype=wh.dtype)
+    # the zero state; in reverse, a clip that starts late gets its zero row here
+    h0 = np.zeros((batch, h_dim), dtype=wh.dtype)
+    cprev = np.zeros((batch, h_dim), dtype=wh.dtype)
+    # the running clips are a prefix of the batch; its length changes only
+    # where a clip ends (or, in reverse, starts)
+    cuts = sorted(set(lengths))
+    running = 0
+    for start, stop in _row_blocks(t_len, reverse, block_rows):
         rows = xw[:stop - start]
-        np.matmul(u[start:stop], wx, out=rows)
+        np.matmul(u[start:stop].reshape(-1, d_in), wx, out=rows.reshape(-1, 4 * h_dim))
         rows += b
         rows *= scale
-        for t in range(stop - 1, start - 1, -1) if reverse else range(start, stop):
-            np.matmul(hprev, wh, out=a)
-            np.add(rows[t - start], a, out=a)
-            np.tanh(a, out=a)
-            np.add(1.0, a, out=gate)
-            np.multiply(0.5, gate, out=gate)
-            np.multiply(gi, ag, out=tmp)
-            np.multiply(gf, cprev, out=cprev)
-            np.add(cprev, tmp, out=cprev)
-            np.tanh(cprev, out=tmp)
-            hprev = h[t]
-            np.multiply(go, tmp, out=hprev)
-            if keep_cache:
-                c[t] = cprev
-                act[t] = a
+        edges = [start, *(t for t in cuts if start < t < stop), stop]
+        spans = list(zip(edges, edges[1:]))
+        for lo, hi in reversed(spans) if reverse else spans:
+            n = sum(length > lo for length in lengths)
+            if n != running:  # bind the step's views for the n running clips
+                pick = 0 if n == 1 else slice(n)  # one clip steps on vectors
+                if running == 0:
+                    hprev = h0[pick]
+                elif reverse:  # clips running..n start at frame hi - 1, from zero state
+                    h0[:running] = hprev
+                    hprev = h0[pick]
+                else:  # clips n..running have ended
+                    hprev = hprev[pick]
+                running = n
+                an, gn, tn, cn, hn = a[pick], gate[pick], tmp[pick], cprev[pick], h[:, pick]
+                gi, gf, go = gn[..., :h_dim], gn[..., h_dim:2 * h_dim], gn[..., 3 * h_dim:]
+                ag = an[..., 2 * h_dim:3 * h_dim]
+                products = [(w, an[..., c0:c0 + w.shape[1]]) for c0, w in blocks]
+            xn = rows[:, pick]
+            for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
+                for w, out in products:
+                    np.matmul(hprev, w, out=out)
+                np.add(xn[t - start], an, out=an)
+                np.tanh(an, out=an)
+                np.add(1.0, an, out=gn)
+                np.multiply(0.5, gn, out=gn)
+                np.multiply(gi, ag, out=tn)
+                np.multiply(gf, cn, out=cn)
+                np.add(cn, tn, out=cn)
+                np.tanh(cn, out=tn)
+                hprev = hn[t]
+                np.multiply(go, tn, out=hprev)
+                if keep_cache:
+                    c[t] = cn
+                    act[t] = an
     if not keep_cache:
         return None
+    h = h[:, 0]
     # the state entering step t is the one the previous step left; h itself
     # is not kept, as forward scales it in place when it applies dropout
     hprev_all = np.zeros_like(c)
@@ -239,7 +306,7 @@ def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False):
         block += 1.0
         block *= 0.5
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    cache = {"u": u, "c": c,
+    cache = {"u": u[:, 0], "c": c,
              "gi": act[:, :h_dim], "gf": act[:, h_dim:2 * h_dim],
              "gg": act[:, 2 * h_dim:3 * h_dim], "go": act[:, 3 * h_dim:],
              "hprev": hprev_all, "cprev": cprev_all, "order": list(order)}
@@ -289,38 +356,44 @@ def cast_model(model: TaggerModel, dtype) -> TaggerModel:
         name: arr.astype(dtype, copy=False) for name, arr in model.params.items()})
 
 
-def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rng=None):
-    """Run the network; returns per-tier (T, 3) probability rows.
-
-    features: (T, F) array with F == config.input_dim. The projection and the
-    LSTM stack run in the dtype of the parameters, the features cast to it
-    (no copy when they are in it already); the heads and the softmax run in
-    float64. The backprop cache is built only when return_cache is set; at
-    inference the projection is freed once the first layer has read it.
-    """
-    cfg = model.config
+def _check_features(cfg: TaggerConfig, features) -> np.ndarray:
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else '?'} does not match "
             f"model input_dim {cfg.input_dim}"
         )
+    return x
+
+
+def _encode(model: TaggerModel, x, lengths=None, keep_cache=False, dropout_rng=None):
+    """The projection and the LSTM stack, in the dtype of the parameters.
+
+    x is one clip's (T, F) features, or a time-major (T, B, F) block of B
+    clips with the lengths _run_direction takes. Returns the last layer's
+    output, the per-layer direction caches (None unless keep_cache) and the
+    dropout masks. A batch's layer outputs start as zeros, so the padding
+    rows the next layer projects hold finite numbers.
+    """
+    cfg = model.config
     p = model.params
     dtype = p["proj.W"].dtype
-    cur = x.astype(dtype, copy=False) @ p["proj.W"] + p["proj.b"]
+    h_dim = cfg.hidden_dim
+    cur = (x.reshape(-1, cfg.input_dim).astype(dtype, copy=False) @ p["proj.W"]
+           + p["proj.b"]).reshape(*x.shape[:-1], h_dim)
+    new_output = np.empty if lengths is None else np.zeros
     layer_caches = []
     drop_masks = []
-    h_dim = cfg.hidden_dim
     for layer in range(cfg.layers):
         # one output per layer: the directions write theirs side by side into it
-        out = np.empty((len(x), cfg.encoder_dim), dtype=dtype)
+        out = new_output((*x.shape[:-1], cfg.encoder_dim), dtype=dtype)
         caches = {}
         for di, d in enumerate(_directions(cfg)):
             name = f"lstm{layer}.{d}"
             caches[d] = _run_direction(
                 cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
-                out[:, di * h_dim:(di + 1) * h_dim], reverse=(d == "bwd"),
-                keep_cache=return_cache)
+                out[..., di * h_dim:(di + 1) * h_dim], reverse=(d == "bwd"),
+                keep_cache=keep_cache, lengths=lengths)
         cur = out
         if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
             mask = ((dropout_rng.random(cur.shape) >= cfg.dropout)
@@ -330,19 +403,72 @@ def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rn
         else:
             drop_masks.append(None)
         layer_caches.append(caches)
-    enc = cur.astype(np.float64, copy=False)
+    return cur, layer_caches, drop_masks
+
+
+def _heads(params: dict, enc):
+    """Per-tier logits and probability rows of the float64 encoder output (T, 2H)."""
     logits = {}
     probs = {}
     for tier in SEGMENTS_TIERS:
-        logits[tier] = enc @ p[f"head.{tier}.W"] + p[f"head.{tier}.b"]
+        logits[tier] = enc @ params[f"head.{tier}.W"] + params[f"head.{tier}.b"]
         probs[tier] = _softmax(logits[tier]) if len(enc) else np.zeros((0, 3))
+    return logits, probs
+
+
+def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rng=None):
+    """Run the network; returns per-tier (T, 3) probability rows.
+
+    features: (T, F) array with F == config.input_dim. The projection and the
+    LSTM stack run in the dtype of the parameters, the features cast to it
+    (no copy when they are in it already); the heads and the softmax run in
+    float64. The backprop cache is built only when return_cache is set; at
+    inference the projection is freed once the first layer has read it.
+    """
+    x = _check_features(model.config, features)
+    cur, layer_caches, drop_masks = _encode(model, x, keep_cache=return_cache,
+                                            dropout_rng=dropout_rng)
+    enc = cur.astype(np.float64, copy=False)
+    logits, probs = _heads(model.params, enc)
     if not return_cache:
         return probs
     # x in the parameters' dtype, for the projection's gradient; cast again
     # here so that inference holds no cast copy of the features
+    dtype = model.params["proj.W"].dtype
     cache = {"x": x.astype(dtype, copy=False), "enc": enc, "layers": layer_caches,
              "logits": logits, "drop": drop_masks}
     return probs, cache
+
+
+# forward_clips runs at most this many clips through one step loop, so a
+# batch holds at most BATCH_CLIPS times the arrays of its longest clip.
+BATCH_CLIPS = 8
+
+
+def forward_clips(model: TaggerModel, clips) -> list:
+    """forward's probabilities for each of clips, a list of (T, F) features,
+    in input order.
+
+    The clips run longest first in batches of up to BATCH_CLIPS, each batch
+    through one step loop, so its clips share each read of Wh. A clip's rows
+    agree with its own forward to a few float32 roundings (the batched
+    products sum in another order); a batch of one clip gives forward's bits.
+    """
+    cfg = model.config
+    xs = [_check_features(cfg, f) for f in clips]
+    dtype = model.params["proj.W"].dtype
+    order = sorted(range(len(xs)), key=lambda i: len(xs[i]), reverse=True)
+    probs = [None] * len(xs)
+    for k in range(0, len(order), BATCH_CLIPS):
+        batch = order[k:k + BATCH_CLIPS]
+        lengths = [len(xs[i]) for i in batch]
+        block = np.zeros((lengths[0], len(batch), cfg.input_dim), dtype=dtype)
+        for j, i in enumerate(batch):
+            block[:lengths[j], j] = xs[i]
+        cur, _, _ = _encode(model, block, lengths)
+        for j, i in enumerate(batch):
+            probs[i] = _heads(model.params, cur[:lengths[j], j].astype(np.float64))[1]
+    return probs
 
 
 def loss(probs: dict, gold: dict, weights: dict) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 from .metrics import frame_f1
 from .pipeline import PipelineOptions, prepare_features
 from .pose import load_pose
-from .tagger import AdamState, TaggerModel, class_weights_from_tags, forward, train_step
+from .tagger import AdamState, TaggerModel, class_weights_from_tags, forward_clips, train_step
 from .tags import (SEGMENTS_TIERS, TagScheme, clamp_segments, encode_tags,
                    load_segments, retime_segments)
 
@@ -66,8 +66,7 @@ def corpus_class_weights(clips) -> dict:
 def mean_frame_f1(model: TaggerModel, clips) -> float:
     """Mean over clips and tiers of F1 between argmax tags and gold tags."""
     scores = []
-    for clip in clips:
-        probs = forward(model, clip.features)
+    for clip, probs in zip(clips, forward_clips(model, [c.features for c in clips])):
         for tier in SEGMENTS_TIERS:
             pred = np.argmax(probs[tier], axis=1)
             scores.append(frame_f1(pred, clip.gold[tier]))

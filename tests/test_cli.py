@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from signseg import cli, numutil, tagger
+from signseg.pipeline import PipelineOptions
 from signseg.pose import HAND_POINTS, PoseComponent, holistic_components, make_pose, save_pose
 from signseg.synthetic import hand_template, motion_pose, scattered_copies, write_clip_dir
 from signseg.tags import load_segments, save_segments
@@ -410,6 +411,63 @@ def test_tune_writes_grid(corpus_dir, checkpoint, tmp_path, capsys):
         "threshold_b", "threshold_o", "iou", "percentage"}
 
 
+def test_tune_with_a_checkpoint_of_another_width_is_a_forward_error(corpus_dir, checkpoint,
+                                                                    tmp_path, capsys):
+    # the checkpoint reads flow features (196 wide); handnorm adds 126 columns
+    assert cli.main(["tune", "--data-dir", str(corpus_dir), "--checkpoint", checkpoint,
+                     "--tier", "sign", "--features", "flow,handnorm",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "signseg tune: forward: feature width 322 does not match model input_dim 196\n")
+    assert not (tmp_path / "out").exists()
+
+
+# A clip run in a batch may differ from its own forward by at most this much
+# in each probability (as in test_tagger.py).
+BATCH_PROB_TOL = 1e-6
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    """Four clips of 60 to 140 frames: one batch, whose 1x192 tagger runs Wh
+    in column blocks."""
+    path = tmp_path_factory.mktemp("mixed")
+    for seeds, frames in (([0, 1], 100), ([2], 60), ([3], 140)):
+        write_clip_dir(path, seeds=seeds, num_frames=frames)
+    return path
+
+
+def test_batched_validation_and_tune_match_per_clip_forwards(mixed_corpus, tmp_path,
+                                                             monkeypatch):
+    assert tagger.BATCH_CLIPS >= 4
+    assert len(tagger.wh_blocks(np.zeros((192, 4 * 192), np.float32), 4)) > 1
+    data = str(mixed_corpus)
+    # --val-dir loads the clips again, so train F1 is a pass of its own
+    train_argv = ["train", "--data-dir", data, "--val-dir", data, "--out-dir", str(tmp_path),
+                  "--hidden-dim", "192", "--layers", "1", "--max-steps", "8"]
+    names = ("model.ckpt", "training_log.csv", "train.run.json",
+             "tune_sign.csv", "tune_phrase.csv", "tune.run.json")
+    runs = []
+    for batch_clips in (tagger.BATCH_CLIPS, 1):  # batched, then one clip per forward
+        monkeypatch.setattr(tagger, "BATCH_CLIPS", batch_clips)
+        assert cli.main(train_argv) == 0
+        for tier in ("sign", "phrase"):
+            assert cli.main(["tune", "--data-dir", data, "--checkpoint",
+                             str(tmp_path / "model.ckpt"), "--tier", tier,
+                             "--out-dir", str(tmp_path)]) == 0
+        runs.append({name: (tmp_path / name).read_bytes() for name in names})
+    assert runs[0] == runs[1]
+    # equal outputs rest on no luck: every dev probability the tune grid
+    # compares lies further than the batch tolerance from each threshold
+    model = tagger.load_model(tmp_path / "model.ckpt")
+    clips = cli.training.load_corpus(mixed_corpus, PipelineOptions())  # tune's defaults
+    for probs in tagger.forward_clips(model, [clip.features for clip in clips]):
+        for tier in ("sign", "phrase"):
+            scaled = probs[tier][:, [0, 2]] * 100.0  # B and O
+            gaps = np.abs(scaled[..., None] - np.array(cli.DEFAULT_GRID, dtype=float))
+            assert gaps.min() > BATCH_PROB_TOL * 100.0
+
+
 def test_eval_identical_files(corpus_dir, tmp_path, capsys):
     gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
     rc = cli.main(["eval", "--pred", gold, "--gold", gold, "--out-dir", str(tmp_path)])
@@ -421,6 +479,15 @@ def test_eval_identical_files(corpus_dir, tmp_path, capsys):
         assert report[tier]["frame_f1"] == 1.0
         assert report[tier]["iou"] == 1.0
     assert (tmp_path / "eval.run.json").exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "-2"])
+def test_eval_bins_below_one_is_a_metrics_error(corpus_dir, tmp_path, capsys, bins):
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    assert cli.main(["eval", "--pred", gold, "--gold", gold, "--bins", bins,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "signseg eval: metrics: bins must be a positive integer\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_fps_mismatch(corpus_dir, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,48 @@ def test_flow_empty_sequence():
     comp = [PoseComponent("BODY", ("A",))]
     seq = make_pose(25, comp, np.zeros((0, 1, 3)), np.zeros((0, 1)))
     assert optical_flow(seq).shape == (0, 1)
+
+
+def reference_optical_flow(seq):
+    """optical_flow as it was before it took the frames in row blocks."""
+    t, k = seq.conf.shape
+    values = np.zeros((t, k), dtype=float)
+    if t > 1:
+        disp = np.linalg.norm(seq.coords[1:] - seq.coords[:-1], axis=2)
+        tracked = (seq.conf[1:] > 0) & (seq.conf[:-1] > 0)
+        values[1:] = np.where(tracked, disp * seq.fps, 0.0)
+    return values
+
+
+def random_pose(t, k, seed, fps=25.0):
+    rng = np.random.default_rng(seed)
+    comp = [PoseComponent("BODY", tuple(f"P{i}" for i in range(k)))]
+    conf = rng.uniform(size=(t, k))
+    conf[rng.uniform(size=(t, k)) < 0.2] = 0.0
+    return make_pose(fps, comp, rng.normal(size=(t, k, 3)) * 100, conf)
+
+
+# 64-66 and 129 put the last frame on either side of a block's edge (FLOW_ROWS = 64)
+@pytest.mark.parametrize("t", [0, 1, 2, 64, 65, 66, 129, 300])
+def test_flow_matches_the_whole_array_formula(t):
+    seq = random_pose(t, 5, seed=t, fps=29.97)
+    assert np.array_equal(optical_flow(seq), reference_optical_flow(seq))
+
+
+def test_flow_holds_no_whole_clip_displacement():
+    # a 1500-frame holistic clip: the whole-array difference alone is three
+    # times the (T, K) result, and the squares inside norm as much again
+    seq = random_pose(1500, 543, seed=1)
+    want = reference_optical_flow(seq)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = optical_flow(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1.25 * got.nbytes
 
 
 def test_features_interleaving_with_flow():

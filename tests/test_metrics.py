@@ -224,6 +224,16 @@ def test_length_density_errors():
         length_density([Segment(0, 1)], fps=0.0)
 
 
+@pytest.mark.parametrize("bins", [0, -2, True, 2.5, [0.0, 1.0]])
+def test_length_density_and_report_reject_bins_other_than_positive_integers(bins):
+    with pytest.raises(ValueError, match="^bins must be a positive integer$"):
+        length_density([Segment(0, 1)], fps=25.0, bins=bins)
+    # the report checks them with no predicted segment to bin
+    with pytest.raises(ValueError, match="^bins must be a positive integer$"):
+        build_report({"sign": []}, {"sign": [Segment(0, 1)]}, num_frames=2, fps=25.0,
+                     bins=bins)
+
+
 def test_build_report_identical_prediction():
     tiers = {"sign": [Segment(2, 6), Segment(10, 14)], "phrase": [Segment(2, 14)]}
     report = build_report(tiers, tiers, num_frames=20, fps=25.0)

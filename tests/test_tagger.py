@@ -16,8 +16,8 @@ from signseg.pipeline import PipelineOptions
 from signseg.synthetic import write_clip_dir
 from signseg.tagger import (
     ADAM_BLOCK, AdamState, TaggerConfig, TaggerModel, _param_shapes, cast_model,
-    class_weights_from_tags, forward, gradient_check, init_model, load_model, loss,
-    loss_and_grads, param_count, save_model, train_step,
+    class_weights_from_tags, forward, forward_clips, gradient_check, init_model, load_model,
+    loss, loss_and_grads, param_count, save_model, train_step,
 )
 from signseg.tags import SEGMENTS_TIERS
 from signseg.train import corpus_class_weights, load_corpus, train
@@ -29,6 +29,12 @@ from signseg.train import corpus_class_weights, load_corpus, train
 # accumulates over a clip.
 FLOAT32_PROB_TOL = 1e-5
 FLOAT32_GRAD_TOL = 2e-5
+# A clip run in a batch may differ from its own forward by at most this much
+# in each probability (max abs, 0-1 scale) and in each hidden state: the
+# batched products sum in another order. Measured worst cases at H = 256
+# were 1.3e-8 and 2.5e-7.
+BATCH_PROB_TOL = 1e-6
+BATCH_STATE_TOL = 1e-5
 
 
 def tiny_config(**kw):
@@ -410,6 +416,133 @@ def test_run_direction_matches_reference(t_len, reverse, dtype, keep_cache):
     for key in set(cache) - {"order"}:
         got, want = cache[key], want_cache[key]
         assert got.dtype == want.dtype and np.array_equal(got, want), key
+
+
+# Lengths on either side of a projection block's edge, and a 1-row clip;
+# the batch of 8 runs Wh in four 256-column blocks, the batch of 3 in two.
+BATCH_LENGTHS = [100, 1, 257, 7, 513, 256, 2, 255]
+
+
+def _batch_direction_case(lengths, d_in=512, h_dim=256, seed=0):
+    rng = np.random.default_rng(seed)
+    wx, wh = (rng.uniform(-1 / 16, 1 / 16, size=(n, 4 * h_dim)).astype(np.float32)
+              for n in (d_in, h_dim))
+    b = rng.uniform(-1 / 16, 1 / 16, size=4 * h_dim).astype(np.float32)
+    clips = [rng.normal(size=(n, d_in)).astype(np.float32) for n in lengths]
+    return clips, wx, wh, b
+
+
+def _time_major(clips, width, pad):
+    """The clips, sorted longest first, in a (T, B, width) block padded with pad."""
+    lengths = [len(c) for c in clips]
+    block = np.full((lengths[0], len(clips), width), pad, dtype=clips[0].dtype)
+    for j, clip in enumerate(clips):
+        block[:len(clip), j] = clip
+    return block, lengths
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+@pytest.mark.parametrize("lengths", [sorted(BATCH_LENGTHS, reverse=True), [300, 40, 40],
+                                     [64] * 5], ids=["mixed", "three", "equal"])
+def test_batched_direction_matches_each_clip_and_ignores_padding(lengths, reverse):
+    clips, wx, wh, b = _batch_direction_case(lengths)
+    h_dim = wh.shape[0]
+    outs = []
+    for pad in (np.nan, 1e3):
+        u, lens = _time_major(clips, wx.shape[0], pad)
+        out = np.full((len(u), len(clips), 2 * h_dim), np.nan, dtype=np.float32)
+        assert tagger._run_direction(u, wx, wh, b, out[..., :h_dim], reverse,
+                                     lengths=lens) is None
+        outs.append(out)
+    nan_pad, big_pad = outs
+    for j, clip in enumerate(clips):
+        got = nan_pad[:len(clip), j, :h_dim]
+        # padding is read by no step: other padding values give the same bits
+        assert np.array_equal(got, big_pad[:len(clip), j, :h_dim])
+        own = np.empty((len(clip), h_dim), dtype=np.float32)
+        tagger._run_direction(clip, wx, wh, b, own, reverse)
+        assert np.abs(got - own).max() <= BATCH_STATE_TOL, len(clip)
+    # padding rows and the other direction's columns are left as they were
+    assert np.isnan(nan_pad[..., h_dim:]).all()
+    for j, clip in enumerate(clips):
+        assert np.isnan(nan_pad[len(clip):, j]).all()
+
+
+def block_widths(batch, h_dim):
+    wh = np.arange(h_dim * 4 * h_dim, dtype=np.float32).reshape(h_dim, 4 * h_dim)
+    blocks = tagger.wh_blocks(wh, batch)
+    assert np.array_equal(np.concatenate([w for _, w in blocks], axis=1), wh)
+    assert [c0 for c0, _ in blocks] == list(np.cumsum([0] + [w.shape[1] for _, w in blocks[:-1]]))
+    return [w.shape[1] for _, w in blocks]
+
+
+def test_recurrent_product_column_blocks():
+    want = {1: 1024, 2: 1024, 3: 512, 4: 512, 5: 256, 8: 256, 16: 128}
+    for batch, cols in want.items():
+        assert block_widths(batch, 256) == [cols] * (1024 // cols)
+        assert batch == 1 or batch * cols * 256 <= tagger.WH_BLOCK_MACS
+    wh = np.zeros((512, 2048), dtype=np.float32)
+    assert tagger.wh_blocks(wh, 1)[0][1] is wh  # one clip: the whole Wh, above the bound
+    assert block_widths(8, 16) == [64]  # small hidden widths never split
+    assert block_widths(4, 192) == [512, 256]  # a last block narrower than the rest
+
+
+@pytest.fixture(scope="module")
+def batch_model():
+    return init_model(TaggerConfig(input_dim=20, hidden_dim=256, layers=2, seed=5))
+
+
+@pytest.mark.parametrize("batch_clips", [8, 3])
+def test_forward_clips_match_each_clips_forward(batch_model, monkeypatch, batch_clips):
+    monkeypatch.setattr(tagger, "BATCH_CLIPS", batch_clips)
+    rng = np.random.default_rng(11)
+    # the input order is not the length order, and the equal-length clips
+    # differ only in their values
+    lengths = BATCH_LENGTHS + [40, 40, 40]
+    clips = [rng.normal(size=(n, 20)) for n in lengths]
+    got = forward_clips(batch_model, clips)
+    reference = cast_model(batch_model, np.float64)
+    assert len(got) == len(clips)
+    for clip, probs in zip(clips, got):
+        own = forward(batch_model, clip)
+        want = forward(reference, clip)
+        for tier in SEGMENTS_TIERS:
+            assert probs[tier].shape == (len(clip), 3) and probs[tier].dtype == np.float64
+            assert np.abs(probs[tier] - own[tier]).max() <= BATCH_PROB_TOL, len(clip)
+            assert np.abs(probs[tier] - want[tier]).max() <= FLOAT32_PROB_TOL, len(clip)
+
+
+def test_forward_clips_padding_changes_no_clip(batch_model):
+    rng = np.random.default_rng(12)
+    clips = [rng.normal(size=(n, 20)).astype(np.float32) for n in (300, 257, 9, 1)]
+    encoded = []
+    for pad in (np.nan, 1e3):
+        block, lengths = _time_major(clips, 20, pad)
+        encoded.append(tagger._encode(batch_model, block, lengths)[0])
+    for j, clip in enumerate(clips):
+        assert np.array_equal(encoded[0][:len(clip), j], encoded[1][:len(clip), j])
+        assert not np.isnan(encoded[0][:len(clip), j]).any()
+
+
+def test_forward_clips_of_one_clip_each_are_forward_bit_for_bit(batch_model, monkeypatch):
+    monkeypatch.setattr(tagger, "BATCH_CLIPS", 1)
+    rng = np.random.default_rng(13)
+    clips = [rng.normal(size=(n, 20)) for n in (5, 0, 257, 1)]
+    for clip, probs in zip(clips, forward_clips(batch_model, clips)):
+        want = forward(batch_model, clip)
+        for tier in SEGMENTS_TIERS:
+            assert np.array_equal(probs[tier], want[tier])
+
+
+def test_forward_clips_empty_and_mismatched_clips():
+    model = init_model(tiny_config())
+    rng = np.random.default_rng(14)
+    clips = [np.zeros((0, 6)), rng.normal(size=(4, 6)), np.zeros((0, 6))]
+    got = forward_clips(model, clips)
+    assert [p["sign"].shape for p in got] == [(0, 3), (4, 3), (0, 3)]
+    assert forward_clips(model, []) == []
+    with pytest.raises(ValueError, match="feature width 5 does not match model input_dim 6"):
+        forward_clips(model, [rng.normal(size=(4, 6)), np.zeros((4, 5))])
 
 
 def reference_train_step(model, features, gold, state, dropout_rng=None):
