@@ -44,7 +44,8 @@ def _check_rows(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != 3:
         raise ValueError(f"probability rows must be (T, 3), got {probs.shape}")
-    if len(probs) and np.abs(probs.sum(axis=1) - 100.0).max() > _ROW_SUM_TOL:
+    # <=, not >: a NaN row compares False either way, and must fail
+    if not (np.abs(probs.sum(axis=1) - 100.0) <= _ROW_SUM_TOL).all():
         raise ValueError("probability rows must sum to 100 (0-100 scale)")
     return probs
 

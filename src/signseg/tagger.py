@@ -14,12 +14,12 @@ input a block of rows at a time and writes its outputs into the layer's
 output, so inference holds no (T, 4H) array; nor does it keep the (T, H)
 projection once the first layer has read it.
 
-A direction runs one clip, or a time-major batch of clips sorted longest
-first in which each step advances only the clips still running, so the
-batch shares each read of Wh. forward_clips runs inference on many clips
-(tune, the validation F1 of training) in such batches. forward is the batch
-of one: its recurrent product is a 1-row product on the whole Wh, which
-goes to gemv, and the bit-identity tests of forward and training pin it.
+Every LSTM call takes a time-major (T, B, Din) batch of clips, longest
+first; each step advances the clips still running, which share each read
+of Wh. forward_clips is the one inference path, in batches bounded by clip
+count and padded frames; forward is its batch of one, and training's
+cached forward is _encode on a batch of one. One clip steps on 1-D views
+with a gemv on the whole Wh; the forward and training tests pin its bits.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision training
@@ -214,21 +214,17 @@ def wh_blocks(wh, batch: int) -> list:
     return [(c0, np.ascontiguousarray(wh[:, c0:c0 + cols])) for c0 in range(0, 4 * h_dim, cols)]
 
 
-def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False, lengths=None):
-    """One LSTM direction in the dtype of its parameters, over one clip or a batch.
+def _run_direction(u, wx, wh, b, h, reverse, lengths, keep_cache=False):
+    """One LSTM direction over a batch of clips, in the dtype of its parameters.
 
-    u is one clip's (T, Din) input, or a time-major (T, B, Din) block of B
-    clips, clip i in its first lengths[i] rows, longest first; a row past a
-    clip's length is padding, which no step reads. Writes the outputs into
-    h, (T, H) or (T, B, H), a view into the layer's output; padding rows are
-    left as they are. Each clip starts from the zero state at its first
-    frame, or in reverse at its last. Returns the backprop cache when
-    keep_cache (one clip only), else None.
+    u is a time-major (T, B, Din) block of B clips, clip i in its first
+    lengths[i] rows, longest first; a row past a clip's length is padding,
+    which no step reads. Writes the outputs into h (T, B, H), a view into
+    the layer's output; padding rows are left as they are. Each clip starts
+    from the zero state at its first frame, or in reverse at its last.
+    Returns the backprop cache when keep_cache (a batch of one), else None.
     """
-    if u.ndim == 2:
-        u, h = u[:, None], h[:, None]
     t_len, batch, d_in = u.shape
-    lengths = [t_len] * batch if lengths is None else list(lengths)
     h_dim = wh.shape[0]
     scale = _gate_scale(h_dim, wh.dtype)
     blocks = wh_blocks(wh * scale, batch)
@@ -295,7 +291,7 @@ def _run_direction(u, wx, wh, b, h, reverse, keep_cache=False, lengths=None):
         return None
     h = h[:, 0]
     # the state entering step t is the one the previous step left; h itself
-    # is not kept, as forward scales it in place when it applies dropout
+    # is not kept, as _encode scales it in place when it applies dropout
     hprev_all = np.zeros_like(c)
     cprev_all = np.zeros_like(c)
     if reverse:
@@ -366,34 +362,40 @@ def _check_features(cfg: TaggerConfig, features) -> np.ndarray:
     return x
 
 
-def _encode(model: TaggerModel, x, lengths=None, keep_cache=False, dropout_rng=None):
-    """The projection and the LSTM stack, in the dtype of the parameters.
-
-    x is one clip's (T, F) features, or a time-major (T, B, F) block of B
-    clips with the lengths _run_direction takes. Returns the last layer's
-    output, the per-layer direction caches (None unless keep_cache) and the
-    dropout masks. A batch's layer outputs start as zeros, so the padding
-    rows the next layer projects hold finite numbers.
-    """
+def _encode(model: TaggerModel, clips, keep_cache=False, dropout_rng=None):
+    """The projection and the LSTM stack over clips, a list of (T, F)
+    features longest first, in the dtype of the parameters. Each clip is
+    projected into its column of a zeroed time-major (T, B, H) block; layer
+    outputs start as zeros too, so the padding rows a layer projects are
+    finite. Returns the last (T, B, 2H) output, the per-layer direction
+    caches (None unless keep_cache) and the dropout masks."""
     cfg = model.config
     p = model.params
     dtype = p["proj.W"].dtype
     h_dim = cfg.hidden_dim
-    cur = (x.reshape(-1, cfg.input_dim).astype(dtype, copy=False) @ p["proj.W"]
-           + p["proj.b"]).reshape(*x.shape[:-1], h_dim)
-    new_output = np.empty if lengths is None else np.zeros
+    lengths = [len(x) for x in clips]
+    shape = (lengths[0], len(clips))
+    # one output per layer, the directions side by side; the first is made
+    # before the projection block, which, freed after the first layer, is then
+    # the heap top the next output grows from (glibc: 4 MB less peak RSS at 3 min)
+    out = np.zeros((*shape, cfg.encoder_dim), dtype=dtype)
+    cur = np.zeros((*shape, h_dim), dtype=dtype)
+    for j, x in enumerate(clips):
+        # casts only features in another dtype; no name keeps a view of cur
+        np.matmul(x.astype(dtype, copy=False), p["proj.W"], out=cur[:len(x), j])
+        cur[:len(x), j] += p["proj.b"]
     layer_caches = []
     drop_masks = []
     for layer in range(cfg.layers):
-        # one output per layer: the directions write theirs side by side into it
-        out = new_output((*x.shape[:-1], cfg.encoder_dim), dtype=dtype)
+        if layer:
+            out = np.zeros((*shape, cfg.encoder_dim), dtype=dtype)
         caches = {}
         for di, d in enumerate(_directions(cfg)):
             name = f"lstm{layer}.{d}"
             caches[d] = _run_direction(
                 cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
                 out[..., di * h_dim:(di + 1) * h_dim], reverse=(d == "bwd"),
-                keep_cache=keep_cache, lengths=lengths)
+                lengths=lengths, keep_cache=keep_cache)
         cur = out
         if dropout_rng is not None and cfg.dropout > 0 and layer < cfg.layers - 1:
             mask = ((dropout_rng.random(cur.shape) >= cfg.dropout)
@@ -416,59 +418,50 @@ def _heads(params: dict, enc):
     return logits, probs
 
 
-def forward(model: TaggerModel, features, return_cache: bool = False, dropout_rng=None):
-    """Run the network; returns per-tier (T, 3) probability rows.
-
-    features: (T, F) array with F == config.input_dim. The projection and the
-    LSTM stack run in the dtype of the parameters, the features cast to it
-    (no copy when they are in it already); the heads and the softmax run in
-    float64. The backprop cache is built only when return_cache is set; at
-    inference the projection is freed once the first layer has read it.
-    """
-    x = _check_features(model.config, features)
-    cur, layer_caches, drop_masks = _encode(model, x, keep_cache=return_cache,
-                                            dropout_rng=dropout_rng)
-    enc = cur.astype(np.float64, copy=False)
-    logits, probs = _heads(model.params, enc)
-    if not return_cache:
-        return probs
-    # x in the parameters' dtype, for the projection's gradient; cast again
-    # here so that inference holds no cast copy of the features
-    dtype = model.params["proj.W"].dtype
-    cache = {"x": x.astype(dtype, copy=False), "enc": enc, "layers": layer_caches,
-             "logits": logits, "drop": drop_masks}
-    return probs, cache
-
-
-# forward_clips runs at most this many clips through one step loop, so a
-# batch holds at most BATCH_CLIPS times the arrays of its longest clip.
+# A forward_clips batch holds at most BATCH_CLIPS clips and BATCH_FRAMES
+# padded frames (clips x its longest clip's frames): eight 512-frame clips
+# (20 s at 25 fps) fill one, and it holds no more than one 4096-frame clip.
 BATCH_CLIPS = 8
+BATCH_FRAMES = 4096
 
 
 def forward_clips(model: TaggerModel, clips) -> list:
-    """forward's probabilities for each of clips, a list of (T, F) features,
-    in input order.
-
-    The clips run longest first in batches of up to BATCH_CLIPS, each batch
-    through one step loop, so its clips share each read of Wh. A clip's rows
-    agree with its own forward to a few float32 roundings (the batched
-    products sum in another order); a batch of one clip gives forward's bits.
-    """
+    """Per-tier (T, 3) float64 probability rows for each of clips, a list of
+    (T, F) features, in input order. The clips run longest first, each batch
+    through one step loop; a clip's rows agree with its own forward to a few
+    float32 roundings (the batched products sum in another order)."""
     cfg = model.config
     xs = [_check_features(cfg, f) for f in clips]
-    dtype = model.params["proj.W"].dtype
     order = sorted(range(len(xs)), key=lambda i: len(xs[i]), reverse=True)
     probs = [None] * len(xs)
-    for k in range(0, len(order), BATCH_CLIPS):
-        batch = order[k:k + BATCH_CLIPS]
-        lengths = [len(xs[i]) for i in batch]
-        block = np.zeros((lengths[0], len(batch), cfg.input_dim), dtype=dtype)
+    while order:
+        count = min(BATCH_CLIPS, max(1, BATCH_FRAMES // max(1, len(xs[order[0]]))))
+        batch, order = order[:count], order[count:]
+        cur = _encode(model, [xs[i] for i in batch])[0]
         for j, i in enumerate(batch):
-            block[:lengths[j], j] = xs[i]
-        cur, _, _ = _encode(model, block, lengths)
-        for j, i in enumerate(batch):
-            probs[i] = _heads(model.params, cur[:lengths[j], j].astype(np.float64))[1]
+            probs[i] = _heads(model.params,
+                              cur[:len(xs[i]), j].astype(np.float64, copy=False))[1]
+        del cur  # before the next batch allocates its own
     return probs
+
+
+def forward(model: TaggerModel, features) -> dict:
+    """forward_clips of one clip: its per-tier (T, 3) probability rows."""
+    return forward_clips(model, [features])[0]
+
+
+def _cached_forward(model: TaggerModel, features, dropout_rng=None):
+    """forward of one clip with the cache loss_and_grads backpropagates
+    through; under dropout, every layer output but the last is masked."""
+    x = _check_features(model.config, features)
+    cur, layer_caches, drop_masks = _encode(model, [x], keep_cache=True,
+                                            dropout_rng=dropout_rng)
+    enc = cur[:, 0].astype(np.float64, copy=False)
+    logits, probs = _heads(model.params, enc)
+    # x in the parameters' dtype, for the projection's gradient
+    cache = {"x": x.astype(cur.dtype, copy=False), "enc": enc, "layers": layer_caches,
+             "logits": logits, "drop": [None if m is None else m[:, 0] for m in drop_masks]}
+    return probs, cache
 
 
 def loss(probs: dict, gold: dict, weights: dict) -> float:
@@ -527,7 +520,7 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
     _param_shapes order, the order train_step sums the clipping norm in.
     """
     cfg = model.config
-    probs, cache = forward(model, features, return_cache=True, dropout_rng=dropout_rng)
+    probs, cache = _cached_forward(model, features, dropout_rng)
     total = _logits_loss(cache["logits"], gold, cfg.class_weights)
     t_len = cache["x"].shape[0]
     p = model.params
@@ -646,7 +639,7 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4) 
     weights = model.config.class_weights
 
     def loss_at():
-        _, cache = forward(model, features, return_cache=True)
+        _, cache = _cached_forward(model, features)
         return _logits_loss(cache["logits"], gold, weights)
 
     worst = 0.0
@@ -782,5 +775,7 @@ def load_model(path) -> TaggerModel:
     for name, shape in shapes.items():
         size = math.prod(shape)
         params[name] = flat[offset:offset + size].reshape(shape)
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint parameter {name} holds a non-finite value")
         offset += size
     return TaggerModel(cfg, params)

@@ -1028,6 +1028,27 @@ def test_non_finite_checkpoint_config_is_a_checkpoint_error(corpus_dir, checkpoi
     assert capsys.readouterr().err.startswith("signseg segment: checkpoint: ")
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("segment", []), ("segment", ["--mode", "argmax"]), ("tune", ["--tier", "sign"]),
+], ids=["segment-threshold", "segment-argmax", "tune"])
+def test_non_finite_checkpoint_parameter_is_a_checkpoint_error(corpus_dir, checkpoint, tmp_path,
+                                                               capsys, command, argv):
+    # a NaN bias would otherwise give 0 segments, or one per frame, and exit 0
+    model = tagger.load_model(checkpoint)
+    params = {name: arr.copy() for name, arr in model.params.items()}
+    params["head.sign.b"][0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    tagger.save_model(tagger.TaggerModel(model.config, params), bad)
+    inputs = ([first_pose(corpus_dir)] if command == "segment"
+              else ["--data-dir", str(corpus_dir)])
+    rc = cli.main([command, *inputs, *argv, "--checkpoint", str(bad),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"signseg {command}: checkpoint: checkpoint parameter "
+                                       "head.sign.b holds a non-finite value\n")
+    assert not (tmp_path / "out").exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,

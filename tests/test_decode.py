@@ -66,6 +66,17 @@ def test_probs_validation():
         DecodeParams(threshold_o=-1)
 
 
+def test_decoders_and_tune_reject_a_nan_row():
+    # NaN > tol is False, so a row-sum check written that way lets NaN through
+    probs = rows((90, 5, 5), (10, np.nan, 10), (5, 15, 80))
+    gold = [Segment(0, 2)]
+    for run in (lambda: greedy_decode(probs, DEFAULTS), lambda: argmax_decode(probs),
+                lambda: decode(probs, DecodeParams(mode=DecodeMode.ARGMAX)),
+                lambda: tune_thresholds([(one_hot([B, I, O]), gold), (probs, gold)])):
+        with pytest.raises(ValueError, match="must sum to 100"):
+            run()
+
+
 def test_argmax_matches_gold_decoder_exhaustive_small():
     for t in range(1, 6):
         for tags in itertools.product((B, I, O), repeat=t):

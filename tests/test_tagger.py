@@ -122,10 +122,10 @@ def test_cache_free_forward_matches_cached():
     cfg = tiny_config(hidden_dim=16, layers=3)
     model = init_model(cfg)
     x, _ = random_case(cfg, t=40, seed=2)
-    cached, _ = forward(model, x, return_cache=True)
+    cached, _ = tagger._cached_forward(model, x)
     plain = forward(model, x)
     for tier in SEGMENTS_TIERS:
-        np.testing.assert_allclose(plain[tier], cached[tier], rtol=0, atol=1e-12)
+        assert np.array_equal(plain[tier], cached[tier])
 
 
 def test_float32_forward_matches_float64():
@@ -403,7 +403,8 @@ def test_run_direction_matches_reference(t_len, reverse, dtype, keep_cache):
     cols, other = slice(h_dim, None), slice(None, h_dim)
     if not reverse:
         cols, other = other, cols
-    cache = tagger._run_direction(u, wx, wh, b, out[:, cols], reverse, keep_cache)
+    cache = tagger._run_direction(u[:, None], wx, wh, b, out[:, None, cols], reverse, [t_len],
+                                  keep_cache)
     want_h, want_cache = reference_run_direction(u, wx, wh, b, reverse, keep_cache)
     assert np.array_equal(out[:, cols], want_h)
     assert np.isnan(out[:, other]).all()
@@ -451,8 +452,7 @@ def test_batched_direction_matches_each_clip_and_ignores_padding(lengths, revers
     for pad in (np.nan, 1e3):
         u, lens = _time_major(clips, wx.shape[0], pad)
         out = np.full((len(u), len(clips), 2 * h_dim), np.nan, dtype=np.float32)
-        assert tagger._run_direction(u, wx, wh, b, out[..., :h_dim], reverse,
-                                     lengths=lens) is None
+        assert tagger._run_direction(u, wx, wh, b, out[..., :h_dim], reverse, lens) is None
         outs.append(out)
     nan_pad, big_pad = outs
     for j, clip in enumerate(clips):
@@ -460,7 +460,7 @@ def test_batched_direction_matches_each_clip_and_ignores_padding(lengths, revers
         # padding is read by no step: other padding values give the same bits
         assert np.array_equal(got, big_pad[:len(clip), j, :h_dim])
         own = np.empty((len(clip), h_dim), dtype=np.float32)
-        tagger._run_direction(clip, wx, wh, b, own, reverse)
+        tagger._run_direction(clip[:, None], wx, wh, b, own[:, None], reverse, [len(clip)])
         assert np.abs(got - own).max() <= BATCH_STATE_TOL, len(clip)
     # padding rows and the other direction's columns are left as they were
     assert np.isnan(nan_pad[..., h_dim:]).all()
@@ -512,16 +512,18 @@ def test_forward_clips_match_each_clips_forward(batch_model, monkeypatch, batch_
             assert np.abs(probs[tier] - want[tier]).max() <= FLOAT32_PROB_TOL, len(clip)
 
 
-def test_forward_clips_padding_changes_no_clip(batch_model):
+def test_batch_mates_change_no_clips_bits(batch_model):
+    # a clip's hidden states are the same bits whatever values its
+    # batch-mates hold, NaN included: no step or product mixes clips
     rng = np.random.default_rng(12)
     clips = [rng.normal(size=(n, 20)).astype(np.float32) for n in (300, 257, 9, 1)]
-    encoded = []
-    for pad in (np.nan, 1e3):
-        block, lengths = _time_major(clips, 20, pad)
-        encoded.append(tagger._encode(batch_model, block, lengths)[0])
+    want = tagger._encode(batch_model, clips)[0]
+    assert not np.isnan(want).any()
     for j, clip in enumerate(clips):
-        assert np.array_equal(encoded[0][:len(clip), j], encoded[1][:len(clip), j])
-        assert not np.isnan(encoded[0][:len(clip), j]).any()
+        for fill in (np.nan, 1e3):
+            mates = [c if i == j else np.full_like(c, fill) for i, c in enumerate(clips)]
+            got = tagger._encode(batch_model, mates)[0]
+            assert np.array_equal(got[:len(clip), j], want[:len(clip), j]), (j, fill)
 
 
 def test_forward_clips_of_one_clip_each_are_forward_bit_for_bit(batch_model, monkeypatch):
@@ -543,6 +545,50 @@ def test_forward_clips_empty_and_mismatched_clips():
     assert forward_clips(model, []) == []
     with pytest.raises(ValueError, match="feature width 5 does not match model input_dim 6"):
         forward_clips(model, [rng.normal(size=(4, 6)), np.zeros((4, 5))])
+
+
+@pytest.mark.parametrize("lengths, batches", [
+    ([100] * 4, [[100] * 4]),  # the benchmark's train-tune dev set: one batch
+    ([512] * 9, [[512] * 8, [512]]),
+    ([1500] * 8, [[1500, 1500]] * 4),
+    ([900, 1000, 2000, 0, 1000], [[2000, 1000], [1000, 900, 0]]),
+    ([10] * 9 + [5000], [[5000], [10] * 8, [10]]),  # a clip past the bound runs alone
+    ([0, 0], [[0, 0]]),
+], ids=["dev-set", "512", "1500", "mixed", "long", "empty"])
+def test_forward_clips_bound_batches_by_clips_and_padded_frames(monkeypatch, lengths, batches):
+    assert (tagger.BATCH_CLIPS, tagger.BATCH_FRAMES) == (8, 4096)
+    model = init_model(tiny_config())
+    seen = []
+    encode = tagger._encode
+
+    def recording(model, clips, *args, **kwargs):
+        seen.append([len(c) for c in clips])
+        return encode(model, clips, *args, **kwargs)
+
+    monkeypatch.setattr(tagger, "_encode", recording)
+    got = forward_clips(model, [np.zeros((n, 6)) for n in lengths])
+    assert seen == batches
+    assert [p["sign"].shape for p in got] == [(n, 3) for n in lengths]
+
+
+def test_forward_clips_of_long_clips_hold_no_more_than_two_clips_forwards():
+    # eight 1500-frame clips run as four batches of two (2 x 1500 <= BATCH_FRAMES),
+    # so the peak stays under that of two clips run at once; one batch of all
+    # eight would hold eight clips' layer outputs, 3.7 times one clip's peak
+    model = init_model(TaggerConfig(input_dim=8, hidden_dim=32, layers=1))
+    rng = np.random.default_rng(15)
+    clips = [rng.normal(size=(1500, 8)).astype(np.float32) for _ in range(8)]
+    peaks = []
+    for run in (lambda: forward(model, clips[0]), lambda: forward_clips(model, clips)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, batched = peaks
+    assert batched < 2 * one
 
 
 def reference_train_step(model, features, gold, state, dropout_rng=None):
@@ -599,7 +645,7 @@ def test_backward_direction_matches_reference(t_len):
     cfg = tiny_config(hidden_dim=12)
     model = cast_model(init_model(cfg), np.float64)
     x, _ = random_case(cfg, t=t_len, seed=t_len)
-    _, cache = forward(model, x, return_cache=True)
+    _, cache = tagger._cached_forward(model, x)
     # a column slice, as loss_and_grads passes it
     dcur = np.random.default_rng(t_len).normal(size=(t_len, 2 * cfg.hidden_dim))
     for di, d in enumerate(("fwd", "bwd")):
@@ -660,7 +706,9 @@ def test_loss_and_grads_match_the_concatenating_forward_with_dropout(monkeypatch
     x, gold = random_case(cfg, t=t_len, seed=4)
     probs = forward(model, x)
     value, grads = loss_and_grads(model, x, gold, dropout_rng=np.random.default_rng(9))
-    monkeypatch.setattr(tagger, "forward", reference_forward)
+    monkeypatch.setattr(tagger, "_cached_forward",
+                        lambda model, x, dropout_rng=None: reference_forward(model, x, True,
+                                                                             dropout_rng))
     want_probs = reference_forward(model, x)
     want_value, want = loss_and_grads(model, x, gold, dropout_rng=np.random.default_rng(9))
     for tier in SEGMENTS_TIERS:
@@ -809,6 +857,18 @@ def test_checkpoint_rejects_tampering(tmp_path):
     bad.write_bytes(bytes(data))
     with pytest.raises(ValueError):
         load_model(bad)
+
+
+@pytest.mark.parametrize("name, value", [("head.sign.b", np.nan), ("proj.W", -np.inf),
+                                         ("lstm0.bwd.Wh", np.inf)])
+def test_checkpoint_rejects_a_non_finite_parameter(tmp_path, name, value):
+    # the payload's checksum is right: the file is as save_model wrote it
+    model = init_model(tiny_config())
+    model.params[name].flat[-1] = value
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    with pytest.raises(ValueError, match=f"checkpoint parameter {name} holds a non-finite value"):
+        load_model(path)
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
