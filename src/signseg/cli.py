@@ -125,8 +125,8 @@ def _resolve(args) -> dict:
         # type(), so that a bool is no int
         if "workers" in opts and not (type(opts["workers"]) is int and opts["workers"] >= 1):
             raise ValueError("workers must be an integer >= 1")
-        if "seed" in opts and type(opts["seed"]) is not int:
-            raise ValueError("seed must be an integer")
+        if "seed" in opts and not (type(opts["seed"]) is int and opts["seed"] >= 0):
+            raise ValueError("seed must be an integer >= 0")
     return opts
 
 
@@ -248,8 +248,7 @@ def cmd_segment(args, opts) -> int:
         if seq.num_frames == 0:
             return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
         with _stage("features"):
-            # in the parameters' dtype, so that forward casts no copy
-            feats = prepare_features(seq, popts, model.params["proj.W"].dtype)
+            feats = prepare_features(seq, popts)
         del seq  # frees the pose block before the forward pass
         if feats.width != model.config.input_dim:
             raise StageError(
@@ -416,6 +415,8 @@ def cmd_hand_bench(args, opts) -> int:
             if not (isinstance(g, dict) and isinstance(g.get("label"), str)
                     and isinstance(g.get("files"), list) and len(g["files"]) >= 2):
                 raise ValueError("each group needs a label and at least 2 files")
+            if not all(isinstance(f, str) for f in g["files"]):
+                raise ValueError(f"group {g['label']!r}: files must be path strings")
             files = [os.path.join(base, f) for f in g["files"]]
             parsed.append((g["label"], files))
 

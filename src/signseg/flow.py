@@ -1,4 +1,4 @@
-"""Optical flow over pose keypoints and per-frame feature assembly."""
+"""Optical flow over pose keypoints and per-frame feature assembly in float32."""
 
 from dataclasses import dataclass
 
@@ -62,12 +62,12 @@ def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.
 
 
 def assemble_features(seq: PoseSequence, include_flow: bool = True,
-                      include_hand_norm: bool = False, dtype=np.float64) -> FeatureMatrix:
+                      include_hand_norm: bool = False) -> FeatureMatrix:
     """Per-frame tagger input: x,y,z(,flow) per point, then optional normalized hands.
 
     Missing points (confidence 0) contribute zeros everywhere. Each block is
-    computed in float64 and written into one (T, F) array of dtype, which
-    rounds it as astype(dtype) would.
+    computed in float64 and written into one (T, F) float32 array, the
+    tagger's precision, which rounds it as astype(np.float32) would.
     """
     if include_hand_norm:
         missing = [c for c in ("LEFT_HAND", "RIGHT_HAND")
@@ -77,7 +77,7 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
     t, k = seq.conf.shape
     per_point = 4 if include_flow else 3
     width = k * per_point
-    out = np.empty((t, width + 126 * include_hand_norm), dtype=dtype)
+    out = np.empty((t, width + 126 * include_hand_norm), dtype=np.float32)
     # each point's columns of out: splitting the last axis of a row slice
     # gives a view, so these writes land in out
     points = out[:, :width].reshape(t, k, per_point)

@@ -1,7 +1,8 @@
 """Shared pose-to-feature preparation used by training and inference.
 
 Order is fixed: resample to the target rate, normalize (which drops leg
-points), select the keypoint subset, then assemble per-frame features.
+points), select the keypoint subset, then assemble per-frame features in
+float32, the precision the tagger runs in.
 """
 
 from dataclasses import dataclass
@@ -78,12 +79,10 @@ def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
     return PoseSequence(fps, components, coords, conf)
 
 
-def prepare_features(seq: PoseSequence, opts: PipelineOptions,
-                     dtype=np.float64) -> FeatureMatrix:
-    """The features of the prepared pose, as a (T, F) array of dtype."""
+def prepare_features(seq: PoseSequence, opts: PipelineOptions) -> FeatureMatrix:
+    """The features of the prepared pose, as a (T, F) float32 array."""
     return assemble_features(
         prepare_pose(seq, opts),
         include_flow="flow" in opts.features,
         include_hand_norm="handnorm" in opts.features,
-        dtype=dtype,
     )

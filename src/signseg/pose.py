@@ -279,10 +279,26 @@ def _pose_from_doc(doc, columns=None) -> PoseSequence:
 # The scanner follows json.loads token for token: the same decoder for every
 # value, json's own whitespace set, the last of duplicate keys wins, and
 # nothing but whitespace may follow the top-level value. Its own checks raise
-# json's messages as Python 3.10 to 3.12 word them; 3.13 words a trailing
-# comma in an object or array otherwise.
+# json's messages; where they differ by Python version, as for a trailing
+# comma, they are learned from the running json at import.
 _DECODER = json.JSONDecoder()
 _SKIP_WS = json.decoder.WHITESPACE.match
+
+
+def _trailing_comma_rule(doc):
+    """json.loads' message for doc, which ends in a comma and a closing
+    bracket, and whether json places it at the comma or at the bracket."""
+    try:
+        json.loads(doc)
+    except json.JSONDecodeError as e:
+        return e.msg, doc[e.pos] == ","
+
+
+# closing bracket -> (message, placed at the comma). Python 3.10 to 3.12
+# fault the bracket as a missing value or key; 3.13 faults the comma as
+# "Illegal trailing comma before end of array" (or object).
+_TRAILING_COMMA = {"]": _trailing_comma_rule("[0 ,]"), "}": _trailing_comma_rule('{"a":0 ,}')}
+
 # Frames go to _point_block in runs of at most this many points (one frame
 # if a frame has more): 10 frames of a 49-point clip share one numpy call.
 # Each run's lists are freed before the next run is decoded, so fewer live
@@ -375,6 +391,20 @@ class _Window:
             raise self.fault(msg, i)
         return self.skip(i + 1)
 
+    def comma(self, i, close) -> int:
+        """The index after the comma at text[i] and the whitespace after it, or
+        json's error for a missing comma or for close right after the comma."""
+        if not self.text.startswith(",", i):
+            raise self.fault("Expecting ',' delimiter", i)
+        msg, at_comma = _TRAILING_COMMA[close]
+        j = _SKIP_WS(self.text, i + 1).end()
+        # a refill drops the comma, so its fault is placed before one
+        fault = self.fault(msg, i) if at_comma and j == len(self.text) else None
+        j = self.skip(j)
+        if self.text.startswith(close, j):
+            raise fault or self.fault(msg, i if at_comma else j)
+        return j
+
     def decode(self, i):
         """The JSON value at text[i] and the index after it.
 
@@ -451,7 +481,7 @@ def _scan_frames(win: _Window, i: int, k=None, columns=None):
                 block[t:t + len(points)] = points
                 t += len(points)
         if not last:
-            j = win.past(j, ",", "Expecting ',' delimiter")
+            j = win.comma(j, "]")
     return _Frames(block[:t], k, columns, faults, fault), j + 1
 
 
@@ -502,7 +532,7 @@ def _scan(win: _Window, columns=None):
                 i = win.skip(i)
                 last = win.text.startswith("}", i)
                 if not last:
-                    i = win.past(i, ",", "Expecting ',' delimiter")
+                    i = win.comma(i, "}")
             i += 1
             if basis is not None and doc["components"] is not basis:
                 doc = None

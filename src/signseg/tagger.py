@@ -7,7 +7,9 @@ parameters: float32 as init_model makes them and as load_model returns them,
 so training and inference share one path and no call takes a dtype. The two
 heads, the softmax and the loss run in float64; the head gradients are cast
 to the parameters' dtype once. gradient_check runs on a float64 copy, the
-reference the float32 path is checked against. Each LSTM time step writes
+reference the float32 path is checked against. The pipeline assembles
+features in float32, so the float32 path reads them with no copy and only
+that reference casts them. Each LSTM time step writes
 into arrays allocated once per direction, so the loop allocates nothing and
 holds the interpreter lock for less of each step. A direction projects its
 input a block of rows at a time and writes its outputs into the layer's

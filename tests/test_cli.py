@@ -674,6 +674,18 @@ def test_hand_bench_rejects_single_member(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("signseg hand-bench: manifest:")
 
 
+@pytest.mark.parametrize("files", [[1, 2], ["a.pose.json", None]], ids=["ints", "null"])
+def test_hand_bench_rejects_non_string_files(tmp_path, capsys, files):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({"groups": [{"label": "a", "files": files}]}),
+                        encoding="utf-8")
+    rc = cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "signseg hand-bench: manifest: group 'a': files must be path strings\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_hand_bench_rejects_invalid_utf8_manifest(tmp_path, capsys):
     manifest = tmp_path / "bad.json"
     manifest.write_bytes(b"\xff" + json.dumps({"groups": []}).encode())
@@ -935,6 +947,21 @@ def test_config_rejects_bool_for_integer_options(corpus_dir, checkpoint, tmp_pat
     assert cli.main(argv + ["--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"signseg {command}: config: {key} must be an integer")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_a_config_error(corpus_dir, tmp_path, capsys, monkeypatch, source):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus loaded")
+
+    monkeypatch.setattr(cli.training, "load_corpus", no_corpus)
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": -3}), encoding="utf-8")
+    argv = ["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path / "out")]
+    argv += ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "signseg train: config: seed must be an integer >= 0\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from signseg.flow import assemble_features, optical_flow
+from signseg.flow import _normalized_hand_block, assemble_features, optical_flow
 from signseg.hands import (
     BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, Handedness, HandPose, hand_normalize,
 )
@@ -198,10 +198,12 @@ def test_hand_norm_block_matches_per_frame_loop():
     seq.conf[11:14, right:right + 21] = 0.0     # hand missing
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
-    np.testing.assert_array_equal(fm.values[:, 3 * k:3 * k + 63],
-                                  per_frame_hand_block(seq, left, Handedness.LEFT))
-    np.testing.assert_array_equal(fm.values[:, 3 * k + 63:],
-                                  per_frame_hand_block(seq, right, Handedness.RIGHT))
+    for name, off, handedness, col in (("LEFT_HAND", left, Handedness.LEFT, 3 * k),
+                                       ("RIGHT_HAND", right, Handedness.RIGHT, 3 * k + 63)):
+        want = per_frame_hand_block(seq, off, handedness)
+        # the float64 block bit for bit, and the features as its float32 rounding
+        assert np.array_equal(_normalized_hand_block(seq, name, handedness), want)
+        assert np.array_equal(fm.values[:, col:col + 63], want.astype(np.float32))
     blocks = fm.values[:, 3 * k:].reshape(frames, 2, 21, 3)
     for t, hand in [(3, 0), (7, 0), (9, 1), (11, 1), (13, 1)]:
         np.testing.assert_array_equal(blocks[t, hand], 0.0)
@@ -222,12 +224,26 @@ def noisy_hands_pose(frames=30, seed=5):
     return seq
 
 
+def float64_features(seq, include_flow, include_hand_norm):
+    """assemble_features in float64, block by block: the coordinates, their
+    optical_flow, and the per-frame loop's normalized hands."""
+    points = np.where(seq.conf[:, :, None] == 0, 0.0, seq.coords)
+    if include_flow:
+        points = np.concatenate([points, optical_flow(seq)[:, :, None]], axis=2)
+    blocks = [points.reshape(seq.num_frames, -1)]
+    if include_hand_norm:
+        blocks += [per_frame_hand_block(seq, seq.component_offset(name), handedness)
+                   for name, handedness in (("LEFT_HAND", Handedness.LEFT),
+                                            ("RIGHT_HAND", Handedness.RIGHT))]
+    return np.concatenate(blocks, axis=1)
+
+
 @pytest.mark.parametrize("include_flow", [True, False])
 @pytest.mark.parametrize("include_hand_norm", [True, False])
 def test_features_in_float32_round_the_float64_features(include_flow, include_hand_norm):
     seq = noisy_hands_pose()
-    want = assemble_features(seq, include_flow, include_hand_norm).values
-    got = assemble_features(seq, include_flow, include_hand_norm, dtype=np.float32).values
+    want = float64_features(seq, include_flow, include_hand_norm)
+    got = assemble_features(seq, include_flow, include_hand_norm).values
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.array_equal(got, want.astype(np.float32))
     assert not np.array_equal(got, want)  # the float32 grid is not a no-op here

@@ -14,7 +14,7 @@ from signseg.pose import (
     normalize_pose, parse_pose, resample_fps, save_pose, select_points, serialize_pose,
 )
 from signseg.synthetic import motion_pose, write_clip_dir
-from signseg.tagger import ADAM_BLOCK, TaggerConfig, init_model
+from signseg.tagger import ADAM_BLOCK, TaggerConfig, _cached_forward, init_model
 from signseg.numutil import round_half_away
 from signseg.tags import (B, O, SEGMENTS_TIERS, TagScheme, encode_tags, load_segments,
                           parse_segments, save_segments)
@@ -212,6 +212,15 @@ def tiny_corpus(tmp_path, n=3):
     cfg = TaggerConfig(input_dim=clips[0].features.shape[1], hidden_dim=8, layers=1,
                        class_weights=corpus_class_weights(clips), seed=0)
     return clips, cfg
+
+
+def test_training_holds_float32_features_and_copies_none(tmp_path):
+    # the tagger's precision: its cached forward keeps the clip's own array
+    clips, cfg = tiny_corpus(tmp_path, n=1)
+    features = clips[0].features
+    assert features.dtype == np.float32
+    cache = _cached_forward(init_model(cfg), features)[1]
+    assert np.shares_memory(cache["x"], features)
 
 
 def test_corpus_class_weights_shape(tmp_path):

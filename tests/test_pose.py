@@ -463,6 +463,34 @@ def test_scanner_matches_whole_document_reader_on_broken_syntax(old, new):
     assert_reads_like_whole_document_reader(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("container, new", [
+    ("array", "]],\n" + " " * 200 + "]}"),  # a comma after the last frame
+    ("object", "]]],\n" + " " * 200 + "}"),  # a comma after the last member
+], ids=["array", "object"])
+def test_trailing_comma_faults_follow_the_learned_rule(tmp_path, monkeypatch, chunk, container,
+                                                       new):
+    # with no refill margin, the whitespace after the comma outruns the
+    # window, and a refill drops the comma
+    monkeypatch.setattr(pose, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(pose, "_REFILL_CHARS", 0)
+    text = json.dumps(small_doc(frames=3)).replace("]]]}", new, 1)
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_whole_document_reader(path)
+    # Python 3.13's json places the fault at the comma, in its own words
+    monkeypatch.setattr(pose, "_TRAILING_COMMA", {
+        "]": ("Illegal trailing comma before end of array", True),
+        "}": ("Illegal trailing comma before end of object", True)})
+    comma = text.rindex(",")
+    want = (f"malformed pose document: Illegal trailing comma before end of {container}: "
+            f"line 1 column {comma + 1} (char {comma})")
+    for read, source in ((parse_pose, text), (pose.load_pose, path)):
+        with pytest.raises(ValueError) as e:
+            read(source)
+        assert str(e.value) == want
+
+
 def _names_doc(names, frames=2):
     """A document whose points carry these names, as UTF-8 bytes."""
     doc = small_doc(frames=frames, points=len(names))
