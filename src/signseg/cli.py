@@ -250,12 +250,6 @@ def cmd_segment(args, opts) -> int:
         with _stage("features"):
             feats = prepare_features(seq, popts)
         del seq  # frees the pose block before the forward pass
-        if feats.width != model.config.input_dim:
-            raise StageError(
-                "features",
-                f"feature width {feats.width} does not match checkpoint "
-                f"input width {model.config.input_dim}",
-            )
         with _stage("forward"):
             probs = forward(model, feats.values)
         with _stage("decode"):
@@ -287,7 +281,7 @@ def cmd_train(args, opts) -> int:
         weights = training.corpus_class_weights(train_clips)
     with _stage("model"):
         config = TaggerConfig(
-            input_dim=train_clips[0].features.shape[1],
+            input_dim=width,
             hidden_dim=args.hidden_dim,
             layers=args.layers,
             learning_rate=args.learning_rate,
@@ -311,7 +305,9 @@ def cmd_train(args, opts) -> int:
                "steps": result.steps, "train_f1": train_f1, "stopped": result.stopped}
     with _emit(args, opts, [args.data_dir], results=results) as out:
         save_model(result.model, out("model.ckpt"))
-        training.write_log(out("training_log.csv"), result.history)
+        rows = [(r.epoch, r.step, f"{r.train_loss:.6f}",
+                 "" if r.val_f1 is None else f"{r.val_f1:.6f}") for r in result.history]
+        _write_text(out("training_log.csv"), _csv_text("epoch,step,train_loss,val_f1", rows))
     print(f"best_val_f1={result.best_val_f1:.6f} train_f1={train_f1:.6f} "
           f"steps={result.steps} stopped={result.stopped}")
     return 0

@@ -80,7 +80,7 @@ def greedy_decode(probs, params: DecodeParams) -> list[Segment]:
     return _greedy(probs[:, B].tolist(), probs[:, O].tolist(), params)
 
 
-def argmax_decode(probs, params: DecodeParams = None) -> list[Segment]:
+def argmax_decode(probs) -> list[Segment]:
     """BIO gold-tag decoding of the per-frame argmax labels; ties resolve B,
     then I, then O, since argmax returns the first maximum."""
     labels = _check_rows(probs).argmax(axis=1)
@@ -89,7 +89,7 @@ def argmax_decode(probs, params: DecodeParams = None) -> list[Segment]:
 
 def decode(probs, params: DecodeParams) -> list[Segment]:
     if params.mode is DecodeMode.ARGMAX:
-        return argmax_decode(probs, params)
+        return argmax_decode(probs)
     return greedy_decode(probs, params)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numutil import check_fps
-from .tags import B, I, O, Segment, TagScheme, encode_tag_array
+from .tags import MAX_TIMELINE_FRAMES, B, I, O, TagScheme, encode_tag_array
 
 
 def _tag_array(tags) -> np.ndarray:
@@ -94,6 +94,10 @@ class Histogram:
 def _check_bins(bins) -> None:
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins <= 0:
         raise ValueError("bins must be a positive integer")
+    # a histogram of segment lengths resolves no more bins than a timeline has
+    # frames, and np.histogram allocates every bin
+    if bins > MAX_TIMELINE_FRAMES:
+        raise ValueError(f"{bins} bins are over the timeline limit of {MAX_TIMELINE_FRAMES}")
 
 
 def length_density(segments, fps: float, bins: int = 10) -> Histogram:
@@ -144,10 +148,9 @@ def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float
     return EvalReport(f1, iou, pct, auc, dens)
 
 
-def report_to_doc(report: EvalReport) -> dict:
+def report_to_json(report: EvalReport) -> str:
     doc = {}
-    tiers = sorted(report.frame_f1)
-    for tier in tiers:
+    for tier in sorted(report.frame_f1):
         hist = report.length_density.get(tier)
         doc[tier] = {
             "frame_f1": report.frame_f1[tier],
@@ -159,11 +162,7 @@ def report_to_doc(report: EvalReport) -> dict:
                 "density": [float(d) for d in hist.density],
             },
         }
-    return doc
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_doc(report), separators=(",", ":"), allow_nan=False)
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def report_to_text(report: EvalReport) -> str:

@@ -416,7 +416,7 @@ def _heads(params: dict, enc):
     probs = {}
     for tier in SEGMENTS_TIERS:
         logits[tier] = enc @ params[f"head.{tier}.W"] + params[f"head.{tier}.b"]
-        probs[tier] = _softmax(logits[tier]) if len(enc) else np.zeros((0, 3))
+        probs[tier] = _softmax(logits[tier])
     return logits, probs
 
 

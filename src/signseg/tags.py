@@ -165,7 +165,7 @@ class FidelityRow:
     exact: float
 
 
-def fidelity_experiment(gold, src_fps, fps_list, num_frames=None) -> list[FidelityRow]:
+def fidelity_experiment(gold, src_fps, fps_list) -> list[FidelityRow]:
     """Round-trip gold segments through each frame rate and tag scheme.
 
     Pipeline per (fps, scheme): retime to fps, encode, decode, retime back.
@@ -176,9 +176,8 @@ def fidelity_experiment(gold, src_fps, fps_list, num_frames=None) -> list[Fideli
     gold = sorted(gold)
     if not gold:
         raise ValueError("fidelity experiment needs at least one gold segment")
-    _check_sorted_disjoint(gold, max(s.end for s in gold))
-    if num_frames is None:
-        num_frames = max(s.end for s in gold)
+    num_frames = max(s.end for s in gold)
+    _check_sorted_disjoint(gold, num_frames)
     gold_set = set(gold)
     rows = []
     for fps in fps_list:

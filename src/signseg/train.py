@@ -1,6 +1,5 @@
 """Corpus loading and the training loop with early stopping on frame F1."""
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -146,16 +145,11 @@ def train(model: TaggerModel, train_clips, val_clips, max_steps: int = 0,
                 if patience > 0 and since_best >= patience:
                     stopped = "early"
                     break
+    # an update can overflow a parameter with no later step's loss to show
+    # it, and load_model would reject the checkpoint
+    for name, arr in best_params.items():
+        if not np.isfinite(arr).all():
+            raise RuntimeError(f"trained parameter {name} holds a non-finite value")
     return TrainResult(TaggerModel(cfg, best_params), best_f1, best_step,
                        steps, history, stopped)
 
-
-def write_log(path, history) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "step", "train_loss", "val_f1"])
-        for row in history:
-            writer.writerow([
-                row.epoch, row.step, f"{row.train_loss:.6f}",
-                "" if row.val_f1 is None else f"{row.val_f1:.6f}",
-            ])

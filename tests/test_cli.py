@@ -16,8 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from signseg import cli, numutil, tagger
 from signseg.pipeline import PipelineOptions
 from signseg.pose import HAND_POINTS, PoseComponent, holistic_components, make_pose, save_pose
-from signseg.synthetic import hand_template, motion_pose, scattered_copies, write_clip_dir
+from signseg.synthetic import (UPPER_BODY_POINTS, hand_template, motion_pose, scattered_copies,
+                               write_clip_dir)
 from signseg.tags import load_segments, save_segments
+from signseg.train import EpochRow
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +60,42 @@ def test_train_outputs(train_dir):
     results = manifest["options"]["results"]
     assert results["steps"] == 30
     assert 0.0 <= results["best_val_f1"] <= 1.0
+
+
+def test_training_log_format(corpus_dir, tmp_path, monkeypatch):
+    train = cli.training.train
+
+    def with_history(*args, **kwargs):
+        result = train(*args, **kwargs)
+        result.history = [EpochRow(1, 3, 0.5, None), EpochRow(2, 6, 0.25, 1.0)]
+        return result
+
+    monkeypatch.setattr(cli.training, "train", with_history)
+    assert cli.main(["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path),
+                     "--hidden-dim", "4", "--layers", "1", "--max-steps", "1"]) == 0
+    data = (tmp_path / "training_log.csv").read_bytes()
+    assert b"\r" not in data
+    lines = data.decode("utf-8").splitlines()
+    assert lines[0] == "epoch,step,train_loss,val_f1"
+    assert lines[1] == "1,3,0.500000,"
+    assert lines[2] == "2,6,0.250000,1.000000"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("learning_rate, steps, line", [
+    # Adam's first update overflows float32, and no later step's loss shows it
+    ("1e39", 1, "train: trained parameter proj.W holds a non-finite value"),
+    ("1e300", 3, "train: non-finite training loss nan; aborting step"),
+], ids=["parameter", "loss"])
+def test_non_finite_training_writes_nothing(corpus_dir, tmp_path, capsys, learning_rate,
+                                            steps, line):
+    rc = cli.main(["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
+                   "--hidden-dim", "4", "--layers", "1", "--max-steps", str(steps),
+                   "--learning-rate", learning_rate])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"signseg train: {line}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rerun_is_byte_stable(corpus_dir, tmp_path):
@@ -389,12 +427,29 @@ def test_malformed_checkpoint_is_a_checkpoint_error(corpus_dir, tmp_path, capsys
 
 
 def test_segment_feature_width_mismatch(corpus_dir, checkpoint, tmp_path, capsys):
+    # the checkpoint reads flow features (196 wide); without flow there are 147 columns
     rc = cli.main(["segment", first_pose(corpus_dir), "--checkpoint", checkpoint,
-                   "--out-dir", str(tmp_path), "--features", ""])
-    err = capsys.readouterr().err
+                   "--out-dir", str(tmp_path / "out"), "--features", ""])
     assert rc == 1
-    assert err.startswith("signseg segment: features:")
-    assert "does not match checkpoint" in err
+    assert capsys.readouterr().err == (
+        "signseg segment: forward: feature width 147 does not match model input_dim 196\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_segment_handnorm_on_a_hand_of_20_points_is_a_features_error(checkpoint, tmp_path,
+                                                                     capsys):
+    comps = (PoseComponent("BODY", UPPER_BODY_POINTS),
+             PoseComponent("LEFT_HAND", HAND_POINTS[:20]), PoseComponent("RIGHT_HAND", HAND_POINTS))
+    count = len(UPPER_BODY_POINTS) + 20 + 21
+    pose = tmp_path / "short.pose.json"
+    save_pose(pose, make_pose(25.0, comps, np.random.default_rng(0).random((5, count, 3)),
+                              np.ones((5, count))))
+    rc = cli.main(["segment", str(pose), "--checkpoint", checkpoint,
+                   "--features", "flow,handnorm", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == "signseg segment: features: component 'LEFT_HAND' has 20 points, expected 21")
+    assert not (tmp_path / "out").exists()
 
 
 def test_tune_writes_grid(corpus_dir, checkpoint, tmp_path, capsys):
@@ -490,6 +545,17 @@ def test_eval_bins_below_one_is_a_metrics_error(corpus_dir, tmp_path, capsys, bi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bins", ["10000001", str(10**12)])
+def test_eval_bins_over_the_timeline_limit_is_a_metrics_error(corpus_dir, tmp_path, capsys,
+                                                              bins):
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    assert cli.main(["eval", "--pred", gold, "--gold", gold, "--bins", bins,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"signseg eval: metrics: {bins} bins are over the timeline limit of 10000000\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_fps_mismatch(corpus_dir, tmp_path, capsys):
     gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
     _, tiers = load_segments(gold)
@@ -553,6 +619,19 @@ def test_bio_fidelity_csv(corpus_dir, tmp_path):
     lines = (tmp_path / "fidelity.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2 * 2
     assert (tmp_path / "bio-fidelity.run.json").exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--tier", "x"], "gold file has no 'x' tier"),
+    (["--fps-list", ",,"], "empty --fps-list"),
+], ids=["tier", "fps-list"])
+def test_bio_fidelity_bad_arguments_are_parse_errors(corpus_dir, tmp_path, capsys, argv,
+                                                     line):
+    gold = str(sorted(corpus_dir.glob("*.segments.json"))[0])
+    assert cli.main(["bio-fidelity", "--gold", gold, *argv,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"signseg bio-fidelity: parse: {line}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_flow_dump_stdout(corpus_dir, capsys):
@@ -683,6 +762,38 @@ def test_hand_bench_rejects_non_string_files(tmp_path, capsys, files):
     assert rc == 1
     assert (capsys.readouterr().err
             == "signseg hand-bench: manifest: group 'a': files must be path strings\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("component, frames, fault", [
+    (PoseComponent("RIGHT_HAND", HAND_POINTS), 0, "pose has no frames"),
+    (PoseComponent("BODY", ("NOSE",)), 1, "pose has no hand component"),
+], ids=["no-frames", "no-hand"])
+def test_hand_bench_member_without_a_hand_is_a_data_error(tmp_path, capsys, component, frames,
+                                                          fault):
+    write_hand_pose(tmp_path / "hand.pose.json", hand_template())
+    path = tmp_path / "member.pose.json"
+    count = len(component.points)
+    save_pose(path, make_pose(25.0, (component,), np.zeros((frames, count, 3)),
+                              np.ones((frames, count))))
+    manifest = tmp_path / "bench.json"
+    manifest.write_text(json.dumps({"groups": [
+        {"label": "a", "files": ["hand.pose.json", path.name]}]}), encoding="utf-8")
+    rc = cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"signseg hand-bench: data: {path}: {fault}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [{"groups": []}, {"groups": "a"}, {}, []],
+                         ids=["empty", "string", "no-groups", "list"])
+def test_hand_bench_manifest_without_groups_is_a_manifest_error(tmp_path, capsys, doc):
+    manifest = tmp_path / "bench.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert (capsys.readouterr().err.splitlines()[-1] == 'signseg hand-bench: manifest: '
+            'manifest must hold {"groups": [{"label", "files"}, ...]}')
     assert not (tmp_path / "out").exists()
 
 

@@ -234,6 +234,17 @@ def test_length_density_and_report_reject_bins_other_than_positive_integers(bins
                      bins=bins)
 
 
+@pytest.mark.parametrize("bins", [10_000_001, 10**12])
+def test_length_density_and_report_reject_more_bins_than_timeline_frames(bins):
+    # raised before np.histogram allocates a bin
+    message = f"^{bins} bins are over the timeline limit of 10000000$"
+    with pytest.raises(ValueError, match=message):
+        length_density([Segment(0, 1)], fps=25.0, bins=bins)
+    with pytest.raises(ValueError, match=message):
+        build_report({"sign": []}, {"sign": [Segment(0, 1)]}, num_frames=2, fps=25.0,
+                     bins=bins)
+
+
 def test_build_report_identical_prediction():
     tiers = {"sign": [Segment(2, 6), Segment(10, 14)], "phrase": [Segment(2, 14)]}
     report = build_report(tiers, tiers, num_frames=20, fps=25.0)

@@ -20,14 +20,12 @@ from signseg.tags import (B, O, SEGMENTS_TIERS, TagScheme, encode_tags, load_seg
                           parse_segments, save_segments)
 from signseg.train import (
     ClipData,
-    EpochRow,
     corpus_class_weights,
     list_pairs,
     load_clip,
     load_corpus,
     mean_frame_f1,
     train,
-    write_log,
 )
 
 
@@ -310,12 +308,3 @@ def test_train_input_validation(tmp_path):
     with pytest.raises(ValueError, match="val_every"):
         train(model, clips, clips, max_steps=1, val_every=0)
 
-
-def test_write_log_format(tmp_path):
-    history = [EpochRow(1, 3, 0.5, None), EpochRow(2, 6, 0.25, 1.0)]
-    path = tmp_path / "log.csv"
-    write_log(path, history)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "epoch,step,train_loss,val_f1"
-    assert lines[1] == "1,3,0.500000,"
-    assert lines[2] == "2,6,0.250000,1.000000"
