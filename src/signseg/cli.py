@@ -28,7 +28,7 @@ from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text
 from .numutil import check_fps, is_finite_real, load_json, single_blas_thread
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
-from .pose import HAND_POINTS, load_pose
+from .pose import HAND_POINTS, component_columns, load_pose
 from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
                      save_model)
 from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experiment,
@@ -59,7 +59,7 @@ _READS = {
     "tune": ("fps", "selector", "features"),
     "eval": (),
     "bio-fidelity": (),
-    "hand-bench": ("workers",),
+    "hand-bench": (),
     "flow-dump": ("fps", "selector"),
 }
 
@@ -392,9 +392,7 @@ def _load_bench_hand(path) -> HandPose:
     for name, handedness in (("RIGHT_HAND", Handedness.RIGHT),
                              ("LEFT_HAND", Handedness.LEFT)):
         if any(c.name == name for c in seq.components):
-            off = seq.component_offset(name)
-            count = len(seq.component(name).points)
-            return HandPose(seq.coords[0, off:off + count], handedness)
+            return HandPose(seq.coords[0, component_columns(seq.components, name)], handedness)
     raise ValueError(f"{path}: pose has no hand component")
 
 
@@ -416,16 +414,14 @@ def cmd_hand_bench(args, opts) -> int:
             files = [os.path.join(base, f) for f in g["files"]]
             parsed.append((g["label"], files))
 
-    def process(entry):
-        label, files = entry
+    results = []
+    for label, files in parsed:
         with _stage("data"):
             members = [_load_bench_hand(f) for f in files]
         with _stage("bench"):
             normalized = np.stack([hand_normalize(m).points for m in members])
-            group_mace = mean_landmark_std(normalized)
-            return label, files, group_mace, cce(members), normalized
-
-    results = _map_files(parsed, process, opts["workers"])
+            results.append((label, files, mean_landmark_std(normalized), cce(members),
+                            normalized))
     with _emit(args, opts, [args.manifest]) as out:
         bench_rows, overlay_rows = [], []
         for label, files, group_mace, group_cce, normalized in results:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hands
-from .pose import PoseSequence
+from .pose import PoseSequence, component_columns
 
 
 # optical_flow takes the displacements of this many frames at a time, so it
@@ -48,16 +48,19 @@ class FeatureMatrix:
 
 
 def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.ndarray:
-    off = seq.component_offset(comp_name)
-    comp = seq.component(comp_name)
-    if len(comp.points) != 21:
-        raise ValueError(f"component {comp_name!r} has {len(comp.points)} points, expected 21")
-    conf = seq.conf[:, off:off + 21]
-    out, ok = hands.normalize_hands(seq.coords[:, off:off + 21, :], handedness)
+    """(T, 63) normalized hands in bone units: the middle metacarpal is 1
+    long, so the block is on the scale of the shoulder-normalized points."""
+    cols = component_columns(seq.components, comp_name)
+    if len(cols) != 21:
+        raise ValueError(f"component {comp_name!r} has {len(cols)} points, expected 21")
+    hand = slice(cols.start, cols.stop)  # a view; a range would index a copy
+    conf = seq.conf[:, hand]
+    out, ok = hands.normalize_hands(seq.coords[:, hand], handedness)
     # frames with an untracked anchor stay zero, like a missing hand
     anchors = [hands.WRIST, hands.I_MCP, hands.M_MCP, hands.P_MCP]
     out[~(ok & (conf[:, anchors] > 0).all(axis=1))] = 0.0
     out[conf == 0] = 0.0
+    out /= hands.BONE_LENGTH
     return out.reshape(seq.num_frames, 63)
 
 

@@ -10,9 +10,11 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +24,7 @@ FORMAT_VERSION = "poseseq-json/1"
 
 # Point-name substrings that mark leg keypoints; matched during normalization.
 LEG_MARKERS = ("HIP", "KNEE", "ANKLE", "HEEL", "FOOT_INDEX")
+_IS_LEG = re.compile("|".join(map(re.escape, LEG_MARKERS))).search
 
 BODY_POINTS = (
     "NOSE",
@@ -78,12 +81,7 @@ class PoseSequence:
         return sum(len(c.points) for c in self.components)
 
     def component_offset(self, name: str) -> int:
-        off = 0
-        for c in self.components:
-            if c.name == name:
-                return off
-            off += len(c.points)
-        raise ValueError(f"pose has no component named {name!r}")
+        return component_columns(self.components, name).start
 
     def component(self, name: str) -> PoseComponent:
         for c in self.components:
@@ -100,6 +98,29 @@ class PoseSequence:
             raise ValueError(
                 f"component {component!r} has no point named {point!r}"
             ) from None
+
+
+def point_names(components) -> list[tuple[str, str]]:
+    """The (component, point) name of each column, in column order."""
+    return [(c.name, p) for c in components for p in c.points]
+
+
+def component_columns(components, name: str) -> range:
+    """The columns of the first component with this name."""
+    stop = 0
+    for c in components:
+        stop += len(c.points)
+        if c.name == name:
+            return range(stop - len(c.points), stop)
+    raise ValueError(f"pose has no component named {name!r}")
+
+
+def regroup(names, columns) -> tuple[PoseComponent, ...]:
+    """The components of the points at these columns of names (point_names):
+    one component per run of one component's points, so none is empty."""
+    picked = [names[col] for col in columns]
+    return tuple(PoseComponent(name, tuple(p for _, p in run))
+                 for name, run in groupby(picked, key=itemgetter(0)))
 
 
 def holistic_components() -> tuple[PoseComponent, ...]:
@@ -147,6 +168,10 @@ def make_pose(fps, components, coords, conf) -> PoseSequence:
     """Build a validated PoseSequence from arrays."""
     check_fps(fps)
     components = tuple(components)
+    names = [c.name for c in components]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # as the parser rejects it
+            raise ValueError(f"duplicate component name {name!r}")
     coords = np.asarray(coords, dtype=float)
     conf = np.asarray(conf, dtype=float)
     _validate_arrays(components, coords, conf)
@@ -212,17 +237,6 @@ def _components(raw_components) -> tuple[PoseComponent, ...]:
     return tuple(components)
 
 
-def _restrict(components, columns) -> tuple[PoseComponent, ...]:
-    """The components cut to the points at these ascending columns; a
-    component left with no point is dropped."""
-    names = [(c.name, p) for c in components for p in c.points]
-    kept: dict[str, list[str]] = {}
-    for col in columns:
-        name, point = names[col]
-        kept.setdefault(name, []).append(point)
-    return tuple(PoseComponent(name, tuple(points)) for name, points in kept.items())
-
-
 @dataclass
 class _Frames:
     """A frames array as _scan_frames reads it.
@@ -271,7 +285,7 @@ def _pose_from_doc(doc, columns=None) -> PoseSequence:
         if kept is not None:
             block = block[:, kept]
     if kept is not None:
-        components = _restrict(components, kept)
+        components = regroup(point_names(components), kept)
     # coords and conf are views into the one (T, K, 4) block
     return PoseSequence(fps, components, block[:, :, :3], block[:, :, 3])
 
@@ -620,11 +634,9 @@ def resample_fps(seq: PoseSequence, target_fps: float) -> PoseSequence:
 
 def find_point(components, point: str) -> int:
     """Column of the first point with this name, in any component."""
-    off = 0
     for c in components:
         if point in c.points:
-            return off + c.points.index(point)
-        off += len(c.points)
+            return component_columns(components, c.name)[c.points.index(point)]
     raise ValueError(f"pose has no point named {point!r}")
 
 
@@ -656,20 +668,9 @@ def shoulder_stats(seq: PoseSequence, frames=slice(None)):
 
 def drop_legs(components) -> tuple[tuple[PoseComponent, ...], list[int]]:
     """The components normalize_pose keeps, and the columns of their points."""
-    keep = []
-    kept = []
-    off = 0
-    for c in components:
-        kept_points = []
-        for j, p in enumerate(c.points):
-            if any(m in p for m in LEG_MARKERS):
-                continue
-            kept_points.append(p)
-            keep.append(off + j)
-        off += len(c.points)
-        if kept_points:
-            kept.append(PoseComponent(c.name, tuple(kept_points)))
-    return tuple(kept), keep
+    names = point_names(components)
+    keep = [col for col, (_, p) in enumerate(names) if not _IS_LEG(p)]
+    return regroup(names, keep), keep
 
 
 def normalize_pose(seq: PoseSequence) -> PoseSequence:
@@ -722,35 +723,28 @@ def named_selector(name: str) -> PointSelector:
 
 
 def select_columns(components, selector: PointSelector):
-    """The components select_points returns, and the columns of their points."""
-    placed = {}  # name -> (offset, component), the first of a name as in PoseSequence
-    off = 0
-    for c in components:
-        placed.setdefault(c.name, (off, c))
-        off += len(c.points)
+    """The components select_points returns, and the columns of their points:
+    components in the order the selector first names them, points in entry
+    order."""
+    names = point_names(components)
+    column = {}  # (component, point) -> its first column
+    for col, name in enumerate(names):
+        column.setdefault(name, col)
     by_comp: dict[str, list[int]] = {}
     for comp_name, point in selector.entries:
-        if comp_name not in placed:
-            raise ValueError(f"pose has no component named {comp_name!r}")
-        off, comp = placed[comp_name]
-        cols = by_comp.setdefault(comp_name, [])
+        cols = component_columns(components, comp_name)
+        picked = by_comp.setdefault(comp_name, [])
         if point is None:
-            cols.extend(range(off, off + len(comp.points)))
+            picked.extend(cols)
+        elif (comp_name, point) in column:
+            picked.append(column[comp_name, point])
         else:
-            try:
-                j = comp.points.index(point)
-            except ValueError:
-                raise ValueError(
-                    f"selector {selector.name!r}: component {comp_name!r} has no point {point!r}"
-                ) from None
-            cols.append(off + j)
-    selected = []
-    order: list[int] = []
-    all_points = [p for c in components for p in c.points]
-    for comp_name, cols in by_comp.items():
-        selected.append(PoseComponent(comp_name, tuple(all_points[i] for i in cols)))
-        order.extend(cols)
-    return tuple(selected), order
+            raise ValueError(
+                f"selector {selector.name!r}: component {comp_name!r} has no point {point!r}")
+    order = list(chain.from_iterable(by_comp.values()))
+    cut = {c.name: c for c in regroup(names, order)}
+    # a component the selector names that holds no point stays, empty
+    return tuple(cut.get(name, PoseComponent(name, ())) for name in by_comp), order
 
 
 def select_points(seq: PoseSequence, selector: PointSelector) -> PoseSequence:

@@ -20,8 +20,9 @@ Every LSTM call takes a time-major (T, B, Din) batch of clips, longest
 first; each step advances the clips still running, which share each read
 of Wh. forward_clips is the one inference path, in batches bounded by clip
 count and padded frames; forward is its batch of one, and training's
-cached forward is _encode on a batch of one. One clip steps on 1-D views
-with a gemv on the whole Wh; the forward and training tests pin its bits.
+cached forward is _encode on a batch of one. One step loop serves any number
+of running clips: one clip steps on (1, H) rows with the whole Wh as its one
+block; the forward and training tests pin its bits.
 
 Checkpoints (tagger-ckpt/2) are one JSON manifest line, then every parameter
 as raw little-endian float32 in _param_shapes order: the precision training
@@ -259,20 +260,19 @@ def _run_direction(u, wx, wh, b, h, reverse, lengths, keep_cache=False):
         for lo, hi in reversed(spans) if reverse else spans:
             n = sum(length > lo for length in lengths)
             if n != running:  # bind the step's views for the n running clips
-                pick = 0 if n == 1 else slice(n)  # one clip steps on vectors
                 if running == 0:
-                    hprev = h0[pick]
+                    hprev = h0[:n]
                 elif reverse:  # clips running..n start at frame hi - 1, from zero state
                     h0[:running] = hprev
-                    hprev = h0[pick]
+                    hprev = h0[:n]
                 else:  # clips n..running have ended
-                    hprev = hprev[pick]
+                    hprev = hprev[:n]
                 running = n
-                an, gn, tn, cn, hn = a[pick], gate[pick], tmp[pick], cprev[pick], h[:, pick]
-                gi, gf, go = gn[..., :h_dim], gn[..., h_dim:2 * h_dim], gn[..., 3 * h_dim:]
-                ag = an[..., 2 * h_dim:3 * h_dim]
-                products = [(w, an[..., c0:c0 + w.shape[1]]) for c0, w in blocks]
-            xn = rows[:, pick]
+                an, gn, tn, cn, hn = a[:n], gate[:n], tmp[:n], cprev[:n], h[:, :n]
+                gi, gf, go = gn[:, :h_dim], gn[:, h_dim:2 * h_dim], gn[:, 3 * h_dim:]
+                ag = an[:, 2 * h_dim:3 * h_dim]
+                products = [(w, an[:, c0:c0 + w.shape[1]]) for c0, w in blocks]
+            xn = rows[:, :n]
             for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
                 for w, out in products:
                     np.matmul(hprev, w, out=out)

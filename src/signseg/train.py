@@ -90,6 +90,10 @@ class TrainResult:
     stopped: str  # "max_steps" or "early"
 
 
+# A step that overflows float32 or makes a NaN is caught by the checks of
+# every step's loss and of the returned parameters, which raise; numpy's
+# overflow and invalid-value warnings would only come first.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: TaggerModel, train_clips, val_clips, max_steps: int = 0,
           patience: int = 20, val_every: int = 1, shuffle_seed: int = 0) -> TrainResult:
     """Sequence-at-a-time epochs; keeps the parameters of the best validation F1.

@@ -138,9 +138,8 @@ def test_hand_norm_block_width_and_anchor():
     k = seq.num_points
     assert fm.width == 3 * k + 126
     hands_block = fm.values[:, 3 * k:].reshape(len(seq.coords), 2, 21, 3)
-    for hand in range(2):
-        np.testing.assert_allclose(
-            hands_block[0, hand, M_MCP], [0.0, BONE_LENGTH, 0.0], atol=1e-9)
+    for hand in range(2):  # in bone units: the middle metacarpal is 1 long
+        np.testing.assert_allclose(hands_block[0, hand, M_MCP], [0.0, 1.0, 0.0], atol=1e-9)
 
 
 def test_hand_norm_missing_hand_is_zeros():
@@ -200,8 +199,9 @@ def test_hand_norm_block_matches_per_frame_loop():
     k = seq.num_points
     for name, off, handedness, col in (("LEFT_HAND", left, Handedness.LEFT, 3 * k),
                                        ("RIGHT_HAND", right, Handedness.RIGHT, 3 * k + 63)):
-        want = per_frame_hand_block(seq, off, handedness)
-        # the float64 block bit for bit, and the features as its float32 rounding
+        want = per_frame_hand_block(seq, off, handedness) / BONE_LENGTH
+        # the float64 block in bone units bit for bit, and the features as its
+        # float32 rounding
         assert np.array_equal(_normalized_hand_block(seq, name, handedness), want)
         assert np.array_equal(fm.values[:, col:col + 63], want.astype(np.float32))
     blocks = fm.values[:, 3 * k:].reshape(frames, 2, 21, 3)
@@ -226,13 +226,13 @@ def noisy_hands_pose(frames=30, seed=5):
 
 def float64_features(seq, include_flow, include_hand_norm):
     """assemble_features in float64, block by block: the coordinates, their
-    optical_flow, and the per-frame loop's normalized hands."""
+    optical_flow, and the per-frame loop's normalized hands in bone units."""
     points = np.where(seq.conf[:, :, None] == 0, 0.0, seq.coords)
     if include_flow:
         points = np.concatenate([points, optical_flow(seq)[:, :, None]], axis=2)
     blocks = [points.reshape(seq.num_frames, -1)]
     if include_hand_norm:
-        blocks += [per_frame_hand_block(seq, seq.component_offset(name), handedness)
+        blocks += [per_frame_hand_block(seq, seq.component_offset(name), handedness) / BONE_LENGTH
                    for name, handedness in (("LEFT_HAND", Handedness.LEFT),
                                             ("RIGHT_HAND", Handedness.RIGHT))]
     return np.concatenate(blocks, axis=1)

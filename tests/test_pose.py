@@ -1135,6 +1135,50 @@ def test_unknown_selector_and_missing_points():
         select_points(seq, named_selector("body75"))
 
 
+def test_make_pose_rejects_duplicate_component_names():
+    # a component name names one run of columns, as the parser requires
+    comps = [PoseComponent("HAND", ("A",)), PoseComponent("BODY", ("B",)),
+             PoseComponent("HAND", ("C",))]
+    with pytest.raises(ValueError, match="^duplicate component name 'HAND'$"):
+        make_pose(25, comps, np.zeros((1, 3, 3)), np.ones((1, 3)))
+
+
+def test_point_names_columns_and_regroup():
+    comps = (PoseComponent("BODY", ("LEFT_SHOULDER", "LEFT_HIP")),
+             PoseComponent("EMPTY", ()), PoseComponent("HAND", ("A", "B", "C")))
+    names = pose.point_names(comps)
+    assert names == [("BODY", "LEFT_SHOULDER"), ("BODY", "LEFT_HIP"),
+                     ("HAND", "A"), ("HAND", "B"), ("HAND", "C")]
+    assert pose.component_columns(comps, "HAND") == range(2, 5)
+    assert pose.component_columns(comps, "EMPTY") == range(2, 2)
+    with pytest.raises(ValueError, match="^pose has no component named 'FACE'$"):
+        pose.component_columns(comps, "FACE")
+    assert pose.regroup(names, [4, 0, 2, 3]) == (
+        PoseComponent("HAND", ("C",)), PoseComponent("BODY", ("LEFT_SHOULDER",)),
+        PoseComponent("HAND", ("A", "B")))
+    assert pose.find_point(comps, "B") == 3
+    # a leg-only or empty component is dropped with its legs
+    legless = (PoseComponent("BODY", ("LEFT_SHOULDER",)), PoseComponent("HAND", ("A", "B", "C")))
+    assert pose.drop_legs(comps) == (legless, [0, 2, 3, 4])
+    assert pose.drop_legs(comps[1:2] + (PoseComponent("LEGS", ("LEFT_KNEE",)),)) == ((), [])
+
+
+def test_select_points_order_and_empty_components():
+    comps = (PoseComponent("BODY", ("P0", "P1", "P2")), PoseComponent("EMPTY", ()),
+             PoseComponent("HAND", ("H0", "H1")))
+    seq = make_pose(25, comps, np.arange(15.0).reshape(1, 5, 3), np.ones((1, 5)))
+    selector = pose.PointSelector("mixed", (("HAND", "H1"), ("BODY", "P2"), ("EMPTY", None),
+                                            ("HAND", "H0"), ("BODY", "P2")))
+    sel = select_points(seq, selector)
+    # components in the order of their first entry, points in entry order with
+    # repeats kept, and a named component with no point stays, empty
+    assert sel.components == (PoseComponent("HAND", ("H1", "H0")),
+                              PoseComponent("BODY", ("P2", "P2")), PoseComponent("EMPTY", ()))
+    np.testing.assert_array_equal(sel.coords[0], seq.coords[0, [4, 3, 2, 2]])
+    with pytest.raises(ValueError, match="^selector 'bad': component 'HAND' has no point 'P0'$"):
+        select_points(seq, pose.PointSelector("bad", (("HAND", "P0"),)))
+
+
 def test_holistic_sizes():
     comps = holistic_components()
     sizes = {c.name: len(c.points) for c in comps}
