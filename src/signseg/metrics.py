@@ -113,24 +113,20 @@ def length_density(segments, fps: float, bins: int = 10) -> Histogram:
 
 @dataclass
 class EvalReport:
-    """Per-tier metrics; roc_auc_o and length_density may be absent (None)."""
+    """Per-tier metrics; percentage and length_density may be absent (None)."""
 
     frame_f1: dict
     iou: dict
     percentage: dict
-    roc_auc_o: dict
     length_density: dict
 
 
 def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float,
-                 probs: dict = None, bins: int = 10) -> EvalReport:
-    """Evaluate predicted against gold segments per tier.
-
-    Frame F1 compares the BIO encodings. When per-tier probability rows are
-    supplied, the O-tag ROC-AUC is added.
-    """
+                 bins: int = 10) -> EvalReport:
+    """Evaluate predicted against gold segments per tier; frame F1 compares
+    the BIO encodings."""
     _check_bins(bins)  # also when no tier has a predicted segment to bin
-    f1, iou, pct, auc, dens = {}, {}, {}, {}, {}
+    f1, iou, pct, dens = {}, {}, {}, {}
     for tier, gold in gold_tiers.items():
         pred = pred_tiers.get(tier, [])
         gold_tags = encode_tag_array(gold, num_frames, TagScheme.BIO)
@@ -138,14 +134,8 @@ def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float
         f1[tier] = frame_f1(pred_tags, gold_tags)
         iou[tier] = segment_iou(pred, gold, num_frames)
         pct[tier] = percentage(pred, gold) if gold else None
-        auc[tier] = None
-        if probs is not None and tier in probs:
-            try:
-                auc[tier] = roc_auc_o(probs[tier], gold_tags)
-            except ValueError:
-                pass  # single-class gold; AUC undefined
         dens[tier] = length_density(pred, fps, bins) if pred else None
-    return EvalReport(f1, iou, pct, auc, dens)
+    return EvalReport(f1, iou, pct, dens)
 
 
 def report_to_json(report: EvalReport) -> str:
@@ -156,7 +146,6 @@ def report_to_json(report: EvalReport) -> str:
             "frame_f1": report.frame_f1[tier],
             "iou": report.iou[tier],
             "percentage": report.percentage[tier],
-            "roc_auc_o": report.roc_auc_o.get(tier),
             "length_density": None if hist is None else {
                 "edges": [float(e) for e in hist.edges],
                 "density": [float(d) for d in hist.density],
@@ -166,13 +155,11 @@ def report_to_json(report: EvalReport) -> str:
 
 
 def report_to_text(report: EvalReport) -> str:
-    lines = [f"{'tier':<8} {'frame_f1':>9} {'iou':>7} {'percent':>8} {'roc_auc_o':>10}"]
+    lines = [f"{'tier':<8} {'frame_f1':>9} {'iou':>7} {'percent':>8}"]
     for tier in sorted(report.frame_f1):
         pct = report.percentage[tier]
-        auc = report.roc_auc_o.get(tier)
         lines.append(
             f"{tier:<8} {report.frame_f1[tier]:>9.4f} {report.iou[tier]:>7.4f} "
-            f"{'-' if pct is None else format(pct, '.4f'):>8} "
-            f"{'-' if auc is None else format(auc, '.4f'):>10}"
+            f"{'-' if pct is None else format(pct, '.4f'):>8}"
         )
     return "\n".join(lines)

@@ -13,8 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -115,12 +114,18 @@ def component_columns(components, name: str) -> range:
     raise ValueError(f"pose has no component named {name!r}")
 
 
-def regroup(names, columns) -> tuple[PoseComponent, ...]:
-    """The components of the points at these columns of names (point_names):
-    one component per run of one component's points, so none is empty."""
-    picked = [names[col] for col in columns]
-    return tuple(PoseComponent(name, tuple(p for _, p in run))
-                 for name, run in groupby(picked, key=itemgetter(0)))
+def regroup(components, columns) -> tuple[PoseComponent, ...]:
+    """The components of the points at these ascending columns, each with its
+    points among them. A component they leave no point of is dropped; one
+    declared with no points stays, as select_columns keeps it."""
+    picked = set(columns)
+    out, stop = [], 0
+    for c in components:
+        start, stop = stop, stop + len(c.points)
+        points = tuple(p for col, p in enumerate(c.points, start) if col in picked)
+        if points or not c.points:
+            out.append(PoseComponent(c.name, points))
+    return tuple(out)
 
 
 def holistic_components() -> tuple[PoseComponent, ...]:
@@ -285,7 +290,7 @@ def _pose_from_doc(doc, columns=None) -> PoseSequence:
         if kept is not None:
             block = block[:, kept]
     if kept is not None:
-        components = regroup(point_names(components), kept)
+        components = regroup(components, kept)
     # coords and conf are views into the one (T, K, 4) block
     return PoseSequence(fps, components, block[:, :, :3], block[:, :, 3])
 
@@ -668,9 +673,8 @@ def shoulder_stats(seq: PoseSequence, frames=slice(None)):
 
 def drop_legs(components) -> tuple[tuple[PoseComponent, ...], list[int]]:
     """The components normalize_pose keeps, and the columns of their points."""
-    names = point_names(components)
-    keep = [col for col, (_, p) in enumerate(names) if not _IS_LEG(p)]
-    return regroup(names, keep), keep
+    keep = [col for col, (_, p) in enumerate(point_names(components)) if not _IS_LEG(p)]
+    return regroup(components, keep), keep
 
 
 def normalize_pose(seq: PoseSequence) -> PoseSequence:
@@ -741,10 +745,10 @@ def select_columns(components, selector: PointSelector):
         else:
             raise ValueError(
                 f"selector {selector.name!r}: component {comp_name!r} has no point {point!r}")
-    order = list(chain.from_iterable(by_comp.values()))
-    cut = {c.name: c for c in regroup(names, order)}
     # a component the selector names that holds no point stays, empty
-    return tuple(cut.get(name, PoseComponent(name, ())) for name in by_comp), order
+    return (tuple(PoseComponent(name, tuple(names[col][1] for col in cols))
+                  for name, cols in by_comp.items()),
+            list(chain.from_iterable(by_comp.values())))
 
 
 def select_points(seq: PoseSequence, selector: PointSelector) -> PoseSequence:

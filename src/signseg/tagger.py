@@ -49,6 +49,9 @@ ADAM_EPS = 1e-8
 
 CKPT_VERSION = "tagger-ckpt/2"
 
+# Every LSTM layer runs both directions: the tagger is a BiLSTM.
+DIRECTIONS = ("fwd", "bwd")
+
 PARAM_COUNT_FORMULA = (
     "F*H + H + sum over layers l of dirs*(Din_l*4H + H*4H + 4H) "
     "+ 2*(Dout*3 + 3), Din_0 = H, Din_l = dirs*H, Dout = dirs*H"
@@ -64,7 +67,6 @@ class TaggerConfig:
     input_dim: int
     hidden_dim: int = 256
     layers: int = 4
-    bidirectional: bool = True
     learning_rate: float = 1e-3
     class_weights: dict = field(default_factory=default_class_weights)
     seed: int = 0
@@ -88,7 +90,7 @@ class TaggerConfig:
 
     @property
     def num_directions(self) -> int:
-        return 2 if self.bidirectional else 1
+        return len(DIRECTIONS)
 
     @property
     def encoder_dim(self) -> int:
@@ -107,16 +109,12 @@ class TaggerModel:
     params: dict
 
 
-def _directions(config) -> tuple[str, ...]:
-    return ("fwd", "bwd") if config.bidirectional else ("fwd",)
-
-
 def _param_shapes(config: TaggerConfig) -> dict:
     h = config.hidden_dim
     shapes = {"proj.W": (config.input_dim, h), "proj.b": (h,)}
     for layer in range(config.layers):
         din = config.layer_input_dim(layer)
-        for d in _directions(config):
+        for d in DIRECTIONS:
             shapes[f"lstm{layer}.{d}.Wx"] = (din, 4 * h)
             shapes[f"lstm{layer}.{d}.Wh"] = (h, 4 * h)
             shapes[f"lstm{layer}.{d}.b"] = (4 * h,)
@@ -392,7 +390,7 @@ def _encode(model: TaggerModel, clips, keep_cache=False, dropout_rng=None):
         if layer:
             out = np.zeros((*shape, cfg.encoder_dim), dtype=dtype)
         caches = {}
-        for di, d in enumerate(_directions(cfg)):
+        for di, d in enumerate(DIRECTIONS):
             name = f"lstm{layer}.{d}"
             caches[d] = _run_direction(
                 cur, p[f"{name}.Wx"], p[f"{name}.Wh"], p[f"{name}.b"],
@@ -544,7 +542,7 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
         if cache["drop"][layer] is not None:
             dcur = dcur * cache["drop"][layer]
         du_total = None
-        for di, d in enumerate(_directions(cfg)):
+        for di, d in enumerate(DIRECTIONS):
             dh_out = dcur[:, di * h_dim:(di + 1) * h_dim]
             du, dwx, dwh, db = _backward_direction(
                 dh_out, cache["layers"][layer][d],
@@ -661,7 +659,9 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4) 
     return worst
 
 
-# Every config field a manifest must hold, with the JSON types it may take.
+# Every key a manifest's config must hold, in the order save_model writes
+# them, with the JSON types it may take. "bidirectional" is no TaggerConfig
+# field: it says that the tagger is a BiLSTM, so it must be true.
 _CONFIG_TYPES = {
     "input_dim": (int,), "hidden_dim": (int,), "layers": (int,), "bidirectional": (bool,),
     "learning_rate": (int, float), "class_weights": (dict,), "seed": (int,),
@@ -670,7 +670,8 @@ _CONFIG_TYPES = {
 
 
 def _config_to_doc(cfg: TaggerConfig) -> dict:
-    doc = {key: getattr(cfg, key) for key in _CONFIG_TYPES}
+    doc = {key: True if key == "bidirectional" else getattr(cfg, key)
+           for key in _CONFIG_TYPES}
     doc["class_weights"] = {t: list(map(float, w)) for t, w in cfg.class_weights.items()}
     return doc
 
@@ -681,9 +682,12 @@ def _config_from_doc(doc) -> TaggerConfig:
     for key, types in _CONFIG_TYPES.items():
         if key not in doc:
             raise ValueError(f"checkpoint config has no {key!r}")
+        if key == "bidirectional" and doc[key] is not True:
+            raise ValueError("checkpoint config 'bidirectional' must be true: "
+                             "the tagger is a BiLSTM")
         if type(doc[key]) not in types:  # type(), so that a bool is no int
             raise ValueError(f"checkpoint config {key!r} has type {type(doc[key]).__name__}")
-    fields = {key: doc[key] for key in _CONFIG_TYPES}
+    fields = {key: doc[key] for key in _CONFIG_TYPES if key != "bidirectional"}
     weights = fields["class_weights"]
     if not all(isinstance(w, list) and all(type(v) in (int, float) for v in w)
                for w in weights.values()):

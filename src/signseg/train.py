@@ -41,13 +41,13 @@ def list_pairs(data_dir) -> list[tuple[str, str, str]]:
 
 def load_clip(stem: str, pose_path, segments_path, opts: PipelineOptions) -> ClipData:
     feats = prepare_features(load_pose(pose_path, opts.read_columns), opts)
-    t_out = feats.values.shape[0]
+    t_out = len(feats)
     seg_fps, tiers = load_segments(segments_path)
     gold = {}
     for tier in SEGMENTS_TIERS:
         retimed = retime_segments(tiers.get(tier, []), seg_fps, opts.fps)
         gold[tier] = encode_tags(clamp_segments(retimed, t_out), t_out, TagScheme.BIO)
-    return ClipData(stem, feats.values, gold)
+    return ClipData(stem, feats, gold)
 
 
 def load_corpus(data_dir, opts: PipelineOptions) -> list[ClipData]:
@@ -105,7 +105,10 @@ def train(model: TaggerModel, train_clips, val_clips, max_steps: int = 0,
         raise ValueError("training set is empty")
     if not val_clips:
         raise ValueError("validation set is empty")
-    if max_steps <= 0 and patience <= 0:
+    for name, value in (("max_steps", max_steps), ("patience", patience)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0 (0 = off)")
+    if max_steps == 0 and patience == 0:
         raise ValueError("either max_steps or patience must be positive")
     if val_every <= 0:
         raise ValueError("val_every must be positive")

@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 
 from signseg import cli, numutil, tagger
 from signseg.pipeline import PipelineOptions
-from signseg.pose import HAND_POINTS, PoseComponent, holistic_components, make_pose, save_pose
+from signseg.pose import (HAND_POINTS, PoseComponent, component_columns, holistic_components,
+                          make_pose, save_pose)
 from signseg.synthetic import (UPPER_BODY_POINTS, hand_template, motion_pose, scattered_copies,
                                write_clip_dir)
-from signseg.tags import load_segments, save_segments
+from signseg.tags import O, Segment, load_segments, save_segments
 from signseg.train import EpochRow
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -462,8 +463,33 @@ def test_tune_writes_grid(corpus_dir, checkpoint, tmp_path, capsys):
     assert lines[0] == "threshold_b,threshold_o,iou,percentage"
     assert len(lines) == 1 + 81
     manifest = json.loads((tmp_path / "tune.run.json").read_text(encoding="utf-8"))
-    assert set(manifest["options"]["results"]) == {
-        "threshold_b", "threshold_o", "iou", "percentage"}
+    results = manifest["options"]["results"]
+    assert set(results) == {"threshold_b", "threshold_o", "iou", "percentage", "roc_auc_o"}
+    assert out.rstrip("\n").endswith(f" roc_auc_o={results['roc_auc_o']:.6f}")
+    # the O-tag ROC-AUC over every dev frame, by pair counting with ties half
+    clips = cli.training.load_corpus(corpus_dir, PipelineOptions())
+    probs = tagger.forward_clips(tagger.load_model(checkpoint), [c.features for c in clips])
+    scores = np.concatenate([p["sign"][:, O] for p in probs])
+    is_o = np.concatenate([c.gold["sign"] for c in clips]) == O
+    diff = scores[is_o][:, None] - scores[~is_o][None, :]
+    assert results["roc_auc_o"] == pytest.approx(
+        float(np.mean((diff > 0) + 0.5 * (diff == 0))), abs=1e-12)
+
+
+def test_tune_roc_auc_o_is_null_when_the_gold_has_one_class(corpus_dir, checkpoint,
+                                                            tmp_path, capsys):
+    # one sign over each whole clip: no gold frame is O
+    data = tmp_path / "clips"
+    shutil.copytree(corpus_dir, data)
+    for path in data.glob("*.segments.json"):
+        fps, tiers = load_segments(path)
+        frames = cli.load_pose(str(path).replace(".segments.json", ".pose.json")).num_frames
+        save_segments(path, fps, {**tiers, "sign": [Segment(0, frames)]})
+    assert cli.main(["tune", "--data-dir", str(data), "--checkpoint", checkpoint,
+                     "--tier", "sign", "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith(" roc_auc_o=-")
+    manifest = json.loads((tmp_path / "out" / "tune.run.json").read_text(encoding="utf-8"))
+    assert manifest["options"]["results"]["roc_auc_o"] is None
 
 
 def test_tune_with_a_checkpoint_of_another_width_is_a_forward_error(corpus_dir, checkpoint,
@@ -659,6 +685,37 @@ def test_flow_dump_csv(corpus_dir, tmp_path):
     assert rc == 0
     assert (tmp_path / "flow.csv").read_text(encoding="utf-8").startswith("frame,point,value")
     assert (tmp_path / "flow-dump.run.json").exists()
+
+
+def _pose_without_left_hand_points(tmp_path):
+    """The upper-body clip with LEFT_HAND declared but holding no point."""
+    seq, _ = motion_pose(seed=0, num_frames=30)
+    keep = [col for col in range(seq.num_points)
+            if col not in component_columns(seq.components, "LEFT_HAND")]
+    comps = tuple(PoseComponent(c.name, () if c.name == "LEFT_HAND" else c.points)
+                  for c in seq.components)
+    pose_path = tmp_path / "no-left-hand.pose.json"
+    save_pose(pose_path, make_pose(seq.fps, comps, seq.coords[:, keep], seq.conf[:, keep]))
+    return str(pose_path)
+
+
+def test_a_declared_empty_component_reaches_the_features(tmp_path, capsys):
+    pose_path = _pose_without_left_hand_points(tmp_path)
+    assert cli.main(["flow-dump", pose_path]) == 0
+    points = {row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]}
+    assert len(points) == 28 and not any(p.startswith("LEFT_HAND/") for p in points)
+    # 28 points of 4 features each reach the forward pass, which reads 196
+    ckpt = str(tmp_path / "flow.ckpt")
+    tagger.save_model(tagger.init_model(tagger.TaggerConfig(input_dim=196, hidden_dim=4,
+                                                            layers=1)), ckpt)
+    assert cli.main(["segment", pose_path, "--checkpoint", ckpt,
+                     "--out-dir", str(tmp_path / "flow")]) == 1
+    assert capsys.readouterr().err == (
+        "signseg segment: forward: feature width 112 does not match model input_dim 196\n")
+    assert cli.main(["segment", pose_path, "--checkpoint", ckpt, "--features", "flow,handnorm",
+                     "--out-dir", str(tmp_path / "handnorm")]) == 1
+    assert capsys.readouterr().err == (
+        "signseg segment: features: component 'LEFT_HAND' has 0 points, expected 21\n")
 
 
 def test_flow_dump_quotes_point_names(tmp_path):
@@ -1142,6 +1199,19 @@ def test_train_rejects_bad_tagger_config_before_any_step(corpus_dir, tmp_path, c
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("signseg train: model: ") and message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--max-steps", "-3", "--patience", "2"), "max_steps must be >= 0 (0 = off)"),
+    (("--max-steps", "5", "--patience", "-1"), "patience must be >= 0 (0 = off)"),
+])
+def test_train_rejects_a_negative_step_cap_or_patience(corpus_dir, tmp_path, capsys,
+                                                       flags, message):
+    rc = cli.main(["train", "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
+                   "--hidden-dim", "4", "--layers", "1", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"signseg train: train: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_checkpoint_config_is_a_checkpoint_error(corpus_dir, checkpoint, tmp_path,

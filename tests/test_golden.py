@@ -33,6 +33,20 @@ def test_command_writes_the_golden_files(rerun, output):
     assert golden.differing_files(rerun, output) == []
 
 
+def test_train_writes_the_golden_files(rerun):
+    # what holds on any BLAS: formats, options, the config, the first epochs
+    assert len(list((rerun / "train").rglob("model.ckpt"))) == len(golden.FEATURE_SETS)
+    assert golden.differing_files(rerun, "train", whole_run=False) == []
+
+
+def test_train_reruns_the_golden_run_on_its_blas_core(rerun):
+    if not golden.on_golden_blas_core():
+        pytest.skip(f"OpenBLAS runs the {golden.blas_core()} core, not the one the golden "
+                    "train runs ran on; over 60 steps another core's roundings move the "
+                    "trained parameters by up to 0.13 (see tools/golden.py)")
+    assert golden.differing_files(rerun, "train") == []
+
+
 def test_every_golden_run_has_committed_files():
     assert sorted(golden.OUTPUTS) == sorted({out.split("/")[0] for out, _ in golden.runs()})
     for out, argv in golden.runs():

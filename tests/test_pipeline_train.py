@@ -65,10 +65,10 @@ def test_parse_feature_flags():
 def test_feature_widths_compact_skeleton():
     seq, _ = motion_pose(seed=0, num_frames=12)
     # 7 body + 2x21 hand points; x,y,z plus flow per point
-    assert prepare_features(seq, PipelineOptions()).values.shape[1] == 196
-    assert prepare_features(seq, PipelineOptions(features=())).values.shape[1] == 147
+    assert prepare_features(seq, PipelineOptions()).shape[1] == 196
+    assert prepare_features(seq, PipelineOptions(features=())).shape[1] == 147
     wide = prepare_features(seq, PipelineOptions(features=("flow", "handnorm")))
-    assert wide.values.shape[1] == 196 + 126
+    assert wide.shape[1] == 196 + 126
 
 
 def test_feature_width_holistic_skeleton():
@@ -79,7 +79,7 @@ def test_feature_width_holistic_skeleton():
     seq = make_pose(25.0, comps, coords, np.ones((4, total)))
     # normalization drops the 10 leg points: 75 selected -> 65 live
     feats = prepare_features(seq, PipelineOptions())
-    assert feats.values.shape[1] == 260
+    assert feats.shape[1] == 260
 
 
 def prepared(prepare, seq, opts):
@@ -305,6 +305,11 @@ def test_train_input_validation(tmp_path):
         train(model, clips, [])
     with pytest.raises(ValueError, match="max_steps or patience"):
         train(model, clips, clips, max_steps=0, patience=0)
+    # a negative cap or patience is no "off"
+    with pytest.raises(ValueError, match=r"^max_steps must be >= 0 \(0 = off\)$"):
+        train(model, clips, clips, max_steps=-3, patience=2)
+    with pytest.raises(ValueError, match=r"^patience must be >= 0 \(0 = off\)$"):
+        train(model, clips, clips, max_steps=5, patience=-1)
     with pytest.raises(ValueError, match="val_every"):
         train(model, clips, clips, max_steps=1, val_every=0)
 

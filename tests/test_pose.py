@@ -746,7 +746,7 @@ def test_column_set_load_prepares_the_same_features(holistic_300, tmp_path, clip
 
     def features_of(seq):
         try:
-            feats = prepare_features(seq, opts).values
+            feats = prepare_features(seq, opts)
         except ValueError as e:
             return "rejects", str(e)
         return feats.dtype.str, feats.shape, feats.tobytes()
@@ -1153,14 +1153,18 @@ def test_point_names_columns_and_regroup():
     assert pose.component_columns(comps, "EMPTY") == range(2, 2)
     with pytest.raises(ValueError, match="^pose has no component named 'FACE'$"):
         pose.component_columns(comps, "FACE")
-    assert pose.regroup(names, [4, 0, 2, 3]) == (
-        PoseComponent("HAND", ("C",)), PoseComponent("BODY", ("LEFT_SHOULDER",)),
+    assert pose.regroup(comps, [0, 2, 3]) == (
+        PoseComponent("BODY", ("LEFT_SHOULDER",)), PoseComponent("EMPTY", ()),
         PoseComponent("HAND", ("A", "B")))
+    # a component the columns empty is dropped; one declared empty stays
+    assert pose.regroup(comps, [3]) == (PoseComponent("EMPTY", ()), PoseComponent("HAND", ("B",)))
     assert pose.find_point(comps, "B") == 3
-    # a leg-only or empty component is dropped with its legs
-    legless = (PoseComponent("BODY", ("LEFT_SHOULDER",)), PoseComponent("HAND", ("A", "B", "C")))
+    # a leg-only component is dropped with its legs; a declared empty one stays
+    legless = (PoseComponent("BODY", ("LEFT_SHOULDER",)), PoseComponent("EMPTY", ()),
+               PoseComponent("HAND", ("A", "B", "C")))
     assert pose.drop_legs(comps) == (legless, [0, 2, 3, 4])
-    assert pose.drop_legs(comps[1:2] + (PoseComponent("LEGS", ("LEFT_KNEE",)),)) == ((), [])
+    assert pose.drop_legs(comps[1:2] + (PoseComponent("LEGS", ("LEFT_KNEE",)),)) == (
+        (PoseComponent("EMPTY", ()),), [])
 
 
 def test_select_points_order_and_empty_components():
@@ -1177,6 +1181,25 @@ def test_select_points_order_and_empty_components():
     np.testing.assert_array_equal(sel.coords[0], seq.coords[0, [4, 3, 2, 2]])
     with pytest.raises(ValueError, match="^selector 'bad': component 'HAND' has no point 'P0'$"):
         select_points(seq, pose.PointSelector("bad", (("HAND", "P0"),)))
+
+
+def test_a_declared_empty_component_survives_the_load_cut_and_the_leg_drop(tmp_path):
+    seq, _ = motion_pose(5, num_frames=40)
+    keep = [col for col in range(seq.num_points)
+            if col not in pose.component_columns(seq.components, "LEFT_HAND")]
+    comps = tuple(PoseComponent(c.name, () if c.name == "LEFT_HAND" else c.points)
+                  for c in seq.components)
+    empty = make_pose(seq.fps, comps, seq.coords[:, keep], seq.conf[:, keep])
+    path = tmp_path / "clip.pose.json"
+    path.write_text(serialize_pose(empty), encoding="utf-8")
+    opts = PipelineOptions()
+    cut = pose.load_pose(path, opts.read_columns)
+    assert PoseComponent("LEFT_HAND", ()) in cut.components
+    want = select_points(normalize_pose(empty), named_selector(opts.selector))
+    got = prepare_pose(cut, opts)
+    assert got.components == want.components
+    assert [c.name for c in got.components] == ["BODY", "LEFT_HAND", "RIGHT_HAND"]
+    np.testing.assert_array_equal(got.coords, want.coords)
 
 
 def test_holistic_sizes():

@@ -57,14 +57,6 @@ def test_param_count_hand_computed():
     assert param_count(cfg) == 15 + 2 * 84 + 42
 
 
-def test_param_count_unidirectional():
-    cfg = TaggerConfig(input_dim=4, hidden_dim=3, layers=2, bidirectional=False)
-    per_l0 = 3 * 12 + 3 * 12 + 12
-    per_l1 = 3 * 12 + 3 * 12 + 12  # layer 1 input = H for one direction
-    heads = 2 * (3 * 3 + 3)
-    assert param_count(cfg) == 15 + per_l0 + per_l1 + heads
-
-
 def test_init_deterministic_and_forget_bias():
     a = init_model(tiny_config())
     b = init_model(tiny_config())
@@ -891,7 +883,7 @@ def test_fresh_checkpoint_save_load_save_stable(tmp_path):
 
 
 def test_checkpoint_layout(tmp_path):
-    cfg = tiny_config(layers=2, bidirectional=False)
+    cfg = tiny_config(layers=2)
     model = init_model(cfg)
     path = tmp_path / "model.ckpt"
     save_model(model, path)
@@ -905,12 +897,12 @@ def test_checkpoint_layout(tmp_path):
     assert manifest["checksum"] == "sha256:" + hashlib.sha256(payload).hexdigest()
     assert manifest["params"] == [{"name": n, "shape": list(s)}
                                   for n, s in _param_shapes(cfg).items()]
+    assert manifest["config"]["bidirectional"] is True
 
 
 @pytest.mark.parametrize("cfg", [
-    tiny_config(), tiny_config(layers=3), tiny_config(layers=2, bidirectional=False),
-    TaggerConfig(input_dim=322),
-], ids=["1x4", "3x4", "2x4-uni", "4x256"])
+    tiny_config(), tiny_config(layers=3), TaggerConfig(input_dim=322),
+], ids=["1x4", "3x4", "4x256"])
 def test_param_count_matches_shapes(cfg):
     assert param_count(cfg) == sum(math.prod(s) for s in _param_shapes(cfg).values())
 
@@ -981,7 +973,9 @@ def _huge_layers(doc):
     (_set("config", "grad_clip", _DELETE), "config has no 'grad_clip'"),
     (_set("config", "layers", "1"), "'layers' has type str"),
     (_set("config", "hidden_dim", 4.0), "'hidden_dim' has type float"),
-    (_set("config", "bidirectional", 1), "'bidirectional' has type int"),
+    (_set("config", "bidirectional", 1), "'bidirectional' must be true"),
+    (_set("config", "bidirectional", False), "'bidirectional' must be true"),
+    (_set("config", "bidirectional", _DELETE), "config has no 'bidirectional'"),
     (_set("config", "input_dim", True), "'input_dim' has type bool"),
     (_set("config", "layers", 0), "must be positive"),
     (_set("config", "class_weights", [[1.0, 1.0, 1.0]] * 2), "'class_weights' has type list"),

@@ -6,8 +6,10 @@ tests/golden/ holds inputs, written once and never rewritten by this tool:
                      them (a left hand after a body, so its columns start
                      past column 0);
 and what --write writes:
-  <set>.ckpt         a 1x16 tagger trained on the clips, one per feature set
-                     (flow.ckpt, flow_handnorm.ckpt);
+  train/<set>/       `train` of a 1x16 tagger on the clips, one per feature
+                     set (flow, flow_handnorm): training_log.csv and
+                     train.run.json; its model.ckpt is committed as
+  <set>.ckpt         (flow.ckpt, flow_handnorm.ckpt), which the runs below read;
   segment/<set>-w<n>/  what `segment` writes on both clips with that
                      checkpoint and --workers n (1 and 2): each clip's
                      segments JSON, sign and phrase VTT, and segment.run.json;
@@ -22,34 +24,51 @@ the manifests hold no machine's paths. tests/test_golden.py reruns them in
 order (eval reads a segment output) and compares their files.
 
 Whether a BLAS reduction feeds an output decides how it is compared:
+  - train: each step's float32 products feed the next, and 60 steps at
+    learning rate 0.01 amplify a rounding. With OpenBLAS's Haswell kernels
+    in place of the SkylakeX ones that wrote the files
+    (OPENBLAS_CORETYPE=Haswell), the logged losses agree within 1e-6
+    through epoch 4, and the trained parameters end up to 0.13 apart; a
+    one-ulp nudge of the initial parameters moves them by up to 0.3. So
+    on any BLAS, the log and the manifest compare as bytes with each
+    number's digits masked, the manifest's options and the log's first
+    ANY_BLAS_EPOCHS rows number by number within TRAIN_TOLERANCE, and each
+    model.ckpt's config with its committed <set>.ckpt. On the OpenBLAS
+    core named in BLAS_CORE_FILE, which wrote them, every number compares
+    within TRAIN_TOLERANCE, and every parameter within PARAM_TOLERANCE.
   - segment and tune: the forward pass sums in float32, and another CPU's
     kernels may round the low bits differently. So every B and O
     probability (x100) must lie at least MARGIN from each threshold it is
     decoded at: segment's two thresholds, and each of tune's grid values
-    (10 to 90). Then a mismatch means a changed program, not a changed CPU,
-    and the files compare as bytes. The test checks the margin on every
-    run, and --write writes nothing when it fails.
+    (10 to 90). tune's O-tag ROC-AUC ranks the O probabilities of all dev
+    frames, so two frames of different gold class must lie at least
+    AUC_MARGIN apart. Then a mismatch means a changed program, not a
+    changed CPU, and the files compare as bytes. The test checks the
+    margins on every run, and --write writes nothing when they fail.
   - eval, bio-fidelity and flow-dump: no BLAS call feeds them (flow is
     elementwise numpy), so they compare as bytes.
   - hand-bench: its coordinates pass through (21, 3) @ (3, 3) matmuls,
     which a CPU with fused multiply-add rounds differently, and the CSVs
     print them to 9 decimals, where such a rounding can move the last
-    digit. So its CSVs compare field by field: text exactly, numbers
-    within HAND_TOLERANCE, one unit of the 9th decimal and a little more.
-    Its manifest compares as bytes.
+    digit. So its CSVs compare as train's log does, numbers within
+    HAND_TOLERANCE, one unit of the 9th decimal and a little more. Its
+    manifest compares as bytes.
 
     python3 tools/golden.py --write   # retrain both checkpoints, rewrite every output
 """
 
 import argparse
-import csv
+import ctypes
 import json
+import math
 import os
+import re
 import shutil
 import sys
 import tempfile
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -59,12 +78,12 @@ from signseg.decoding import DEFAULT_GRID  # noqa: E402
 from signseg.pipeline import PipelineOptions, prepare_features  # noqa: E402
 from signseg.pose import load_pose  # noqa: E402
 from signseg.tagger import forward, forward_clips, load_model  # noqa: E402
-from signseg.tags import SEGMENTS_TIERS  # noqa: E402
+from signseg.tags import O, SEGMENTS_TIERS  # noqa: E402
 from signseg.train import load_corpus  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 INPUTS = ("clips", "hands")
-OUTPUTS = ("segment", "tune", "eval", "bio-fidelity", "flow-dump", "hand-bench")
+OUTPUTS = ("train", "segment", "tune", "eval", "bio-fidelity", "flow-dump", "hand-bench")
 CLIPS = ("golden0", "golden1")
 FEATURE_SETS = {"flow": "flow", "flow_handnorm": "flow,handnorm"}
 WORKERS = (1, 2)
@@ -74,6 +93,18 @@ TRAIN_ARGS = ("--hidden-dim", "16", "--layers", "1", "--max-steps", "60",
 # rounding moves a probability by about 1e-7 here, so this leaves room for
 # thousands of roundings.
 MARGIN = 0.01
+# train's numbers compare within this; the log prints 6 decimals, and the
+# losses of a changed Adam beta2 (0.9995) move by 2.5e-5 or more by epoch 4
+TRAIN_TOLERANCE = 1e-5
+# the log rows that compare within TRAIN_TOLERANCE on any BLAS
+ANY_BLAS_EPOCHS = 4
+# trained parameters compare within this on the BLAS core that wrote them
+PARAM_TOLERANCE = 1e-6
+# names the OpenBLAS core the golden train runs ran on
+BLAS_CORE_FILE = GOLDEN / "blas_core.txt"
+# The least distance between the O probabilities of two dev frames of
+# different gold class, so that a float32 rounding cannot reorder them
+AUC_MARGIN = 1e-4
 # hand-bench prints 9 decimals; a rounding that moves a value by 1e-12 can
 # move the last one
 HAND_TOLERANCE = 1.5e-9
@@ -96,6 +127,9 @@ def runs():
     """(output directory, argv) of each golden run, in the order they run,
     relative to their work directory."""
     poses = [f"clips/{stem}.pose.json" for stem in CLIPS]
+    for name, flags in FEATURE_SETS.items():
+        yield f"train/{name}", ["train", "--data-dir", "clips", "--features", flags,
+                                "--out-dir", f"train/{name}", *TRAIN_ARGS]
     for name, flags in FEATURE_SETS.items():
         for workers in WORKERS:
             out = f"segment/{name}-w{workers}"
@@ -121,9 +155,14 @@ def copy_inputs(workdir) -> None:
         shutil.copy(GOLDEN / f"{name}.ckpt", workdir)
 
 
-def run_all(workdir) -> None:
-    for _, argv in runs():
+def run_all(workdir, retrain=False) -> None:
+    """Every golden run in order. With retrain, each trained model.ckpt
+    becomes the <set>.ckpt that the later runs read."""
+    for out, argv in runs():
         _main_in(workdir, argv)
+        if retrain and argv[0] == "train":
+            shutil.copy(Path(workdir) / out / "model.ckpt",
+                        Path(workdir) / f"{Path(out).name}.ckpt")
 
 
 def _files(root) -> dict:
@@ -131,43 +170,97 @@ def _files(root) -> dict:
             if p.is_file()}
 
 
-def _csv_close(got: bytes, want: bytes) -> bool:
-    """Whether two CSVs hold the same rows, text fields equal and number
-    fields within HAND_TOLERANCE."""
-    got_rows, want_rows = (list(csv.reader(data.decode("utf-8").splitlines()))
-                           for data in (got, want))
-    if [len(r) for r in got_rows] != [len(r) for r in want_rows]:
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _text_close(got: str, want: str, tolerance: float = math.inf) -> bool:
+    """Whether two texts hold numbers within tolerance of each other, and
+    are the same with each number's digits masked and its sign dropped (a
+    value that rounds to zero may print as -0)."""
+    def mask(m):
+        return "#" + re.sub(r"\d", "0", m.group().lstrip("-"))
+
+    if _NUMBER.sub(mask, got) != _NUMBER.sub(mask, want):
         return False
-    for a, b in zip(chain.from_iterable(got_rows), chain.from_iterable(want_rows)):
+    got_values, want_values = (np.array(_NUMBER.findall(text), dtype=float)
+                               for text in (got, want))
+    return bool((np.abs(got_values - want_values) <= tolerance).all())
+
+
+def blas_core():
+    """The core numpy's bundled OpenBLAS runs its kernels for, or None when
+    numpy has no scipy-openblas64 library."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            x, y = float(a), float(b)
-        except ValueError:
-            if a != b:
-                return False
-        else:
-            if abs(x - y) > HAND_TOLERANCE:
-                return False
-    return True
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii")
+    return None
 
 
-def differing_files(workdir, output) -> list:
+def on_golden_blas_core() -> bool:
+    return blas_core() == BLAS_CORE_FILE.read_text(encoding="ascii").strip()
+
+
+def _train_alike(name, got, want, whole_run) -> bool:
+    """Whether a file of a golden train run is alike its committed one, as
+    the module docstring says."""
+    tolerance = TRAIN_TOLERANCE if whole_run else math.inf
+    if name.endswith(".ckpt"):
+        a, b = load_model(got), load_model(want)
+        return a.config == b.config and (not whole_run or all(
+            np.abs(x - y).max() <= PARAM_TOLERANCE
+            for x, y in zip(a.params.values(), b.params.values())))
+    a, b = got.read_text(encoding="utf-8"), want.read_text(encoding="utf-8")
+    if name.endswith(".csv"):  # the header and the first epochs agree on any BLAS
+        heads = ["".join(text.splitlines(True)[:1 + ANY_BLAS_EPOCHS]) for text in (a, b)]
+        return _text_close(a, b, tolerance) and _text_close(*heads, TRAIN_TOLERANCE)
+    a_doc, b_doc = json.loads(a), json.loads(b)
+    for doc in (a_doc, b_doc):  # what the run found; the rest is what it was asked
+        del doc["options"]["results"]
+    return _text_close(a, b, tolerance) and a_doc == b_doc
+
+
+def differing_files(workdir, output, whole_run=True) -> list:
     """The files under the output directory (one of OUTPUTS) that workdir
-    and the golden directory do not both hold alike: as bytes, or, for
-    hand-bench's CSVs, within HAND_TOLERANCE."""
+    and the golden directory do not both hold alike: as bytes, or as the
+    module docstring says of train and hand-bench. whole_run=False checks
+    of train only what holds on any BLAS."""
     got, want = _files(Path(workdir) / output), _files(GOLDEN / output)
+    if output == "train":  # each model.ckpt is committed as its <set>.ckpt
+        want.update({f"{name}/model.ckpt": GOLDEN / f"{name}.ckpt" for name in FEATURE_SETS})
 
     def alike(name):
+        if output == "train":
+            return _train_alike(name, got[name], want[name], whole_run)
         a, b = got[name].read_bytes(), want[name].read_bytes()
-        return _csv_close(a, b) if output == "hand-bench" and name.endswith(".csv") else a == b
+        if output == "hand-bench" and name.endswith(".csv"):
+            return _text_close(a.decode("utf-8"), b.decode("utf-8"), HAND_TOLERANCE)
+        return a == b
 
     return [name for name in sorted(got.keys() | want.keys())
             if name not in got or name not in want or not alike(name)]
 
 
+def _auc_faults(out, scores, gold) -> list:
+    """The pairs of an O-gold and a non-O-gold frame whose scores lie within
+    AUC_MARGIN. The nearest such pair is adjacent in score order."""
+    order = np.argsort(scores, kind="stable")
+    scores, is_o = scores[order], gold[order] == O
+    gaps = np.diff(scores)
+    return [f"{out}: O probabilities of frames {order[i]} and {order[i + 1]} of different "
+            f"gold class are {gaps[i]:.2g} apart"
+            for i in ((is_o[1:] != is_o[:-1]) & (gaps < AUC_MARGIN)).nonzero()[0]]
+
+
 def margin_faults(root=GOLDEN) -> list:
     """Each B or O probability (x100) of the segment and tune runs under
-    root that lies within MARGIN of a threshold it is decoded at, as a line
-    naming where."""
+    root that lies within MARGIN of a threshold it is decoded at, and each
+    pair of a tune run's dev frames of different gold class whose O
+    probabilities lie within AUC_MARGIN, as a line naming where."""
     root = Path(root)
     faults = []
     for out, argv in runs():
@@ -181,7 +274,7 @@ def margin_faults(root=GOLDEN) -> list:
         if command == "segment":
             names = manifest["inputs"]
             probs = [forward(model, prepare_features(load_pose(root / path, popts.read_columns),
-                                                     popts).values) for path in names]
+                                                     popts)) for path in names]
             tiers = SEGMENTS_TIERS
             thresholds = {key: (opts[key],) for key in ("threshold_b", "threshold_o")}
         else:  # as tune computes them: one batch of the corpus
@@ -190,6 +283,8 @@ def margin_faults(root=GOLDEN) -> list:
             probs = forward_clips(model, [clip.features for clip in clips])
             tiers = (opts["tier"],)
             thresholds = {key: DEFAULT_GRID for key in ("threshold_b", "threshold_o")}
+            faults += _auc_faults(out, np.concatenate([p[opts["tier"]][:, O] for p in probs]),
+                                  np.concatenate([clip.gold[opts["tier"]] for clip in clips]))
         for name, clip_probs in zip(names, probs):
             for tier in tiers:
                 for column, key in ((0, "threshold_b"), (2, "threshold_o")):
@@ -205,22 +300,20 @@ def write() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         copy_inputs(work)
-        for name, flags in FEATURE_SETS.items():
-            _main_in(work, ["train", "--data-dir", "clips", "--features", flags,
-                            "--out-dir", f"train-{name}", *TRAIN_ARGS])
-            shutil.copy(work / f"train-{name}" / "model.ckpt", work / f"{name}.ckpt")
-        run_all(work)
+        run_all(work, retrain=True)
         faults = margin_faults(work)
         if faults:
             print("\n".join(faults), file=sys.stderr)
-            print(f"{len(faults)} probabilities within {MARGIN} of a threshold; "
-                  "nothing written", file=sys.stderr)
+            print(f"{len(faults)} probabilities within their margin; nothing written",
+                  file=sys.stderr)
             return 1
         for name in FEATURE_SETS:
             shutil.copy(work / f"{name}.ckpt", GOLDEN / f"{name}.ckpt")
+        BLAS_CORE_FILE.write_text(f"{blas_core()}\n", encoding="ascii")
         for output in OUTPUTS:
             shutil.rmtree(GOLDEN / output, ignore_errors=True)
-            shutil.copytree(work / output, GOLDEN / output)
+            shutil.copytree(work / output, GOLDEN / output,
+                            ignore=shutil.ignore_patterns("model.ckpt"))
     return 0
 
 
