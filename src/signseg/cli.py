@@ -31,7 +31,7 @@ from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, pr
 from .pose import HAND_POINTS, component_columns, load_pose
 from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
                      save_model)
-from .tags import (O, SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experiment,
+from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experiment,
                    load_segments, save_segments)
 from .vtt import segments_to_vtt
 
@@ -251,7 +251,7 @@ def cmd_segment(args, opts) -> int:
             feats = prepare_features(seq, popts)
         del seq  # frees the pose block before the forward pass
         with _stage("forward"):
-            probs = forward(model, feats)
+            probs = forward(model, feats.values)
         with _stage("decode"):
             tiers = {tier: decode(probs[tier] * 100.0, dparams)
                      for tier in SEGMENTS_TIERS}
@@ -326,10 +326,11 @@ def cmd_tune(args, opts) -> int:
     with _stage("tune"):
         best_b, best_o, table = tune_thresholds(dev, DEFAULT_GRID,
                                                 strict_bio=args.strict_bio)
-        # over every dev frame; undefined when the gold holds one class
-        gold = np.concatenate([clip.gold[args.tier] for clip in clips])
-        auc = (roc_auc_o(np.concatenate([p[args.tier] for p in probs]), gold)
-               if 0 < np.count_nonzero(gold == O) < len(gold) else None)
+        try:  # over every dev frame
+            auc = roc_auc_o(np.concatenate([p[args.tier] for p in probs]),
+                            np.concatenate([clip.gold[args.tier] for clip in clips]))
+        except ValueError:
+            auc = None  # the gold holds one class
     best = next(c for c in table
                 if c.threshold_b == best_b and c.threshold_o == best_o)
     results = {"threshold_b": best_b, "threshold_o": best_o,
@@ -339,9 +340,8 @@ def cmd_tune(args, opts) -> int:
                  f"{c.percentage:.6f}") for c in table]
         _write_text(out(f"tune_{args.tier}.csv"),
                     _csv_text("threshold_b,threshold_o,iou,percentage", rows))
-    print(f"tier={args.tier} threshold_b={best_b:g} threshold_o={best_o:g} "
-          f"iou={best.iou:.6f} percentage={best.percentage:.6f} "
-          f"roc_auc_o={'-' if auc is None else format(auc, '.6f')}")
+    print(f"tier={args.tier} threshold_b={best_b:g} threshold_o={best_o:g} iou={best.iou:.6f} "
+          f"percentage={best.percentage:.6f} roc_auc_o={'-' if auc is None else f'{auc:.6f}'}")
     return 0
 
 

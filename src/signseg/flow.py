@@ -1,5 +1,7 @@
 """Optical flow over pose keypoints and per-frame feature assembly in float32."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import hands
@@ -34,6 +36,17 @@ def optical_flow(seq: PoseSequence) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """values: (T, F), the points' x, y, z(, flow), then any normalized hands."""
+
+    values: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+
 def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.ndarray:
     """(T, 63) normalized hands in bone units: the middle metacarpal is 1
     long, so the block is on the scale of the shoulder-normalized points."""
@@ -52,9 +65,8 @@ def _normalized_hand_block(seq: PoseSequence, comp_name: str, handedness) -> np.
 
 
 def assemble_features(seq: PoseSequence, include_flow: bool = True,
-                      include_hand_norm: bool = False) -> np.ndarray:
-    """Per-frame tagger input, (T, F): x,y,z(,flow) per point, then optional
-    normalized hands.
+                      include_hand_norm: bool = False) -> FeatureMatrix:
+    """Per-frame tagger input: x,y,z(,flow) per point, then optional normalized hands.
 
     Missing points (confidence 0) contribute zeros everywhere. Each block is
     computed in float64 and written into one (T, F) float32 array, the
@@ -79,4 +91,4 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
     if include_hand_norm:
         out[:, width:width + 63] = _normalized_hand_block(seq, "LEFT_HAND", hands.Handedness.LEFT)
         out[:, width + 63:] = _normalized_hand_block(seq, "RIGHT_HAND", hands.Handedness.RIGHT)
-    return out
+    return FeatureMatrix(out)

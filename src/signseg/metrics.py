@@ -123,8 +123,7 @@ class EvalReport:
 
 def build_report(pred_tiers: dict, gold_tiers: dict, num_frames: int, fps: float,
                  bins: int = 10) -> EvalReport:
-    """Evaluate predicted against gold segments per tier; frame F1 compares
-    the BIO encodings."""
+    """Evaluate predicted against gold segments per tier (frame F1 on BIO tags)."""
     _check_bins(bins)  # also when no tier has a predicted segment to bin
     f1, iou, pct, dens = {}, {}, {}, {}
     for tier, gold in gold_tiers.items():

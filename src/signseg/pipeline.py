@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import assemble_features
+from .flow import FeatureMatrix, assemble_features
 from .numutil import check_fps
 from .pose import (
     PoseSequence, check_selector, drop_legs, named_selector, resample_index, select_columns,
@@ -79,7 +79,7 @@ def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
     return PoseSequence(fps, components, coords, conf)
 
 
-def prepare_features(seq: PoseSequence, opts: PipelineOptions) -> np.ndarray:
+def prepare_features(seq: PoseSequence, opts: PipelineOptions) -> FeatureMatrix:
     """The features of the prepared pose, as a (T, F) float32 array."""
     return assemble_features(
         prepare_pose(seq, opts),

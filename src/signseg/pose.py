@@ -115,14 +115,12 @@ def component_columns(components, name: str) -> range:
 
 
 def regroup(components, columns) -> tuple[PoseComponent, ...]:
-    """The components of the points at these ascending columns, each with its
-    points among them. A component they leave no point of is dropped; one
-    declared with no points stays, as select_columns keeps it."""
-    picked = set(columns)
-    out, stop = [], 0
+    """The components of the points at these ascending columns: one they leave
+    no point of is dropped, one declared with no points stays (as in select_columns)."""
+    picked, start, out = set(columns), 0, []
     for c in components:
-        start, stop = stop, stop + len(c.points)
         points = tuple(p for col, p in enumerate(c.points, start) if col in picked)
+        start += len(c.points)
         if points or not c.points:
             out.append(PoseComponent(c.name, points))
     return tuple(out)

@@ -659,21 +659,20 @@ def gradient_check(model: TaggerModel, features, gold: dict, eps: float = 1e-4) 
     return worst
 
 
-# Every key a manifest's config must hold, in the order save_model writes
-# them, with the JSON types it may take. "bidirectional" is no TaggerConfig
-# field: it says that the tagger is a BiLSTM, so it must be true.
+# Every config field a manifest must hold, with the JSON types it may take.
 _CONFIG_TYPES = {
-    "input_dim": (int,), "hidden_dim": (int,), "layers": (int,), "bidirectional": (bool,),
+    "input_dim": (int,), "hidden_dim": (int,), "layers": (int,),
     "learning_rate": (int, float), "class_weights": (dict,), "seed": (int,),
     "dropout": (int, float), "grad_clip": (int, float),
 }
 
 
 def _config_to_doc(cfg: TaggerConfig) -> dict:
-    doc = {key: True if key == "bidirectional" else getattr(cfg, key)
-           for key in _CONFIG_TYPES}
-    doc["class_weights"] = {t: list(map(float, w)) for t, w in cfg.class_weights.items()}
-    return doc
+    # "bidirectional" is no field: it says that the tagger is a BiLSTM
+    return {"input_dim": cfg.input_dim, "hidden_dim": cfg.hidden_dim, "layers": cfg.layers,
+            "bidirectional": True, "learning_rate": cfg.learning_rate,
+            "class_weights": {t: list(map(float, w)) for t, w in cfg.class_weights.items()},
+            "seed": cfg.seed, "dropout": cfg.dropout, "grad_clip": cfg.grad_clip}
 
 
 def _config_from_doc(doc) -> TaggerConfig:
@@ -682,12 +681,12 @@ def _config_from_doc(doc) -> TaggerConfig:
     for key, types in _CONFIG_TYPES.items():
         if key not in doc:
             raise ValueError(f"checkpoint config has no {key!r}")
-        if key == "bidirectional" and doc[key] is not True:
-            raise ValueError("checkpoint config 'bidirectional' must be true: "
-                             "the tagger is a BiLSTM")
         if type(doc[key]) not in types:  # type(), so that a bool is no int
             raise ValueError(f"checkpoint config {key!r} has type {type(doc[key]).__name__}")
-    fields = {key: doc[key] for key in _CONFIG_TYPES if key != "bidirectional"}
+    if doc.get("bidirectional") is not True:
+        raise ValueError("checkpoint config 'bidirectional' must be true: "
+                         "the tagger is a BiLSTM")
+    fields = {key: doc[key] for key in _CONFIG_TYPES}
     weights = fields["class_weights"]
     if not all(isinstance(w, list) and all(type(v) in (int, float) for v in w)
                for w in weights.values()):

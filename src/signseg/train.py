@@ -41,13 +41,13 @@ def list_pairs(data_dir) -> list[tuple[str, str, str]]:
 
 def load_clip(stem: str, pose_path, segments_path, opts: PipelineOptions) -> ClipData:
     feats = prepare_features(load_pose(pose_path, opts.read_columns), opts)
-    t_out = len(feats)
+    t_out = feats.values.shape[0]
     seg_fps, tiers = load_segments(segments_path)
     gold = {}
     for tier in SEGMENTS_TIERS:
         retimed = retime_segments(tiers.get(tier, []), seg_fps, opts.fps)
         gold[tier] = encode_tags(clamp_segments(retimed, t_out), t_out, TagScheme.BIO)
-    return ClipData(stem, feats, gold)
+    return ClipData(stem, feats.values, gold)
 
 
 def load_corpus(data_dir, opts: PipelineOptions) -> list[ClipData]:

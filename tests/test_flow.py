@@ -98,24 +98,24 @@ def test_flow_holds_no_whole_clip_displacement():
 def test_features_interleaving_with_flow():
     seq = two_point_pose()
     fm = assemble_features(seq, include_flow=True)
-    assert fm.shape[1] == 2 * 4
+    assert fm.width == 2 * 4
     flow = optical_flow(seq)
     # per point: x, y, z, flow
-    np.testing.assert_array_equal(fm[:, 0:3], seq.coords[:, 0])
-    np.testing.assert_array_equal(fm[:, 3], flow[:, 0])
-    np.testing.assert_array_equal(fm[:, 7], flow[:, 1])
+    np.testing.assert_array_equal(fm.values[:, 0:3], seq.coords[:, 0])
+    np.testing.assert_array_equal(fm.values[:, 3], flow[:, 0])
+    np.testing.assert_array_equal(fm.values[:, 7], flow[:, 1])
 
 
 def test_features_without_flow():
     fm = assemble_features(two_point_pose(), include_flow=False)
-    assert fm.shape[1] == 6
+    assert fm.width == 6
 
 
 def test_features_zero_missing_coords():
     seq = two_point_pose()
     seq.conf[1, 0] = 0.0
     fm = assemble_features(seq, include_flow=False)
-    np.testing.assert_array_equal(fm[1, 0:3], 0.0)
+    np.testing.assert_array_equal(fm.values[1, 0:3], 0.0)
 
 
 def hands_pose(frames=2):
@@ -136,8 +136,8 @@ def test_hand_norm_block_width_and_anchor():
     seq = hands_pose()
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
-    assert fm.shape[1] == 3 * k + 126
-    hands_block = fm[:, 3 * k:].reshape(len(seq.coords), 2, 21, 3)
+    assert fm.width == 3 * k + 126
+    hands_block = fm.values[:, 3 * k:].reshape(len(seq.coords), 2, 21, 3)
     for hand in range(2):  # in bone units: the middle metacarpal is 1 long
         np.testing.assert_allclose(hands_block[0, hand, M_MCP], [0.0, 1.0, 0.0], atol=1e-9)
 
@@ -148,7 +148,7 @@ def test_hand_norm_missing_hand_is_zeros():
     seq.conf[0, nb:nb + 21] = 0.0  # left hand missing in frame 0
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
-    left_block = fm[:, 3 * k:3 * k + 63]
+    left_block = fm.values[:, 3 * k:3 * k + 63]
     np.testing.assert_array_equal(left_block[0], 0.0)
     assert np.abs(left_block[1]).max() > 0
 
@@ -164,7 +164,7 @@ def test_degenerate_hand_imputes_zeros():
     seq.coords[0, nb:nb + 21] = 0.0  # all landmarks collapse to the wrist
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
     k = seq.num_points
-    np.testing.assert_array_equal(fm[0, 3 * k:3 * k + 63], 0.0)
+    np.testing.assert_array_equal(fm.values[0, 3 * k:3 * k + 63], 0.0)
 
 
 def per_frame_hand_block(seq, off, handedness):
@@ -203,8 +203,8 @@ def test_hand_norm_block_matches_per_frame_loop():
         # the float64 block in bone units bit for bit, and the features as its
         # float32 rounding
         assert np.array_equal(_normalized_hand_block(seq, name, handedness), want)
-        assert np.array_equal(fm[:, col:col + 63], want.astype(np.float32))
-    blocks = fm[:, 3 * k:].reshape(frames, 2, 21, 3)
+        assert np.array_equal(fm.values[:, col:col + 63], want.astype(np.float32))
+    blocks = fm.values[:, 3 * k:].reshape(frames, 2, 21, 3)
     for t, hand in [(3, 0), (7, 0), (9, 1), (11, 1), (13, 1)]:
         np.testing.assert_array_equal(blocks[t, hand], 0.0)
     np.testing.assert_array_equal(blocks[5, 1, 7], 0.0)
@@ -243,7 +243,7 @@ def float64_features(seq, include_flow, include_hand_norm):
 def test_features_in_float32_round_the_float64_features(include_flow, include_hand_norm):
     seq = noisy_hands_pose()
     want = float64_features(seq, include_flow, include_hand_norm)
-    got = assemble_features(seq, include_flow, include_hand_norm)
+    got = assemble_features(seq, include_flow, include_hand_norm).values
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.array_equal(got, want.astype(np.float32))
     assert not np.array_equal(got, want)  # the float32 grid is not a no-op here

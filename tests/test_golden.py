@@ -27,24 +27,11 @@ def test_segment_writes_the_golden_files(rerun):
     assert golden.differing_files(rerun, "segment") == []
 
 
-@pytest.mark.parametrize("output", ["tune", "eval", "bio-fidelity", "flow-dump", "hand-bench"])
+@pytest.mark.parametrize("output", ["train", "tune", "eval", "bio-fidelity", "flow-dump",
+                                    "hand-bench"])
 def test_command_writes_the_golden_files(rerun, output):
     assert (rerun / output).is_dir()
     assert golden.differing_files(rerun, output) == []
-
-
-def test_train_writes_the_golden_files(rerun):
-    # what holds on any BLAS: formats, options, the config, the first epochs
-    assert len(list((rerun / "train").rglob("model.ckpt"))) == len(golden.FEATURE_SETS)
-    assert golden.differing_files(rerun, "train", whole_run=False) == []
-
-
-def test_train_reruns_the_golden_run_on_its_blas_core(rerun):
-    if not golden.on_golden_blas_core():
-        pytest.skip(f"OpenBLAS runs the {golden.blas_core()} core, not the one the golden "
-                    "train runs ran on; over 60 steps another core's roundings move the "
-                    "trained parameters by up to 0.13 (see tools/golden.py)")
-    assert golden.differing_files(rerun, "train") == []
 
 
 def test_every_golden_run_has_committed_files():

@@ -65,10 +65,10 @@ def test_parse_feature_flags():
 def test_feature_widths_compact_skeleton():
     seq, _ = motion_pose(seed=0, num_frames=12)
     # 7 body + 2x21 hand points; x,y,z plus flow per point
-    assert prepare_features(seq, PipelineOptions()).shape[1] == 196
-    assert prepare_features(seq, PipelineOptions(features=())).shape[1] == 147
+    assert prepare_features(seq, PipelineOptions()).values.shape[1] == 196
+    assert prepare_features(seq, PipelineOptions(features=())).values.shape[1] == 147
     wide = prepare_features(seq, PipelineOptions(features=("flow", "handnorm")))
-    assert wide.shape[1] == 196 + 126
+    assert wide.values.shape[1] == 196 + 126
 
 
 def test_feature_width_holistic_skeleton():
@@ -79,7 +79,7 @@ def test_feature_width_holistic_skeleton():
     seq = make_pose(25.0, comps, coords, np.ones((4, total)))
     # normalization drops the 10 leg points: 75 selected -> 65 live
     feats = prepare_features(seq, PipelineOptions())
-    assert feats.shape[1] == 260
+    assert feats.values.shape[1] == 260
 
 
 def prepared(prepare, seq, opts):

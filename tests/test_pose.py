@@ -746,7 +746,7 @@ def test_column_set_load_prepares_the_same_features(holistic_300, tmp_path, clip
 
     def features_of(seq):
         try:
-            feats = prepare_features(seq, opts)
+            feats = prepare_features(seq, opts).values
         except ValueError as e:
             return "rejects", str(e)
         return feats.dtype.str, feats.shape, feats.tobytes()

@@ -975,7 +975,7 @@ def _huge_layers(doc):
     (_set("config", "hidden_dim", 4.0), "'hidden_dim' has type float"),
     (_set("config", "bidirectional", 1), "'bidirectional' must be true"),
     (_set("config", "bidirectional", False), "'bidirectional' must be true"),
-    (_set("config", "bidirectional", _DELETE), "config has no 'bidirectional'"),
+    (_set("config", "bidirectional", _DELETE), "'bidirectional' must be true"),
     (_set("config", "input_dim", True), "'input_dim' has type bool"),
     (_set("config", "layers", 0), "must be positive"),
     (_set("config", "class_weights", [[1.0, 1.0, 1.0]] * 2), "'class_weights' has type list"),
