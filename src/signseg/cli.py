@@ -76,7 +76,8 @@ def _stage(name: str):
         yield
     except StageError:
         raise
-    except (ValueError, RuntimeError, OSError, KeyError, TypeError) as e:
+    except (ValueError, RuntimeError, OSError, KeyError, TypeError, OverflowError,
+            MemoryError) as e:
         raise StageError(name, str(e)) from e
 
 

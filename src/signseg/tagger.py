@@ -1,15 +1,14 @@
 """Frame tagger: linear projection, stacked bidirectional LSTM, two BIO heads.
 
 Implemented directly on numpy arrays with hand-written backpropagation through
-time, so the gradient math is checkable against finite differences. The
-projection, the LSTM stack, their gradients and Adam run in the dtype of the
-parameters: float32 as init_model makes them and as load_model returns them,
-so training and inference share one path and no call takes a dtype. The two
-heads, the softmax and the loss run in float64; the head gradients are cast
-to the parameters' dtype once. gradient_check runs on a float64 copy, the
-reference the float32 path is checked against. The pipeline assembles
-features in float32, so the float32 path reads them with no copy and only
-that reference casts them. Each LSTM time step writes
+time, so the gradient math is checkable against finite differences. Every
+array the tagger makes is in the dtype of the parameters (float32 as
+init_model makes them and as load_model returns them), so training and
+inference share one path and no call takes a dtype; only the scalar loss is
+reduced from a float64 copy of the (T, 3) logits. gradient_check runs on a
+float64 copy (cast_model), the reference the float32 path is checked against. The
+pipeline assembles features in float32, so the float32 path reads them with
+no copy and only that reference casts them. Each LSTM time step writes
 into arrays allocated once per direction, so the loop allocates nothing and
 holds the interpreter lock for less of each step. A direction projects its
 input a block of rows at a time and writes its outputs into the layer's
@@ -409,7 +408,7 @@ def _encode(model: TaggerModel, clips, keep_cache=False, dropout_rng=None):
 
 
 def _heads(params: dict, enc):
-    """Per-tier logits and probability rows of the float64 encoder output (T, 2H)."""
+    """Per-tier logits and probability rows of the encoder output (T, 2H)."""
     logits = {}
     probs = {}
     for tier in SEGMENTS_TIERS:
@@ -426,8 +425,8 @@ BATCH_FRAMES = 4096
 
 
 def forward_clips(model: TaggerModel, clips) -> list:
-    """Per-tier (T, 3) float64 probability rows for each of clips, a list of
-    (T, F) features, in input order. The clips run longest first, each batch
+    """Per-tier (T, 3) probability rows for each of clips, a list of (T, F)
+    features, in input order. The clips run longest first, each batch
     through one step loop; a clip's rows agree with its own forward to a few
     float32 roundings (the batched products sum in another order)."""
     cfg = model.config
@@ -439,8 +438,7 @@ def forward_clips(model: TaggerModel, clips) -> list:
         batch, order = order[:count], order[count:]
         cur = _encode(model, [xs[i] for i in batch])[0]
         for j, i in enumerate(batch):
-            probs[i] = _heads(model.params,
-                              cur[:len(xs[i]), j].astype(np.float64, copy=False))[1]
+            probs[i] = _heads(model.params, cur[:len(xs[i]), j])[1]
         del cur  # before the next batch allocates its own
     return probs
 
@@ -456,7 +454,7 @@ def _cached_forward(model: TaggerModel, features, dropout_rng=None):
     x = _check_features(model.config, features)
     cur, layer_caches, drop_masks = _encode(model, [x], keep_cache=True,
                                             dropout_rng=dropout_rng)
-    enc = cur[:, 0].astype(np.float64, copy=False)
+    enc = cur[:, 0]
     logits, probs = _heads(model.params, enc)
     # x in the parameters' dtype, for the projection's gradient
     cache = {"x": x.astype(cur.dtype, copy=False), "enc": enc, "layers": layer_caches,
@@ -494,10 +492,10 @@ def class_weights_from_tags(tag_lists) -> tuple:
 
 
 def _logits_loss(logits: dict, gold: dict, weights: dict) -> float:
-    """The loss of `loss`, from per-tier logits through log-sum-exp."""
+    """The loss of `loss`, from per-tier logits through log-sum-exp in float64."""
     total = 0.0
     for tier in SEGMENTS_TIERS:
-        z = logits[tier]
+        z = logits[tier].astype(np.float64, copy=False)
         y = np.asarray(gold[tier], dtype=int)
         t_len = z.shape[0]
         if y.shape[0] != t_len:
@@ -514,9 +512,8 @@ def _logits_loss(logits: dict, gold: dict, weights: dict) -> float:
 def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
     """Full-sequence loss plus analytic gradients for every parameter.
 
-    Each gradient is assigned once, as it is produced, in the dtype of its
-    parameter; the head gradients and the encoder's gradient, which the
-    float64 heads produce, are cast to it once. The dict is returned in
+    Each gradient is assigned once, as it is produced, in the dtype of the
+    parameters, the class weights cast to it too. The dict is returned in
     _param_shapes order, the order train_step sums the clipping norm in.
     """
     cfg = model.config
@@ -525,19 +522,18 @@ def loss_and_grads(model: TaggerModel, features, gold: dict, dropout_rng=None):
     t_len = cache["x"].shape[0]
     p = model.params
     grads = {}
-    denc = np.zeros_like(cache["enc"])
+    dcur = np.zeros_like(cache["enc"])
     for tier in SEGMENTS_TIERS:  # with no frames, every product is an empty sum: zeros
         y = np.asarray(gold[tier], dtype=int)
-        w = np.asarray(cfg.class_weights[tier], dtype=float)
+        w = np.asarray(cfg.class_weights[tier], dtype=dcur.dtype)
         dlogits = probs[tier] * w[y][:, None]
         dlogits[np.arange(t_len), y] -= w[y]
         dlogits /= t_len
         head_w, head_b = f"head.{tier}.W", f"head.{tier}.b"
-        grads[head_w] = (cache["enc"].T @ dlogits).astype(p[head_w].dtype, copy=False)
-        grads[head_b] = dlogits.sum(axis=0).astype(p[head_b].dtype, copy=False)
-        denc += dlogits @ p[head_w].T
+        grads[head_w] = cache["enc"].T @ dlogits
+        grads[head_b] = dlogits.sum(axis=0)
+        dcur += dlogits @ p[head_w].T
     h_dim = cfg.hidden_dim
-    dcur = denc.astype(p["proj.W"].dtype, copy=False)
     for layer in reversed(range(cfg.layers)):
         if cache["drop"][layer] is not None:
             dcur = dcur * cache["drop"][layer]

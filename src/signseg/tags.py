@@ -39,7 +39,7 @@ class Segment:
             raise ValueError(f"segment [{self.start}, {self.end}) is not a valid half-open interval")
 
 
-def _check_sorted_disjoint(segments, num_frames):
+def _check_sorted_disjoint(segments, num_frames=math.inf):
     prev_end = 0
     for seg in segments:
         if seg.start < prev_end:
@@ -166,7 +166,8 @@ class FidelityRow:
 
 
 def fidelity_experiment(gold, src_fps, fps_list) -> list[FidelityRow]:
-    """Round-trip gold segments through each frame rate and tag scheme.
+    """Round-trip disjoint gold segments, as parse_segments returns them,
+    through each frame rate and tag scheme.
 
     Pipeline per (fps, scheme): retime to fps, encode, decode, retime back.
     reproduced = decoded count / gold count; exact = fraction of gold segments
@@ -177,7 +178,6 @@ def fidelity_experiment(gold, src_fps, fps_list) -> list[FidelityRow]:
     if not gold:
         raise ValueError("fidelity experiment needs at least one gold segment")
     num_frames = max(s.end for s in gold)
-    _check_sorted_disjoint(gold, num_frames)
     gold_set = set(gold)
     rows = []
     for fps in fps_list:
@@ -219,6 +219,7 @@ def parse_segments(text: str | bytes) -> tuple[float, dict[str, list[Segment]]]:
                 raise ValueError(f"tier {tier!r} entries must have integer start and end")
             segs.append(Segment(it["start"], it["end"]))
         tiers[tier] = sorted(segs)
+        _check_sorted_disjoint(tiers[tier])  # before any retiming merges an overlap
     return fps, tiers
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from signseg import cli, numutil, tagger
 from signseg.pipeline import PipelineOptions
@@ -1129,7 +1129,9 @@ def test_negative_seed_is_a_config_error(corpus_dir, tmp_path, capsys, monkeypat
     ("segment", "inf", "config"),
     ("segment", "nan", "config"),
     ("flow-dump", "1e308", "features"),  # finite, but 100 frames at that rate are not
-], ids=["segment-inf", "segment-nan", "flow-dump-1e308"])
+    # 28 PiB of frame indices, over any x86-64 address space: numpy's MemoryError
+    ("segment", "1e15", "features"),
+], ids=["segment-inf", "segment-nan", "flow-dump-1e308", "segment-1e15"])
 def test_bad_fps_flag_is_a_stage_error(corpus_dir, checkpoint, tmp_path, capsys,
                                        command, fps, stage):
     argv = command_argv(command, corpus_dir, checkpoint, tmp_path)
@@ -1161,6 +1163,27 @@ def test_bio_fidelity_overflow_is_a_stage_error(tmp_path, capsys, gold_fps, fps_
         {"start": 0, "end": 5}, {"start": 7, "end": 9}]}}), encoding="utf-8")
     assert cli.main(["bio-fidelity", "--gold", str(gold), "--fps-list", fps_list]) == 1
     assert capsys.readouterr().err.startswith("signseg bio-fidelity: fidelity: ")
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "eval", "bio-fidelity"])
+@pytest.mark.parametrize("sign, stages, message", [
+    # train, tune and bio-fidelity retime the end, which overflows a float
+    ([{"start": 0, "end": 10**400}], ("data", "data", "metrics", "fidelity"), ""),
+    # train and tune would otherwise retime the two into [0, 40)
+    ([{"start": 0, "end": 30}, {"start": 10, "end": 40}], ("data", "data", "parse", "parse"),
+     "segments overlap at frame 10\n"),
+], ids=["end-10**400", "overlap"])
+def test_bad_gold_segments_are_stage_errors(corpus_dir, checkpoint, tmp_path, capsys, command,
+                                            sign, stages, message):
+    stage = dict(zip(("train", "tune", "eval", "bio-fidelity"), stages))[command]
+    data = tmp_path / "data"  # its first segments file is the gold eval and bio-fidelity read
+    shutil.copytree(corpus_dir, data)
+    sorted(data.glob("*.segments.json"))[0].write_text(
+        json.dumps({"fps": 25.0, "tiers": {"sign": sign, "phrase": []}}), encoding="utf-8")
+    assert cli.main(command_argv(command, data, checkpoint, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg {command}: {stage}: ") and err.endswith(message), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -1429,3 +1452,95 @@ def test_flow_dump_rejects_invalid_utf8_as_a_malformed_pose(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "signseg flow-dump: parse: malformed pose document: 'utf-8' codec can't decode "
         "byte 0xff in position 0: invalid start byte\n")
+
+
+# CLI fuzzing of segments and config files: edits to the golden clips' first
+# gold segments file and a config file go through train (a 1x4 tagger, one
+# step), tune, segment, eval and bio-fidelity. Each run exits 0, or 1 with a
+# named stage; never with the catch-all "error:". A frame rate or a frame
+# index either fits the clips or is past any allocation a machine can grant
+# (1e15 fps is petabytes of frames), so no run allocates much.
+GOLDEN_CLIPS = REPO_ROOT / "tests" / "golden" / "clips"
+_ODD_FRAMES = [10**400, 2**63, -1, 0, 1, 1.5, True, None, "3"]
+_ODD_FPS = [5e-324, 1e-310, 1e15, 1e308, 12.5, 50.0, 0, -25, float("inf"), float("nan"), "25",
+            True, None]
+SEGMENT_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["start", "end"]), st.sampled_from(_ODD_FRAMES)),
+    st.tuples(st.just("overlap"), st.integers(0, 12)),  # a copy of the first sign shifted
+    st.tuples(st.just("fps"), st.sampled_from(_ODD_FPS)),
+    st.tuples(st.just("phrase"), st.sampled_from([[], "x", [1], [{"start": 0}], None])),
+    st.tuples(st.just("drop"), st.sampled_from(["fps", "tiers"])),
+), max_size=3)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "fps": st.sampled_from(_ODD_FPS),
+    "selector": st.sampled_from(["body75", "upper", "x", 1]),
+    "features": st.sampled_from(["flow", "flow,handnorm", "", "x", ["flow"], 3]),
+    "seed": st.sampled_from([0, 7, -1, 10**400, 1.5]),
+    "threshold_b": st.sampled_from([0, 50.0, 100, -1, 1e308]),
+    "mode": st.sampled_from(["argmax", "threshold", "x"]),
+})
+
+
+@pytest.fixture(scope="module")
+def golden_tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden-tiny")
+    assert cli.main(["train", "--data-dir", str(GOLDEN_CLIPS), "--hidden-dim", "4",
+                     "--layers", "1", "--max-steps", "1", "--out-dir", str(out)]) == 0
+    return str(out / "model.ckpt")
+
+
+def _edit_segments(doc, edits):
+    for op, value in edits:
+        sign = doc.get("tiers", {}).get("sign")
+        if op in ("start", "end") and sign:
+            sign[0][op] = value
+        elif op == "overlap" and sign and all(type(sign[0][k]) is int for k in ("start", "end")):
+            sign.append({"start": sign[0]["start"] + value, "end": sign[0]["end"] + value})
+        elif op == "fps" and "fps" in doc:
+            doc["fps"] = value
+        elif op == "phrase" and "tiers" in doc:
+            doc["tiers"]["phrase"] = value
+        elif op == "drop":
+            doc.pop(value, None)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=SEGMENT_EDITS, config=CONFIGS)
+@example(edits=[("end", 10**400)], config={})
+@example(edits=[("overlap", 10)], config={})
+@example(edits=[("fps", 5e-324)], config={"fps": 5e-324})
+@example(edits=[("fps", 1e15)], config={"fps": 1e15})
+@example(edits=[("fps", 1e308)], config={"fps": 1e308})
+def test_cli_segments_and_config_fuzz(tmp_path, capsys, golden_tiny_checkpoint, edits, config):
+    data = tmp_path / "data"
+    if not data.exists():
+        shutil.copytree(GOLDEN_CLIPS, data)
+    gold = data / "golden0.segments.json"
+    doc = json.loads((GOLDEN_CLIPS / gold.name).read_text(encoding="utf-8"))
+    _edit_segments(doc, edits)
+    gold.write_text(json.dumps(doc), encoding="utf-8")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config), encoding="utf-8")
+    out = ["--out-dir", str(tmp_path / "out")]
+    with_config = ["--config", str(conf)] + out
+    runs = {
+        "train": ["--data-dir", str(data), "--hidden-dim", "4", "--layers", "1",
+                  "--max-steps", "1", *with_config],
+        "tune": ["--data-dir", str(data), "--checkpoint", golden_tiny_checkpoint,
+                 "--tier", "sign", *with_config],
+        "segment": [*map(str, sorted(data.glob("*.pose.json"))),
+                    "--checkpoint", golden_tiny_checkpoint, *with_config],
+        "eval": ["--pred", str(gold), "--gold", str(gold), *out],
+        "bio-fidelity": ["--gold", str(gold), *out],
+    }
+    for command, argv in runs.items():
+        rc = cli.main([command, *argv])
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert captured.err == ""
+        else:
+            assert rc == 1
+            err = captured.err
+            stage = err.removeprefix(f"signseg {command}: ").split(":", 1)[0]
+            assert err.startswith(f"signseg {command}: ") and stage not in ("", "error"), err

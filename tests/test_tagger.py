@@ -35,6 +35,9 @@ FLOAT32_GRAD_TOL = 2e-5
 # were 1.3e-8 and 2.5e-7.
 BATCH_PROB_TOL = 1e-6
 BATCH_STATE_TOL = 1e-5
+# A float32 probability row sums to 1 within this much: its three entries and
+# their sum are each rounded in float32. The worst row measured was 1 eps.
+FLOAT32_ROW_SUM_TOL = 3 * np.finfo(np.float32).eps
 
 
 def tiny_config(**kw):
@@ -84,14 +87,14 @@ def test_config_validation():
 
 def test_forward_shapes_and_simplex():
     cfg = tiny_config(layers=2)
-    model = init_model(cfg)
     x, _ = random_case(cfg, t=9)
-    probs = forward(model, x)
-    assert set(probs) == set(SEGMENTS_TIERS)
-    for tier in SEGMENTS_TIERS:
-        assert probs[tier].shape == (9, 3)
-        np.testing.assert_allclose(probs[tier].sum(axis=1), 1.0, atol=1e-12)
-        assert (probs[tier] > 0).all()
+    for dtype, row_sum_tol in ((np.float32, FLOAT32_ROW_SUM_TOL), (np.float64, 1e-12)):
+        probs = forward(cast_model(init_model(cfg), dtype), x)
+        assert set(probs) == set(SEGMENTS_TIERS)
+        for tier in SEGMENTS_TIERS:
+            assert probs[tier].shape == (9, 3) and probs[tier].dtype == dtype
+            np.testing.assert_allclose(probs[tier].sum(axis=1), 1.0, atol=row_sum_tol)
+            assert (probs[tier] > 0).all()
 
 
 def test_forward_empty_sequence():
@@ -100,7 +103,7 @@ def test_forward_empty_sequence():
         probs = forward(cast_model(model, dtype), np.zeros((0, 6)))
         for tier in SEGMENTS_TIERS:
             assert probs[tier].shape == (0, 3)
-            assert probs[tier].dtype == np.float64
+            assert probs[tier].dtype == dtype
 
 
 def test_forward_rejects_width_mismatch():
@@ -128,8 +131,9 @@ def test_float32_forward_matches_float64():
     ref = forward(cast_model(model, np.float64), x)
     fast = forward(model, x)
     for tier in SEGMENTS_TIERS:
-        assert fast[tier].dtype == np.float64
-        np.testing.assert_allclose(fast[tier].sum(axis=1), 1.0, atol=1e-12)
+        assert fast[tier].dtype == np.float32 and ref[tier].dtype == np.float64
+        np.testing.assert_allclose(ref[tier].sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(fast[tier].sum(axis=1), 1.0, atol=FLOAT32_ROW_SUM_TOL)
         assert np.abs(fast[tier] - ref[tier]).max() <= FLOAT32_PROB_TOL
 
 
@@ -200,8 +204,10 @@ def test_loss_uniform_oracle():
 
 
 def test_loss_matches_loss_and_grads():
+    # on the float64 reference: float32 rows through `loss` differ from the
+    # loss of the logits by float32 rounding, about 2e-7
     cfg = tiny_config()
-    model = init_model(cfg)
+    model = cast_model(init_model(cfg), np.float64)
     x, gold = random_case(cfg)
     value, _ = loss_and_grads(model, x, gold)
     probs = forward(model, x)
@@ -499,7 +505,7 @@ def test_forward_clips_match_each_clips_forward(batch_model, monkeypatch, batch_
         own = forward(batch_model, clip)
         want = forward(reference, clip)
         for tier in SEGMENTS_TIERS:
-            assert probs[tier].shape == (len(clip), 3) and probs[tier].dtype == np.float64
+            assert probs[tier].shape == (len(clip), 3) and probs[tier].dtype == np.float32
             assert np.abs(probs[tier] - own[tier]).max() <= BATCH_PROB_TOL, len(clip)
             assert np.abs(probs[tier] - want[tier]).max() <= FLOAT32_PROB_TOL, len(clip)
 
@@ -563,24 +569,31 @@ def test_forward_clips_bound_batches_by_clips_and_padded_frames(monkeypatch, len
     assert [p["sign"].shape for p in got] == [(n, 3) for n in lengths]
 
 
-def test_forward_clips_of_long_clips_hold_no_more_than_two_clips_forwards():
+def test_forward_clips_of_long_clips_hold_no_more_than_two_clips_forwards(monkeypatch):
     # eight 1500-frame clips run as four batches of two (2 x 1500 <= BATCH_FRAMES),
-    # so the peak stays under that of two clips run at once; one batch of all
-    # eight would hold eight clips' layer outputs, 3.7 times one clip's peak
-    model = init_model(TaggerConfig(input_dim=8, hidden_dim=32, layers=1))
+    # so the peak is what a batch of two holds: its projection and layer
+    # output, its block of projected rows, the probability rows of all eight
+    # clips, and 64 KiB for the step's small arrays and Python's objects
+    # (1,637,632 bytes; measured 1,568,362). One batch of all eight holds
+    # eight clips' layer outputs and breaks that bound (measured 4,823,410)
+    cfg = TaggerConfig(input_dim=8, hidden_dim=32, layers=1)
+    model = init_model(cfg)
     rng = np.random.default_rng(15)
-    clips = [rng.normal(size=(1500, 8)).astype(np.float32) for _ in range(8)]
-    peaks = []
-    for run in (lambda: forward(model, clips[0]), lambda: forward_clips(model, clips)):
+    t_len, h_dim = 1500, cfg.hidden_dim
+    clips = [rng.normal(size=(t_len, 8)).astype(np.float32) for _ in range(8)]
+    z, layer = (2 * t_len * h_dim * n for n in (4, 2 * 4))
+    xw = (tagger.XW_ROWS + 2) * 4 * h_dim * 4
+    probs = 8 * len(SEGMENTS_TIERS) * t_len * 3 * 4
+    for batch_frames, fits in ((tagger.BATCH_FRAMES, True), (8 * t_len, False)):
+        monkeypatch.setattr(tagger, "BATCH_FRAMES", batch_frames)
         gc.collect()
         tracemalloc.start()
         try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            forward_clips(model, clips)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    one, batched = peaks
-    assert batched < 2 * one
+        assert (peak < z + layer + xw + probs + 2 ** 16) == fits, (batch_frames, peak)
 
 
 def reference_train_step(model, features, gold, state, dropout_rng=None):
@@ -677,13 +690,11 @@ def reference_forward(model, features, return_cache=False, dropout_rng=None):
         else:
             drop_masks.append(None)
         layer_caches.append(caches)
-    enc = cur.astype(np.float64, copy=False)
-    logits = {t: enc @ p[f"head.{t}.W"] + p[f"head.{t}.b"] for t in SEGMENTS_TIERS}
-    probs = {t: tagger._softmax(logits[t]) if len(enc) else np.zeros((0, 3))
-             for t in SEGMENTS_TIERS}
+    logits = {t: cur @ p[f"head.{t}.W"] + p[f"head.{t}.b"] for t in SEGMENTS_TIERS}
+    probs = {t: tagger._softmax(logits[t]) for t in SEGMENTS_TIERS}
     if not return_cache:
         return probs
-    return probs, {"x": x.astype(dtype, copy=False), "z": z, "enc": enc,
+    return probs, {"x": x.astype(dtype, copy=False), "z": z, "enc": cur,
                    "layers": layer_caches, "logits": logits, "drop": drop_masks}
 
 
@@ -726,12 +737,12 @@ def test_inference_forward_allocates_no_projection_of_the_whole_clip():
         tracemalloc.stop()
     for tier in SEGMENTS_TIERS:
         assert np.array_equal(probs[tier], want[tier])
-    # forward holds at most the projection z, the last layer's output and its
-    # float64 copy at once (a layer's input and output take no more), and
-    # blocks of rows beside them; a (T, 4H) float32 array would not fit
-    z, layer, enc = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4, 2 * 8))
-    xw = t_len * 4 * cfg.hidden_dim * 4
-    assert peak < z + layer + enc + xw / 4
+    # forward holds at most two layer outputs at once (a layer's input and
+    # output), and blocks of rows beside them that take less than the (T, H)
+    # projection z: 5,120,000 bytes here, against a measured 4,934,974. A
+    # (T, 4H) projection would not fit, nor would z kept to the end
+    z, layer = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4))
+    assert peak < 2 * layer + z
 
 
 def test_float32_features_give_the_float64_features_probabilities():
@@ -759,13 +770,13 @@ def test_inference_forward_on_float32_features_holds_no_copy_of_them():
         tracemalloc.stop()
     for tier in SEGMENTS_TIERS:
         assert np.array_equal(probs[tier], want[tier])
-    # the peak is the last layer's output beside its float64 copy for the
-    # heads, and the heads' (T, 3) rows, which take less than half of the
-    # projection z: z kept to the end breaks the bound, and so does a float64
-    # copy of the features, which is larger than z / 2
-    z, layer, enc = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4, 2 * 8))
-    assert t_len * cfg.input_dim * 8 > z / 2
-    assert peak < layer + enc + z / 2
+    # the bound of the test above: two layer outputs, and blocks of rows
+    # beside them that take less than the projection z. z kept to the end
+    # breaks it, and so does a float64 copy of the features, which is larger
+    # than z
+    z, layer = (t_len * cfg.hidden_dim * n for n in (4, 2 * 4))
+    assert t_len * cfg.input_dim * 8 > z
+    assert peak < 2 * layer + z
 
 
 def test_adam_state_allocates_its_buffers_once():

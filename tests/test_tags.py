@@ -248,6 +248,8 @@ def test_segments_json_roundtrip():
     ('{"fps": NaN, "tiers": {}}', "fps"),
     ('{"fps": 1e400, "tiers": {}}', "fps"),
     ('{"fps": true, "tiers": {}}', "fps"),
+    ('{"fps": 25, "tiers": {"sign": [{"start": 10, "end": 40}, {"start": 0, "end": 30}]}}',
+     "segments overlap at frame 10"),
     pytest.param("[" * 100_000, "malformed", id="nested-too-deep"),
 ])
 def test_segments_json_rejects(text, match):
@@ -282,6 +284,7 @@ def test_parse_segments_raises_only_value_error(text):
     except ValueError:
         return
     assert fps > 0 and all(isinstance(s, Segment) for segs in tiers.values() for s in segs)
+    assert all(a.end <= b.start for segs in tiers.values() for a, b in zip(segs, segs[1:]))
 
 
 @pytest.mark.parametrize("fps", [0, -1, float("inf"), float("nan"), True])

@@ -13,7 +13,7 @@ JSON line with the peaks and the slope between the shortest and the longest
 clip in MB per minute, and exits 1 if the slope is above the limit or a
 malformed copy fails otherwise.
 
-    python3 tools/segment_memory.py --minutes 1 3 --limit 22
+    python3 tools/segment_memory.py --minutes 1 3 --limit 12
 
 Linux only: it reads /proc/self/status. The clips take about 52 MB of disk
 per minute, and the longest clip's two copies twice as much again, in a
