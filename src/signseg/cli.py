@@ -16,17 +16,17 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
+from . import numutil
 from . import train as training
 from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thresholds
 from .flow import optical_flow
 from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text, roc_auc_o
-from .numutil import check_fps, is_finite_real, load_json, single_blas_thread
+from .numutil import check_fps, is_finite_real, load_json
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, component_columns, load_pose
 from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
@@ -68,6 +68,9 @@ class StageError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+    def __reduce__(self):  # a pool process's error reaches main whole
+        return StageError, (self.stage, str(self))
 
 
 @contextmanager
@@ -152,12 +155,46 @@ def _stem(path) -> str:
     return os.path.splitext(base)[0]
 
 
+# In a pool process: the function its items run through. It reaches the
+# process through fork, so it need not pickle (a closure or a lambda does
+# not); only the items and the results do.
+_pool_worker = None
+
+
+def _start_pool_process(worker):
+    """A pool process's initializer. It also pins OpenBLAS to one thread, so
+    that the process's matrix products do not compete with the others'."""
+    global _pool_worker
+    _pool_worker = worker
+    calls = numutil._openblas_threads()
+    if calls is not None:
+        calls[1](1)
+
+
+def _call_pool_worker(item):
+    return _pool_worker(item)
+
+
 def _map_files(items, worker, workers: int):
-    """worker over items, in order; on a pool of threads, with BLAS on one
-    thread each, when there are workers and items to share."""
+    """[worker(item) for item in items], on a pool of processes when there
+    are workers and items to share.
+
+    The pool forks min(workers, len(items)) processes, each with OpenBLAS on
+    one thread; this process's BLAS thread count is left as it is. Results
+    come in input order, and the error raised is that of the first failing
+    item in input order, so it must pickle (StageError does). Every process
+    has exited when this returns or raises.
+    """
     if workers > 1 and len(items) > 1:
-        with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, items))
+        # imported here: the serial path and the other commands do without them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(workers, len(items)),
+                                 multiprocessing.get_context("fork"),
+                                 initializer=_start_pool_process,
+                                 initargs=(worker,)) as pool:
+            return list(pool.map(_call_pool_worker, items))
     return [worker(item) for item in items]
 
 

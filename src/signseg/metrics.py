@@ -101,13 +101,20 @@ def _check_bins(bins) -> None:
 
 
 def length_density(segments, fps: float, bins: int = 10) -> Histogram:
-    """Normalized density of segment durations in seconds; integrates to 1."""
+    """Normalized density of segment durations in seconds; integrates to 1.
+
+    Durations so short that a bin's density overflows (fps near the float
+    maximum) are a ValueError.
+    """
     _check_bins(bins)
     if len(segments) == 0:
         raise ValueError("length_density needs at least one segment")
     check_fps(fps)
     durations = np.array([(s.end - s.start) / fps for s in segments])
-    density, edges = np.histogram(durations, bins=bins, density=True)
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        density, edges = np.histogram(durations, bins=bins, density=True)
+    if not np.isfinite(density).all():
+        raise ValueError(f"segment lengths at {fps:g} fps have a non-finite length density")
     return Histogram(edges, density)
 
 

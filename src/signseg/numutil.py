@@ -75,9 +75,9 @@ def _openblas_threads():
 def single_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
-    For a pool of worker threads: each worker's matrix products then run on
-    the worker's own thread, not on BLAS threads that compete with the other
-    workers for the same cores. A no-op when numpy's OpenBLAS is not found.
+    For timing products as a `segment --workers` process runs them: the
+    pool pins each of its processes to one thread. A no-op when numpy's
+    OpenBLAS is not found.
     """
     calls = _openblas_threads()
     if calls is None:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numutil import check_fps, load_json, round_half_away
+from .numutil import check_fps, is_finite_real, load_json, round_half_away
 
 B, I, O = 0, 1, 2
 
@@ -124,7 +124,8 @@ def retime_segments(segments, src_fps, dst_fps) -> list[Segment]:
     check_fps(dst_fps, "dst_fps")
 
     def frame(index):
-        x = index * dst_fps / src_fps
+        # an int past float range would overflow the product instead
+        x = index * dst_fps / src_fps if is_finite_real(index) else math.inf
         if not (math.isfinite(x) and x <= sys.maxsize):
             raise ValueError(f"frame {index} retimed from {src_fps:g} to {dst_fps:g} fps "
                              f"is {x:g}, not a frame index")
@@ -181,13 +182,15 @@ def fidelity_experiment(gold, src_fps, fps_list) -> list[FidelityRow]:
     gold_set = set(gold)
     rows = []
     for fps in fps_list:
+        # retimed first: it rejects an end past float range, which the product overflows
+        retimed = retime_segments(gold, src_fps, fps)
         frames = num_frames * fps / src_fps
-        if not frames <= MAX_TIMELINE_FRAMES:  # also catches inf
+        if not frames <= MAX_TIMELINE_FRAMES:
             raise ValueError(f"{num_frames} frames retimed from {src_fps:g} to {fps:g} fps "
                              f"are {frames:g}, over the limit of {MAX_TIMELINE_FRAMES}")
         t_out = max(round_half_away(frames), 1)
+        retimed = clamp_segments(retimed, t_out)
         for scheme in (TagScheme.BIO, TagScheme.IO):
-            retimed = clamp_segments(retime_segments(gold, src_fps, fps), t_out)
             tags = encode_tags(retimed, t_out, scheme)
             decoded = decode_gold_tags(tags, scheme)
             back = retime_segments(decoded, fps, src_fps)

@@ -1,6 +1,8 @@
 import csv
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -301,11 +303,55 @@ def test_segment_workers_without_openblas_calls(corpus_dir, checkpoint, tmp_path
 
 
 def test_importing_the_cli_looks_up_no_blas_library():
-    code = ("import signseg.cli\n"
+    code = ("import sys\n"
+            "import signseg.cli\n"
             "from signseg import numutil\n"
-            "assert numutil._openblas_threads.cache_info().currsize == 0\n")
+            "assert numutil._openblas_threads.cache_info().currsize == 0\n"
+            # nor the process pool's modules, which only --workers N needs
+            "assert not {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_stage_error_survives_pickling():
+    e = pickle.loads(pickle.dumps(cli.StageError("parse", "malformed pose document")))
+    assert type(e) is cli.StageError
+    assert (e.stage, str(e)) == ("parse", "malformed pose document")
+
+
+def segment_err(capsys, poses, checkpoint, out, workers):
+    rc = cli.main(["segment", *poses, "--checkpoint", checkpoint, "--out-dir", str(out),
+                   "--workers", str(workers)])
+    return rc, capsys.readouterr().err.splitlines()[-1:]
+
+
+def test_segment_workers_report_the_first_failing_file_in_input_order(corpus_dir, checkpoint,
+                                                                      tmp_path, capsys):
+    good = sorted(str(p) for p in corpus_dir.glob("*.pose.json"))
+    text = Path(good[0]).read_text(encoding="utf-8")
+    late = tmp_path / "late.pose.json"  # fails at its end, after the whole file is read
+    late.write_text(text[:-2], encoding="utf-8")
+    early = tmp_path / "early.pose.json"
+    early.write_text('{"fps": 25, oops', encoding="utf-8")
+    for poses in ([good[0], str(early), good[1]], [str(late), str(early), good[1]]):
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        rc1, err1 = segment_err(capsys, poses, checkpoint, out1, 1)
+        rc2, err2 = segment_err(capsys, poses, checkpoint, out2, 2)
+        assert rc1 == rc2 == 1
+        assert err1 == err2 and err1[0].startswith("signseg segment: parse: malformed pose")
+        assert not out1.exists() and not out2.exists()
+    # the second list's error is late's: the first failing file, not the first to fail
+    assert segment_err(capsys, [str(late)], checkpoint, tmp_path / "late", 1)[1] == err2
+
+
+def test_no_worker_outlives_segment(corpus_dir, checkpoint, tmp_path, capsys):
+    poses = sorted(str(p) for p in corpus_dir.glob("*.pose.json"))
+    bad = tmp_path / "bad.pose.json"
+    bad.write_text("[", encoding="utf-8")
+    assert segment_err(capsys, poses, checkpoint, tmp_path / "ok", 2)[0] == 0
+    assert multiprocessing.active_children() == []
+    assert segment_err(capsys, [*poses, str(bad)], checkpoint, tmp_path / "bad", 2)[0] == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_segment_argmax_mode(corpus_dir, checkpoint, tmp_path):
@@ -1183,6 +1229,34 @@ def test_bad_gold_segments_are_stage_errors(corpus_dir, checkpoint, tmp_path, ca
     assert cli.main(command_argv(command, data, checkpoint, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"signseg {command}: {stage}: ") and err.endswith(message), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("train", "data"), ("tune", "data"), ("bio-fidelity", "fidelity")])
+def test_an_end_past_float_range_is_no_frame_index(corpus_dir, checkpoint, tmp_path, capsys,
+                                                  command, stage):
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    sorted(data.glob("*.segments.json"))[0].write_text(json.dumps(
+        {"fps": 25.0, "tiers": {"sign": [{"start": 0, "end": 10**400}], "phrase": []}}),
+        encoding="utf-8")
+    assert cli.main(command_argv(command, data, checkpoint, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"signseg {command}: {stage}: frame 1000")
+    assert err.endswith(" fps is inf, not a frame index\n"), err
+
+
+def test_eval_of_an_overflowing_length_density_prints_and_writes_nothing(tmp_path, capsys):
+    gold = tmp_path / "gold.segments.json"
+    gold.write_text(json.dumps({"fps": 1e308, "tiers": {"sign": [
+        {"start": 0, "end": 5}, {"start": 7, "end": 9}]}}), encoding="utf-8")
+    assert cli.main(["eval", "--pred", str(gold), "--gold", str(gold),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("signseg eval: metrics: segment lengths at 1e+308 fps have a non-finite "
+                   "length density\n")
     assert not (tmp_path / "out").exists()
 
 

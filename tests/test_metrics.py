@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,14 @@ def test_length_density_errors():
         length_density([], fps=25.0)
     with pytest.raises(ValueError, match="fps"):
         length_density([Segment(0, 1)], fps=0.0)
+
+
+def test_length_density_that_overflows_is_an_error_and_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^segment lengths at 1e\\+308 fps have a "
+                                             "non-finite length density$"):
+            length_density([Segment(0, 5), Segment(7, 9)], fps=1e308)
 
 
 @pytest.mark.parametrize("bins", [0, -2, True, 2.5, [0.0, 1.0]])

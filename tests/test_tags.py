@@ -202,6 +202,15 @@ def test_retime_rejects_bad_fps():
         retime_segments([Segment(0, 1)], 0, 25)
 
 
+def test_retime_rejects_an_end_past_float_range():
+    # its product with a frame rate would raise OverflowError
+    with pytest.raises(ValueError, match="^frame 10{400} retimed from 25 to 50 fps is inf, "
+                                         "not a frame index$"):
+        retime_segments([Segment(0, 10**400)], 25, 50)
+    with pytest.raises(ValueError, match="not a frame index$"):
+        fidelity_experiment([Segment(0, 10**400)], 25, [12.5])
+
+
 def test_clamp_segments():
     assert clamp_segments([Segment(0, 5), Segment(8, 12)], 10) == \
         [Segment(0, 5), Segment(8, 10)]
