@@ -26,7 +26,7 @@ from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thres
 from .flow import optical_flow
 from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text, roc_auc_o
-from .numutil import check_fps, is_finite_real, load_json
+from .numutil import check_fps, load_json
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
 from .pose import HAND_POINTS, component_columns, load_pose
 from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
@@ -37,15 +37,16 @@ from .vtt import segments_to_vtt
 
 _MODES = tuple(m.value for m in DecodeMode)
 
-# Shared options: built-in default and argparse keywords of each.
+# Shared options: the default of the object each one builds, and its argparse keywords.
 _SHARED = {
-    "fps": (25.0, {"type": float, "help": "pipeline frame rate"}),
-    "selector": ("body75", {"help": "keypoint selector name"}),
-    "features": ("flow", {"help": "comma list of feature flags: flow,handnorm"}),
-    "threshold_b": (50.0, {"type": float}),
-    "threshold_o": (50.0, {"type": float}),
-    "mode": ("threshold", {"choices": sorted(_MODES)}),
-    "seed": (0, {"type": int}),
+    "fps": (PipelineOptions.fps, {"type": float, "help": "pipeline frame rate"}),
+    "selector": (PipelineOptions.selector, {"help": "keypoint selector name"}),
+    "features": (",".join(PipelineOptions.features),
+                 {"help": "comma list of feature flags: flow,handnorm"}),
+    "threshold_b": (DecodeParams.threshold_b, {"type": float}),
+    "threshold_o": (DecodeParams.threshold_o, {"type": float}),
+    "mode": (DecodeParams.mode.value, {"choices": sorted(_MODES)}),
+    "seed": (TaggerConfig.seed, {"type": int}),
     "workers": (1, {"type": int}),
 }
 
@@ -74,14 +75,16 @@ class StageError(Exception):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, path=None):
+    """Turns an error of the block into a StageError of this stage; the
+    message names path first, where the stage works on one input file."""
     try:
         yield
     except StageError:
         raise
     except (ValueError, RuntimeError, OSError, KeyError, TypeError, OverflowError,
             MemoryError) as e:
-        raise StageError(name, str(e)) from e
+        raise StageError(name, str(e) if path is None else f"{path}: {e}") from e
 
 
 def _load_base_config(path_flag):
@@ -114,7 +117,7 @@ def _resolve(args) -> dict:
             feats = opts["features"]
             if isinstance(feats, str):
                 feats = list(parse_feature_flags(feats))
-            if not isinstance(feats, list) or not all(isinstance(x, str) for x in feats):
+            if not isinstance(feats, list):  # PipelineOptions checks each flag
                 raise ValueError("features must be a comma list or list of strings")
             opts["features"] = feats
         if "fps" in opts:
@@ -122,9 +125,6 @@ def _resolve(args) -> dict:
         if "mode" in opts:
             if opts["mode"] not in _MODES:
                 raise ValueError(f"unknown mode {opts['mode']!r}; expected {' or '.join(_MODES)}")
-            for key in ("threshold_b", "threshold_o"):
-                if not is_finite_real(opts[key]):
-                    raise ValueError(f"{key} must be a finite number")
             _dparams(opts, strict_bio=False)
         # type(), so that a bool is no int
         if "workers" in opts and not (type(opts["workers"]) is int and opts["workers"] >= 1):
@@ -139,12 +139,8 @@ def _popts(opts) -> PipelineOptions:
 
 
 def _dparams(opts, strict_bio: bool) -> DecodeParams:
-    return DecodeParams(
-        threshold_b=float(opts["threshold_b"]),
-        threshold_o=float(opts["threshold_o"]),
-        mode=DecodeMode(opts["mode"]),
-        strict_bio=strict_bio,
-    )
+    return DecodeParams(opts["threshold_b"], opts["threshold_o"], DecodeMode(opts["mode"]),
+                        strict_bio)
 
 
 def _stem(path) -> str:
@@ -162,13 +158,10 @@ _pool_worker = None
 
 
 def _start_pool_process(worker):
-    """A pool process's initializer. It also pins OpenBLAS to one thread, so
-    that the process's matrix products do not compete with the others'."""
+    """A pool process's initializer; it also pins OpenBLAS to one thread."""
     global _pool_worker
     _pool_worker = worker
-    calls = numutil._openblas_threads()
-    if calls is not None:
-        calls[1](1)
+    numutil.pin_one_blas_thread()
 
 
 def _call_pool_worker(item):
@@ -281,16 +274,16 @@ def cmd_segment(args, opts) -> int:
     dparams = _dparams(opts, strict_bio=args.strict_bio)
 
     def process(path):
-        with _stage("parse"):
+        with _stage("parse", path):
             seq = load_pose(path, popts.read_columns)
         if seq.num_frames == 0:
             return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
-        with _stage("features"):
+        with _stage("features", path):
             feats = prepare_features(seq, popts)
         del seq  # frees the pose block before the forward pass
-        with _stage("forward"):
+        with _stage("forward", path):
             probs = forward(model, feats.values)
-        with _stage("decode"):
+        with _stage("decode", path):
             tiers = {tier: decode(probs[tier] * 100.0, dparams)
                      for tier in SEGMENTS_TIERS}
         return _stem(path), tiers
@@ -519,15 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-dir", default=None,
                    help="validation clips; defaults to the training set")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--hidden-dim", type=int, default=256)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--hidden-dim", type=int, default=TaggerConfig.hidden_dim)
+    p.add_argument("--layers", type=int, default=TaggerConfig.layers)
+    p.add_argument("--learning-rate", type=float, default=TaggerConfig.learning_rate)
     p.add_argument("--max-steps", type=int, default=0, help="0 = no cap")
     p.add_argument("--patience", type=int, default=20,
                    help="evaluations without improvement before stopping; 0 = off")
     p.add_argument("--val-every", type=int, default=1, help="epochs between evaluations")
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--grad-clip", type=float, default=0.0)
+    p.add_argument("--dropout", type=float, default=TaggerConfig.dropout)
+    p.add_argument("--grad-clip", type=float, default=TaggerConfig.grad_clip)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", help="grid-search decode thresholds on a dev set")

@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from .metrics import _frame_mask
+from .numutil import is_finite_real
 from .tags import B, O, Segment, TagScheme, decode_gold_tags
 
 DEFAULT_GRID = tuple(range(10, 91, 10))
@@ -35,9 +36,10 @@ class DecodeParams:
     strict_bio: bool = False
 
     def __post_init__(self):
-        for v in (self.threshold_b, self.threshold_o):
-            if not 0 <= v <= 100:
-                raise ValueError(f"threshold {v} outside [0, 100]")
+        for name in ("threshold_b", "threshold_o"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and 0 <= value <= 100):
+                raise ValueError(f"{name} must be a finite number in [0, 100]")
 
 
 def _check_rows(probs) -> np.ndarray:

@@ -72,11 +72,6 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
     computed in float64 and written into one (T, F) float32 array, the
     tagger's precision, which rounds it as astype(np.float32) would.
     """
-    if include_hand_norm:
-        missing = [c for c in ("LEFT_HAND", "RIGHT_HAND")
-                   if all(comp.name != c for comp in seq.components)]
-        if missing:
-            raise ValueError(f"hand normalization needs components {missing} in the sequence")
     t, k = seq.conf.shape
     per_point = 4 if include_flow else 3
     width = k * per_point

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 
 def round_half_away(x: float) -> int:
@@ -71,22 +70,13 @@ def _openblas_threads():
     return None
 
 
-@contextmanager
-def single_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
+def pin_one_blas_thread() -> None:
+    """Puts numpy's OpenBLAS on one thread for the rest of the process; a
+    no-op when numpy's OpenBLAS is not found.
 
-    For timing products as a `segment --workers` process runs them: the
-    pool pins each of its processes to one thread. A no-op when numpy's
-    OpenBLAS is not found.
+    Each `segment --workers` pool process calls it as it starts, so that the
+    processes' matrix products do not compete for the cores.
     """
     calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    if calls is not None:
+        calls[1](1)

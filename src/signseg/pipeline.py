@@ -33,6 +33,11 @@ class PipelineOptions:
             raise ValueError(
                 f"unknown feature flags {unknown}; known flags: {', '.join(FEATURE_FLAGS)}"
             )
+        if "handnorm" in self.features:
+            selected = {comp for comp, _ in named_selector(self.selector).entries}
+            if not {"LEFT_HAND", "RIGHT_HAND"} <= selected:
+                raise ValueError(f"feature handnorm needs the LEFT_HAND and RIGHT_HAND "
+                                 f"components, and selector {self.selector!r} drops them")
 
     def read_columns(self, components) -> list[int] | None:
         """The columns prepare_pose reads of a pose with these components, as

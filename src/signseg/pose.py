@@ -167,14 +167,16 @@ def _validate_arrays(components, coords, conf):
     _check_values(_value_faults(coords, conf))
 
 
+def _declared(components) -> list[dict]:
+    """The components value of a document that declares these components."""
+    return [{"name": c.name, "points": list(c.points)} for c in components]
+
+
 def make_pose(fps, components, coords, conf) -> PoseSequence:
-    """Build a validated PoseSequence from arrays."""
+    """Build a validated PoseSequence from arrays; it holds exactly what
+    load_pose reads, so save_pose writes a file that load_pose takes."""
     check_fps(fps)
-    components = tuple(components)
-    names = [c.name for c in components]
-    for i, name in enumerate(names):
-        if name in names[:i]:  # as the parser rejects it
-            raise ValueError(f"duplicate component name {name!r}")
+    components = _components(_declared(components))
     coords = np.asarray(coords, dtype=float)
     conf = np.asarray(conf, dtype=float)
     _validate_arrays(components, coords, conf)
@@ -570,16 +572,15 @@ def parse_pose(text: str) -> PoseSequence:
 
 
 def serialize_pose(seq: PoseSequence) -> str:
-    """Canonical single-line JSON; floats use shortest round-trip decimals."""
-    _validate_arrays(seq.components, seq.coords, seq.conf)
+    """Canonical single-line JSON; floats use shortest round-trip decimals.
+    Rejects a pose that load_pose would not read back."""
     check_fps(seq.fps)
+    components = _declared(seq.components)
+    _components(components)
+    _validate_arrays(seq.components, seq.coords, seq.conf)
     frames = np.concatenate([seq.coords, seq.conf[:, :, None]], axis=2, dtype=float).tolist()
-    doc = {
-        "version": FORMAT_VERSION,
-        "fps": seq.fps,
-        "components": [{"name": c.name, "points": list(c.points)} for c in seq.components],
-        "frames": frames,
-    }
+    doc = {"version": FORMAT_VERSION, "fps": seq.fps, "components": components,
+           "frames": frames}
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
@@ -612,7 +613,8 @@ def save_pose(path, seq: PoseSequence) -> None:
 
 
 def resample_index(seq: PoseSequence, target_fps: float):
-    """The input frame of each frame resample_fps outputs, or None at the same rate."""
+    """The input frame of each frame resample_fps outputs, or None at the same rate.
+    Raises where a pose with frames would keep none."""
     if isinstance(target_fps, (bool, np.bool_)) or not target_fps > 0:
         raise ValueError("target fps must be positive")
     if seq.fps == target_fps:
@@ -622,6 +624,9 @@ def resample_index(seq: PoseSequence, target_fps: float):
     if not math.isfinite(frames):
         raise ValueError(f"resampling to {target_fps:g} fps gives a non-finite frame count")
     t_out = round_half_away(frames)
+    if t and not t_out:
+        raise ValueError(f"resampling {t} frames from {seq.fps:g} to {target_fps:g} fps "
+                         "leaves no frames")
     # i * src / target is never negative, so round_half_away is floor(x + 0.5)
     idx = np.floor(np.arange(t_out, dtype=float) * seq.fps / target_fps + 0.5).astype(int)
     return np.clip(idx, 0, t - 1)
@@ -652,7 +657,8 @@ def shoulder_stats(seq: PoseSequence, frames=slice(None)):
     """(mean_mid, mean_dist) of normalize_pose over seq's frames (an index).
 
     The mean shoulder distance and midpoint, each frame weighted by the
-    product of its two shoulder confidences.
+    product of its two shoulder confidences. Shoulders far enough apart
+    overflow to an infinite distance, and that raises, as a zero one does.
     """
     li, ri = shoulder_columns(seq.components)
     left = seq.coords[frames, li, :]
@@ -660,12 +666,14 @@ def shoulder_stats(seq: PoseSequence, frames=slice(None)):
     w = seq.conf[frames, li] * seq.conf[frames, ri]
     if not (w > 0).any():
         raise ValueError("cannot normalize: shoulders are never tracked")
-    dist = np.linalg.norm(left - right, axis=1)
-    mean_dist = float((w * dist).sum() / w.sum())
-    if mean_dist == 0:
-        raise ValueError("cannot normalize: mean shoulder distance is zero")
-    mid = (left + right) / 2
-    mean_mid = (w[:, None] * mid).sum(axis=0) / w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(left - right, axis=1)
+        mean_dist = float((w * dist).sum() / w.sum())
+        mid = (left + right) / 2
+        mean_mid = (w[:, None] * mid).sum(axis=0) / w.sum()
+    if not (0 < mean_dist < math.inf and np.isfinite(mean_mid).all()):
+        raise ValueError(f"cannot normalize: mean shoulder distance {mean_dist:g} is not "
+                         "positive and finite, or the midpoint is not finite")
     return mean_mid, mean_dist
 
 

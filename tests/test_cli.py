@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import venv
+import warnings
 import weakref
 from pathlib import Path
 
@@ -290,8 +291,7 @@ def test_pool_runs_numpy_openblas_on_one_thread(openblas):
 def test_segment_workers_without_openblas_calls(corpus_dir, checkpoint, tmp_path,
                                                 monkeypatch):
     monkeypatch.setattr(numutil, "_openblas_threads", lambda: None)
-    with numutil.single_blas_thread():  # a no-op
-        pass
+    numutil.pin_one_blas_thread()  # a no-op
     poses = sorted(str(p) for p in corpus_dir.glob("*.pose.json"))
     one, two = tmp_path / "w1", tmp_path / "w2"
     assert cli.main(["segment", *poses, "--checkpoint", checkpoint,
@@ -333,12 +333,14 @@ def test_segment_workers_report_the_first_failing_file_in_input_order(corpus_dir
     late.write_text(text[:-2], encoding="utf-8")
     early = tmp_path / "early.pose.json"
     early.write_text('{"fps": 25, oops', encoding="utf-8")
-    for poses in ([good[0], str(early), good[1]], [str(late), str(early), good[1]]):
+    for poses, bad in (([good[0], str(early), good[1]], early),
+                       ([str(late), str(early), good[1]], late)):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         rc1, err1 = segment_err(capsys, poses, checkpoint, out1, 1)
         rc2, err2 = segment_err(capsys, poses, checkpoint, out2, 2)
         assert rc1 == rc2 == 1
-        assert err1 == err2 and err1[0].startswith("signseg segment: parse: malformed pose")
+        assert err1 == err2
+        assert err1[0].startswith(f"signseg segment: parse: {bad}: malformed pose")
         assert not out1.exists() and not out2.exists()
     # the second list's error is late's: the first failing file, not the first to fail
     assert segment_err(capsys, [str(late)], checkpoint, tmp_path / "late", 1)[1] == err2
@@ -405,7 +407,7 @@ def test_segment_rejects_2d_pose(checkpoint, tmp_path, capsys):
                    "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("signseg segment: parse:")
+    assert err.startswith(f"signseg segment: parse: {bad}: ")
     assert "z" in err
 
 
@@ -423,7 +425,7 @@ def test_segment_reports_unconvertible_pose_as_parse_error(checkpoint, tmp_path,
                    "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("signseg segment: parse: malformed pose document")
+    assert err.startswith(f"signseg segment: parse: {bad}: malformed pose document")
 
 
 @pytest.mark.parametrize("names", [("a/x.pose.json", "b/x.pose.json"),
@@ -475,11 +477,13 @@ def test_malformed_checkpoint_is_a_checkpoint_error(corpus_dir, tmp_path, capsys
 
 def test_segment_feature_width_mismatch(corpus_dir, checkpoint, tmp_path, capsys):
     # the checkpoint reads flow features (196 wide); without flow there are 147 columns
-    rc = cli.main(["segment", first_pose(corpus_dir), "--checkpoint", checkpoint,
+    pose = first_pose(corpus_dir)
+    rc = cli.main(["segment", pose, "--checkpoint", checkpoint,
                    "--out-dir", str(tmp_path / "out"), "--features", ""])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "signseg segment: forward: feature width 147 does not match model input_dim 196\n")
+        f"signseg segment: forward: {pose}: "
+        "feature width 147 does not match model input_dim 196\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -495,7 +499,8 @@ def test_segment_handnorm_on_a_hand_of_20_points_is_a_features_error(checkpoint,
                    "--features", "flow,handnorm", "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert (capsys.readouterr().err.splitlines()[-1]
-            == "signseg segment: features: component 'LEFT_HAND' has 20 points, expected 21")
+            == f"signseg segment: features: {pose}: "
+            "component 'LEFT_HAND' has 20 points, expected 21")
     assert not (tmp_path / "out").exists()
 
 
@@ -757,11 +762,13 @@ def test_a_declared_empty_component_reaches_the_features(tmp_path, capsys):
     assert cli.main(["segment", pose_path, "--checkpoint", ckpt,
                      "--out-dir", str(tmp_path / "flow")]) == 1
     assert capsys.readouterr().err == (
-        "signseg segment: forward: feature width 112 does not match model input_dim 196\n")
+        f"signseg segment: forward: {pose_path}: "
+        "feature width 112 does not match model input_dim 196\n")
     assert cli.main(["segment", pose_path, "--checkpoint", ckpt, "--features", "flow,handnorm",
                      "--out-dir", str(tmp_path / "handnorm")]) == 1
     assert capsys.readouterr().err == (
-        "signseg segment: features: component 'LEFT_HAND' has 0 points, expected 21\n")
+        f"signseg segment: features: {pose_path}: "
+        "component 'LEFT_HAND' has 0 points, expected 21\n")
 
 
 def test_flow_dump_quotes_point_names(tmp_path):
@@ -1199,6 +1206,66 @@ def test_config_rejects_non_numeric_thresholds(corpus_dir, checkpoint, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize("command", ["segment", "tune"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_handnorm_with_a_selector_that_drops_the_hands_is_a_config_error(tmp_path, capsys,
+                                                                        command, source):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"selector": "face-contour-128",
+                                  "features": ["flow", "handnorm"]}), encoding="utf-8")
+    inputs = ([str(tmp_path / "clip.pose.json")] if command == "segment"
+              else ["--data-dir", str(tmp_path / "clips"), "--tier", "sign"])
+    argv = [command, *inputs, "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--out-dir", str(tmp_path / "out")]
+    argv += (["--selector", "face-contour-128", "--features", "flow,handnorm"]
+             if source == "flag" else ["--config", str(config)])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"signseg {command}: config: feature handnorm needs the LEFT_HAND and RIGHT_HAND "
+        "components, and selector 'face-contour-128' drops them\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _clip(tmp_path, seq) -> str:
+    path = tmp_path / "clip.pose.json"
+    save_pose(path, seq)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["segment", "flow-dump"])
+def test_shoulders_past_float_range_are_a_features_error_without_a_warning(checkpoint, tmp_path,
+                                                                          capsys, command):
+    # the shoulder distance, 2e200, squares past float range inside np.linalg.norm
+    seq, _ = motion_pose(0, num_frames=20)
+    seq.coords[:, seq.point_index("BODY", "LEFT_SHOULDER"), 0] = 1e200
+    seq.coords[:, seq.point_index("BODY", "RIGHT_SHOULDER"), 0] = -1e200
+    path = _clip(tmp_path, seq)
+    argv = ([command, path] + (["--checkpoint", checkpoint] if command == "segment" else [])
+            + ["--out-dir", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    named = f"{path}: " if command == "segment" else ""
+    assert capsys.readouterr().err == (
+        f"signseg {command}: features: {named}cannot normalize: mean shoulder distance inf "
+        "is not positive and finite, or the midpoint is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "flow-dump"])
+def test_a_rate_that_leaves_no_frames_is_a_features_error(checkpoint, tmp_path, capsys,
+                                                          command):
+    path = _clip(tmp_path, motion_pose(0, num_frames=40)[0])
+    argv = ([command, path] + (["--checkpoint", checkpoint] if command == "segment" else [])
+            + ["--fps", "0.1", "--out-dir", str(tmp_path / "out")])
+    assert cli.main(argv) == 1
+    named = f"{path}: " if command == "segment" else ""
+    assert capsys.readouterr().err == (
+        f"signseg {command}: features: {named}resampling 40 frames from 25 to 0.1 fps "
+        "leaves no frames\n")
+    assert not (tmp_path / "out").exists()
+
 @pytest.mark.parametrize("gold_fps, fps_list", [
     (1e-300, "3.125,25"),  # 9 gold frames span 2.8e301 frames at 3.125 fps
     (25.0, "1e-320"),  # the frames come back from a subnormal rate as inf
@@ -1515,7 +1582,8 @@ def test_cli_pose_ingest_rejects_bad_utf8_in_parse(tmp_path, capsys, tiny_holist
             ("flow-dump", ["flow-dump", str(path), "--out-dir", out])):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"signseg {command}: parse: malformed pose document: "
+        named = f"{path}: " if command == "segment" else ""  # segment names the failing file
+        assert err.startswith(f"signseg {command}: parse: {named}malformed pose document: "
                               "'utf-8' codec can't decode byte 0xff in position "), err
 
 

@@ -66,6 +66,14 @@ def test_probs_validation():
         DecodeParams(threshold_o=-1)
 
 
+@pytest.mark.parametrize("field", ["threshold_b", "threshold_o"])
+@pytest.mark.parametrize("value", [True, "50", float("nan"), float("inf"), 150, -1],
+                         ids=["true", "string", "nan", "inf", "150", "negative"])
+def test_decode_params_take_only_a_finite_threshold_in_range(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number in \[0, 100\]$"):
+        DecodeParams(**{field: value})
+
+
 def test_decoders_and_tune_reject_a_nan_row():
     # NaN > tol is False, so a row-sum check written that way lets NaN through
     probs = rows((90, 5, 5), (10, np.nan, 10), (5, 15, 80))

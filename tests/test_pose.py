@@ -742,6 +742,10 @@ def test_column_set_load_prepares_the_same_features(holistic_300, tmp_path, clip
     path = tmp_path / "clip.pose.json"
     path.write_text(holistic_300[1] if clip == "holistic" else _upper_body_text(),
                     encoding="utf-8")
+    if selector == "face-contour-128" and "handnorm" in features:  # selects no hand
+        with pytest.raises(ValueError, match="handnorm needs the LEFT_HAND and RIGHT_HAND"):
+            PipelineOptions(selector=selector, features=features)
+        return
     opts = PipelineOptions(selector=selector, features=features)
 
     def features_of(seq):
@@ -1141,6 +1145,30 @@ def test_make_pose_rejects_duplicate_component_names():
              PoseComponent("HAND", ("C",))]
     with pytest.raises(ValueError, match="^duplicate component name 'HAND'$"):
         make_pose(25, comps, np.zeros((1, 3, 3)), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("component, message", [
+    (PoseComponent("BODY", ("NOSE", "NOSE")), "component 'BODY' has duplicate point names"),
+    (PoseComponent(7, ("NOSE", "EAR")), "component entries must be {name, points} objects"),
+    (PoseComponent("BODY", ("NOSE", 3)), "component entries must be {name, points} objects"),
+], ids=["duplicate-points", "name-not-a-string", "point-not-a-string"])
+def test_make_pose_rejects_what_the_reader_rejects(component, message):
+    doc = {"version": pose.FORMAT_VERSION, "fps": 25.0,
+           "components": [{"name": component.name, "points": list(component.points)}],
+           "frames": [[[0.0, 0.0, 0.0, 1.0]] * 2]}
+    with pytest.raises(ValueError) as read:
+        parse_pose(json.dumps(doc))
+    with pytest.raises(ValueError) as made:
+        make_pose(25.0, [component], np.zeros((1, 2, 3)), np.ones((1, 2)))
+    assert str(made.value) == str(read.value) == message
+
+
+def test_serialize_rejects_a_pose_the_reader_would_reject():
+    seq = pose.PoseSequence(25.0, (PoseComponent("BODY", ("NOSE",)),
+                                   PoseComponent("BODY", ("EAR",))),
+                            np.zeros((1, 2, 3)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="^duplicate component name 'BODY'$"):
+        serialize_pose(seq)
 
 
 def test_point_names_columns_and_regroup():

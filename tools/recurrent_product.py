@@ -5,11 +5,12 @@ product as the LSTM step loop runs it for B clips at once: whole, and in
 the column blocks of Wh that the tagger picks for B (tagger.wh_blocks, whose
 rule is tagger.WH_BLOCK_MACS). The operands are float32, with the state rows
 a strided view of a layer output as in tagger._run_direction, on one BLAS
-thread. Prints one JSON line per B with the median microseconds per product
-over five rounds of --steps products, then exits 1 if a blocked product
-differs from the whole one by more than TOL in any entry. Timings are
-printed, never checked: the column rule can be measured again on another
-CPU.
+thread: like each `segment --workers` process, the tool first pins numpy's
+OpenBLAS to one thread (numutil.pin_one_blas_thread) and keeps it there.
+Prints one JSON line per B with the median microseconds per product over
+five rounds of --steps products, then exits 1 if a blocked product differs
+from the whole one by more than TOL in any entry. Timings are printed,
+never checked: the column rule can be measured again on another CPU.
 
     python3 tools/recurrent_product.py --steps 2000
 """
@@ -27,7 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from signseg import tagger  # noqa: E402
-from signseg.numutil import single_blas_thread  # noqa: E402
+from signseg.numutil import pin_one_blas_thread  # noqa: E402
 
 # Largest entry-wise difference allowed between the blocked and the whole
 # product (entries are sums of H float32 products of order 1/16): a few
@@ -58,19 +59,19 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     wh = rng.uniform(-1 / 16, 1 / 16, size=(H_DIM, 4 * H_DIM)).astype(np.float32)
     worst = 0.0
-    with single_blas_thread():
-        for batch in range(1, tagger.BATCH_CLIPS + 1):
-            # one time row of a (T, B, 2H) layer output; the state is its first H columns
-            hprev = rng.uniform(-1, 1, size=(batch, 2 * H_DIM)).astype(np.float32)[:, :H_DIM]
-            whole, blocked = (np.empty((batch, 4 * H_DIM), dtype=np.float32) for _ in range(2))
-            blocks = tagger.wh_blocks(wh, batch)
-            products = [(w, blocked[:, c0:c0 + w.shape[1]]) for c0, w in blocks]
-            row = {"batch": batch, "columns": blocks[0][1].shape[1], "blocks": len(blocks),
-                   "whole_us": round(per_call_us([(wh, whole)], hprev, args.steps), 1),
-                   "blocked_us": round(per_call_us(products, hprev, args.steps), 1)}
-            row["max_abs_diff"] = float(np.abs(blocked - whole).max())
-            worst = max(worst, row["max_abs_diff"])
-            print(json.dumps(row), flush=True)
+    pin_one_blas_thread()
+    for batch in range(1, tagger.BATCH_CLIPS + 1):
+        # one time row of a (T, B, 2H) layer output; the state is its first H columns
+        hprev = rng.uniform(-1, 1, size=(batch, 2 * H_DIM)).astype(np.float32)[:, :H_DIM]
+        whole, blocked = (np.empty((batch, 4 * H_DIM), dtype=np.float32) for _ in range(2))
+        blocks = tagger.wh_blocks(wh, batch)
+        products = [(w, blocked[:, c0:c0 + w.shape[1]]) for c0, w in blocks]
+        row = {"batch": batch, "columns": blocks[0][1].shape[1], "blocks": len(blocks),
+               "whole_us": round(per_call_us([(wh, whole)], hprev, args.steps), 1),
+               "blocked_us": round(per_call_us(products, hprev, args.steps), 1)}
+        row["max_abs_diff"] = float(np.abs(blocked - whole).max())
+        worst = max(worst, row["max_abs_diff"])
+        print(json.dumps(row), flush=True)
     if worst > TOL:
         print(f"blocked and whole products differ by {worst:.3g} > {TOL:g}", file=sys.stderr)
         return 1

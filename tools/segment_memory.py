@@ -8,7 +8,8 @@ process that reports its peak resident set (VmHWM, in MiB as the benchmark
 counts MB). Two copies of the longest clip that are no valid pose near
 their end (the comma before the last frame taken out; a 0xFF byte before
 the closing brace) are segmented too: each must fail in the parse stage as a
-malformed pose document, and peak no higher than the valid clip. Prints one
+malformed pose document, named by its path, and peak no higher than the
+valid clip. Prints one
 JSON line with the peaks and the slope between the shortest and the longest
 clip in MB per minute, and exits 1 if the slope is above the limit or a
 malformed copy fails otherwise.
@@ -98,7 +99,8 @@ def main(argv=None) -> int:
                 for fault, path in malformed_copies(clip).items():
                     malformed[fault], err = peak_mb(path, checkpoint, out, code=1)
                     os.remove(path)
-                    if not err.startswith("signseg segment: parse: malformed pose document: "):
+                    if not err.startswith(f"signseg segment: parse: {path}: "
+                                          "malformed pose document: "):
                         faults.append(f"{fault}: {err.strip()}")
                     if malformed[fault] > peaks[m]:
                         faults.append(f"{fault}: peak {malformed[fault]:.1f} MB is above "
