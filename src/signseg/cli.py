@@ -23,12 +23,12 @@ import numpy as np
 from . import numutil
 from . import train as training
 from .decoding import DEFAULT_GRID, DecodeMode, DecodeParams, decode, tune_thresholds
-from .flow import optical_flow
+from .flow import check_finite, optical_flow
 from .hands import Handedness, HandPose, cce, hand_normalize, mean_landmark_std
 from .metrics import build_report, report_to_json, report_to_text, roc_auc_o
-from .numutil import check_fps, load_json
+from .numutil import check_fps, load_json, naming
 from .pipeline import PipelineOptions, parse_feature_flags, prepare_features, prepare_pose
-from .pose import HAND_POINTS, component_columns, load_pose
+from .pose import HAND_POINTS, component_columns, load_pose, point_names
 from .tagger import (TaggerConfig, forward, forward_clips, init_model, load_model,
                      save_model)
 from .tags import (SEGMENTS_TIERS, TagScheme, decode_gold_tags, fidelity_experiment,
@@ -75,16 +75,14 @@ class StageError(Exception):
 
 
 @contextmanager
-def _stage(name: str, path=None):
-    """Turns an error of the block into a StageError of this stage; the
-    message names path first, where the stage works on one input file."""
+def _stage(name: str):
+    """Turns an error of the block into a StageError of this stage."""
     try:
         yield
     except StageError:
         raise
-    except (ValueError, RuntimeError, OSError, KeyError, TypeError, OverflowError,
-            MemoryError) as e:
-        raise StageError(name, str(e) if path is None else f"{path}: {e}") from e
+    except numutil.INPUT_ERRORS as e:
+        raise StageError(name, str(e)) from e
 
 
 def _load_base_config(path_flag):
@@ -274,16 +272,14 @@ def cmd_segment(args, opts) -> int:
     dparams = _dparams(opts, strict_bio=args.strict_bio)
 
     def process(path):
-        with _stage("parse", path):
+        with _stage("parse"), naming(path):
             seq = load_pose(path, popts.read_columns)
-        if seq.num_frames == 0:
-            return _stem(path), {tier: [] for tier in SEGMENTS_TIERS}
-        with _stage("features", path):
+        with _stage("features"), naming(path):
             feats = prepare_features(seq, popts)
         del seq  # frees the pose block before the forward pass
-        with _stage("forward", path):
+        with _stage("forward"), naming(path):
             probs = forward(model, feats.values)
-        with _stage("decode", path):
+        with _stage("decode"), naming(path):
             tiers = {tier: decode(probs[tier] * 100.0, dparams)
                      for tier in SEGMENTS_TIERS}
         return _stem(path), tiers
@@ -422,14 +418,21 @@ def cmd_bio_fidelity(args, opts) -> int:
 
 
 def _load_bench_hand(path) -> HandPose:
+    """Frame 0 of the pose's right hand, or else its left; every point of it
+    must be tracked, as an untracked point's coordinates are placeholders."""
     seq = load_pose(path)
     if seq.num_frames == 0:
-        raise ValueError(f"{path}: pose has no frames")
+        raise ValueError("pose has no frames")
     for name, handedness in (("RIGHT_HAND", Handedness.RIGHT),
                              ("LEFT_HAND", Handedness.LEFT)):
         if any(c.name == name for c in seq.components):
-            return HandPose(seq.coords[0, component_columns(seq.components, name)], handedness)
-    raise ValueError(f"{path}: pose has no hand component")
+            cols = component_columns(seq.components, name)
+            names = point_names(seq.components)
+            untracked = [names[col][1] for col in cols if seq.conf[0, col] == 0]
+            if untracked:
+                raise ValueError(f"{name} point {untracked[0]} is not tracked")
+            return HandPose(seq.coords[0, cols], handedness)
+    raise ValueError("pose has no hand component")
 
 
 def cmd_hand_bench(args, opts) -> int:
@@ -452,8 +455,10 @@ def cmd_hand_bench(args, opts) -> int:
 
     results = []
     for label, files in parsed:
-        with _stage("data"):
-            members = [_load_bench_hand(f) for f in files]
+        members = []
+        for f in files:
+            with _stage("data"), naming(f):
+                members.append(_load_bench_hand(f))
         with _stage("bench"):
             normalized = np.stack([hand_normalize(m).points for m in members])
             results.append((label, files, mean_landmark_std(normalized), cce(members),
@@ -477,14 +482,13 @@ def cmd_flow_dump(args, opts) -> int:
     popts = _popts(opts)
     with _stage("parse"):
         seq = load_pose(args.pose, popts.read_columns)
-    rows = []
-    if seq.num_frames > 0:
-        with _stage("features"):
-            prepared = prepare_pose(seq, popts)
-            flow = optical_flow(prepared)
-        labels = [f"{c.name}/{p}" for c in prepared.components for p in c.points]
-        rows = ((t, label, f"{flow[t, k]:.6f}")
-                for t in range(flow.shape[0]) for k, label in enumerate(labels))
+    with _stage("features"):
+        prepared = prepare_pose(seq, popts)
+        flow = optical_flow(prepared)
+        check_finite(flow, prepared)
+    labels = [f"{c.name}/{p}" for c in prepared.components for p in c.points]
+    rows = ((t, label, f"{flow[t, k]:.6f}")
+            for t in range(flow.shape[0]) for k, label in enumerate(labels))
     text = _csv_text("frame,point,value", rows)
     if args.out_dir:
         with _emit(args, opts, [args.pose]) as out:

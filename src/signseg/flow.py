@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hands
-from .pose import PoseSequence, component_columns
+from .pose import HAND_POINTS, PoseSequence, component_columns, point_names
 
 
 # optical_flow takes the displacements of this many frames at a time, so it
@@ -13,6 +13,7 @@ from .pose import PoseSequence, component_columns
 FLOW_ROWS = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_finite rejects what overflows
 def optical_flow(seq: PoseSequence) -> np.ndarray:
     """(T, K) displacement magnitude between consecutive frames, in pose units per second.
 
@@ -34,6 +35,21 @@ def optical_flow(seq: PoseSequence) -> np.ndarray:
         out *= seq.fps
         out[~((seq.conf[rows] > 0) & (seq.conf[before] > 0))] = 0.0
     return values
+
+
+def check_finite(values: np.ndarray, seq: PoseSequence, per_point: int = 1) -> None:
+    """Raises naming the first frame and point with a value that is not
+    finite. values is (T, F): per_point values of each of seq's points, then
+    any normalized hands' 3 per point, as assemble_features lays them out."""
+    if np.isfinite(values).all():
+        return
+    t, col = np.argwhere(~np.isfinite(values))[0]
+    names = [f"{comp}/{point}" for comp, point in point_names(seq.components)]
+    width = len(names) * per_point
+    i = col // per_point if col < width else len(names) + (col - width) // 3
+    names += [f"normalized {hand}/{point}" for hand in ("LEFT_HAND", "RIGHT_HAND")
+              for point in HAND_POINTS]
+    raise ValueError(f"frame {t}, point {names[i]}: value {values[t, col]} is not finite")
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,8 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
 
     Missing points (confidence 0) contribute zeros everywhere. Each block is
     computed in float64 and written into one (T, F) float32 array, the
-    tagger's precision, which rounds it as astype(np.float32) would.
+    tagger's precision, which rounds it as astype(np.float32) would. A value
+    past float32's range, or one that is not finite, raises (check_finite).
     """
     t, k = seq.conf.shape
     per_point = 4 if include_flow else 3
@@ -79,11 +96,15 @@ def assemble_features(seq: PoseSequence, include_flow: bool = True,
     # each point's columns of out: splitting the last axis of a row slice
     # gives a view, so these writes land in out
     points = out[:, :width].reshape(t, k, per_point)
-    points[:, :, :3] = seq.coords
-    points[seq.conf == 0] = 0.0
-    if include_flow:
-        points[:, :, 3] = optical_flow(seq)
-    if include_hand_norm:
-        out[:, width:width + 63] = _normalized_hand_block(seq, "LEFT_HAND", hands.Handedness.LEFT)
-        out[:, width + 63:] = _normalized_hand_block(seq, "RIGHT_HAND", hands.Handedness.RIGHT)
+    with np.errstate(over="ignore", invalid="ignore"):  # the casts to float32
+        points[:, :, :3] = seq.coords
+        points[seq.conf == 0] = 0.0
+        if include_flow:
+            points[:, :, 3] = optical_flow(seq)
+        if include_hand_norm:
+            out[:, width:width + 63] = _normalized_hand_block(seq, "LEFT_HAND",
+                                                              hands.Handedness.LEFT)
+            out[:, width + 63:] = _normalized_hand_block(seq, "RIGHT_HAND",
+                                                         hands.Handedness.RIGHT)
+    check_finite(out, seq, per_point)
     return FeatureMatrix(out)

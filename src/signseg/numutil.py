@@ -5,6 +5,23 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+
+
+# The errors that bad input, a failed read or a refused allocation raise:
+# a command reports each as an error of the stage it happened in.
+INPUT_ERRORS = (ValueError, RuntimeError, OSError, KeyError, TypeError, OverflowError,
+                MemoryError)
+
+
+@contextmanager
+def naming(path):
+    """Raises an error of the block as a ValueError whose message names path
+    first: the one input file the block works on."""
+    try:
+        yield
+    except INPUT_ERRORS as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def round_half_away(x: float) -> int:

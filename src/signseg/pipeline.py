@@ -78,7 +78,8 @@ def prepare_pose(seq: PoseSequence, opts: PipelineOptions) -> PoseSequence:
     mean_mid, mean_dist = shoulder_stats(seq, frames)
     components, cols = _selected_columns(seq.components, opts.selector)
     rows = frames[:, None]
-    coords = (seq.coords[rows, cols] - mean_mid) / mean_dist
+    with np.errstate(over="ignore"):  # check_finite rejects what overflows
+        coords = (seq.coords[rows, cols] - mean_mid) / mean_dist
     conf = seq.conf[rows, cols]
     coords[conf == 0] = 0.0
     return PoseSequence(fps, components, coords, conf)

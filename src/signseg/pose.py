@@ -79,24 +79,12 @@ class PoseSequence:
     def num_points(self) -> int:
         return sum(len(c.points) for c in self.components)
 
-    def component_offset(self, name: str) -> int:
-        return component_columns(self.components, name).start
-
-    def component(self, name: str) -> PoseComponent:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise ValueError(f"pose has no component named {name!r}")
-
     def point_index(self, component: str, point: str) -> int:
-        comp = self.component(component)
-        off = self.component_offset(component)
+        cols = component_columns(self.components, component)
         try:
-            return off + comp.points.index(point)
+            return point_names(self.components).index((component, point), cols.start, cols.stop)
         except ValueError:
-            raise ValueError(
-                f"component {component!r} has no point named {point!r}"
-            ) from None
+            raise ValueError(f"component {component!r} has no point named {point!r}") from None
 
 
 def point_names(components) -> list[tuple[str, str]]:
@@ -659,11 +647,14 @@ def shoulder_stats(seq: PoseSequence, frames=slice(None)):
     The mean shoulder distance and midpoint, each frame weighted by the
     product of its two shoulder confidences. Shoulders far enough apart
     overflow to an infinite distance, and that raises, as a zero one does.
+    No frames have nothing to move or scale: the statistics are (0, 0, 0), 1.
     """
     li, ri = shoulder_columns(seq.components)
     left = seq.coords[frames, li, :]
     right = seq.coords[frames, ri, :]
     w = seq.conf[frames, li] * seq.conf[frames, ri]
+    if not w.size:
+        return np.zeros(3), 1.0
     if not (w > 0).any():
         raise ValueError("cannot normalize: shoulders are never tracked")
     with np.errstate(over="ignore", invalid="ignore"):

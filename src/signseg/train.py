@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import frame_f1
+from .numutil import naming
 from .pipeline import PipelineOptions, prepare_features
 from .pose import load_pose
 from .tagger import AdamState, TaggerModel, class_weights_from_tags, forward_clips, train_step
@@ -40,13 +41,20 @@ def list_pairs(data_dir) -> list[tuple[str, str, str]]:
 
 
 def load_clip(stem: str, pose_path, segments_path, opts: PipelineOptions) -> ClipData:
-    feats = prepare_features(load_pose(pose_path, opts.read_columns), opts)
+    """A clip of at least one frame, its features and its gold tags. A zero-frame
+    step would still move the parameters through Adam's momentum."""
+    with naming(pose_path):
+        seq = load_pose(pose_path, opts.read_columns)
+        if seq.num_frames == 0:
+            raise ValueError("pose has no frames")
+        feats = prepare_features(seq, opts)
     t_out = feats.values.shape[0]
-    seg_fps, tiers = load_segments(segments_path)
     gold = {}
-    for tier in SEGMENTS_TIERS:
-        retimed = retime_segments(tiers.get(tier, []), seg_fps, opts.fps)
-        gold[tier] = encode_tags(clamp_segments(retimed, t_out), t_out, TagScheme.BIO)
+    with naming(segments_path):
+        seg_fps, tiers = load_segments(segments_path)
+        for tier in SEGMENTS_TIERS:
+            retimed = retime_segments(tiers.get(tier, []), seg_fps, opts.fps)
+            gold[tier] = encode_tags(clamp_segments(retimed, t_out), t_out, TagScheme.BIO)
     return ClipData(stem, feats.values, gold)
 
 

@@ -376,6 +376,18 @@ def test_segment_empty_pose(corpus_dir, checkpoint, tmp_path):
     assert (tmp_path / "empty.sign.vtt").read_text(encoding="utf-8") == "WEBVTT\n"
 
 
+def test_an_empty_pose_meets_the_skeleton_checks(checkpoint, tmp_path, capsys):
+    pose_path = tmp_path / "empty.pose.json"
+    save_pose(pose_path, make_pose(25.0, (PoseComponent("BODY", ("NOSE",)),),
+                                   np.zeros((0, 1, 3)), np.zeros((0, 1))))
+    rc = cli.main(["segment", str(pose_path), "--checkpoint", checkpoint,
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"signseg segment: features: {pose_path}: pose has no point named 'LEFT_SHOULDER'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_segment_frees_the_pose_before_forward(corpus_dir, checkpoint, tmp_path,
                                                monkeypatch):
     loaded, alive = [], []
@@ -884,6 +896,19 @@ def test_hand_bench_member_without_a_hand_is_a_data_error(tmp_path, capsys, comp
     assert not (tmp_path / "out").exists()
 
 
+def test_hand_bench_member_with_an_untracked_point_is_a_data_error(tmp_path, capsys):
+    manifest = make_bench_manifest(tmp_path)
+    path = tmp_path / "g1_m1.pose.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["frames"][0][HAND_POINTS.index("I_TIP")] = [999.0, 999.0, 999.0, 0.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["hand-bench", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"signseg hand-bench: data: {path}: RIGHT_HAND point I_TIP is not tracked\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc", [{"groups": []}, {"groups": "a"}, {}, []],
                          ids=["empty", "string", "no-groups", "list"])
 def test_hand_bench_manifest_without_groups_is_a_manifest_error(tmp_path, capsys, doc):
@@ -1266,6 +1291,80 @@ def test_a_rate_that_leaves_no_frames_is_a_features_error(checkpoint, tmp_path, 
         "leaves no frames\n")
     assert not (tmp_path / "out").exists()
 
+
+def corpus_with(tmp_path, corpus_dir, name, seq):
+    """A copy of the corpus with one more clip, seq, and an empty segments file;
+    returns the copy and the clip's pose path."""
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    save_pose(data / f"{name}.pose.json", seq)
+    save_segments(data / f"{name}.segments.json", 25.0, {"sign": [], "phrase": []})
+    return data, data / f"{name}.pose.json"
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_an_empty_clip_in_a_corpus_is_a_data_error(corpus_dir, checkpoint, tmp_path, capsys,
+                                                   command):
+    seq, _ = motion_pose(seed=0, num_frames=2)
+    empty = make_pose(25.0, seq.components, np.zeros((0, seq.num_points, 3)),
+                      np.zeros((0, seq.num_points)))
+    data, path = corpus_with(tmp_path, corpus_dir, "empty", empty)
+    argv = (["train", "--hidden-dim", "4", "--layers", "1", "--max-steps", "1"]
+            if command == "train" else ["tune", "--checkpoint", checkpoint, "--tier", "sign"])
+    assert cli.main(argv + ["--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"signseg {command}: data: {path}: pose has no frames\n"
+    assert not (tmp_path / "out").exists()
+
+
+def golden_clip_past_float32(tmp_path):
+    """golden0 with frame 5's first BODY x at 1e200: finite in float64 after
+    normalization, past float32's range, and squared past float64's in the flow."""
+    doc = json.loads((GOLDEN_CLIPS / "golden0.pose.json").read_text(encoding="utf-8"))
+    doc["frames"][5][0][0] = 1e200
+    path = tmp_path / "golden0.pose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    shutil.copy(GOLDEN_CLIPS / "golden0.segments.json", tmp_path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["segment", "flow-dump", "train"])
+def test_a_feature_past_float32_range_is_a_stage_error_without_a_warning(checkpoint, tmp_path,
+                                                                         capsys, command):
+    path = golden_clip_past_float32(tmp_path)
+    argv = {"segment": ["segment", str(path), "--checkpoint", checkpoint],
+            "flow-dump": ["flow-dump", str(path)],
+            "train": ["train", "--data-dir", str(tmp_path), "--hidden-dim", "4", "--layers", "1",
+                      "--max-steps", "1"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    stage, named = {"segment": ("features", f"{path}: "), "flow-dump": ("features", ""),
+                    "train": ("data", f"{path}: ")}[command]
+    assert capsys.readouterr().err == (
+        f"signseg {command}: {stage}: {named}frame 5, point BODY/NOSE: value inf is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "hand-bench"])
+def test_a_malformed_data_file_is_named(corpus_dir, checkpoint, tmp_path, capsys, command):
+    if command == "hand-bench":
+        manifest = make_bench_manifest(tmp_path)
+        bad = tmp_path / "g1_m2.pose.json"
+        argv = ["hand-bench", "--manifest", str(manifest)]
+    else:
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        bad = sorted(data.glob("*.segments.json" if command == "train" else "*.pose.json"))[1]
+        argv = (["train", "--hidden-dim", "4", "--layers", "1", "--max-steps", "1"]
+                if command == "train" else ["tune", "--checkpoint", checkpoint, "--tier", "sign"])
+        argv += ["--data-dir", str(data)]
+    bad.write_text('{"fps": 25,', encoding="utf-8")
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    what = "segments" if bad.name.endswith(".segments.json") else "pose"
+    assert capsys.readouterr().err.startswith(
+        f"signseg {command}: data: {bad}: malformed {what} document: ")
+    assert not (tmp_path / "out").exists()
+
 @pytest.mark.parametrize("gold_fps, fps_list", [
     (1e-300, "3.125,25"),  # 9 gold frames span 2.8e301 frames at 3.125 fps
     (25.0, "1e-320"),  # the frames come back from a subnormal rate as inf
@@ -1305,12 +1404,14 @@ def test_an_end_past_float_range_is_no_frame_index(corpus_dir, checkpoint, tmp_p
                                                   command, stage):
     data = tmp_path / "data"
     shutil.copytree(corpus_dir, data)
-    sorted(data.glob("*.segments.json"))[0].write_text(json.dumps(
+    gold = sorted(data.glob("*.segments.json"))[0]
+    gold.write_text(json.dumps(
         {"fps": 25.0, "tiers": {"sign": [{"start": 0, "end": 10**400}], "phrase": []}}),
         encoding="utf-8")
     assert cli.main(command_argv(command, data, checkpoint, tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"signseg {command}: {stage}: frame 1000")
+    named = f"{gold}: " if stage == "data" else ""  # train and tune name the clip's file
+    assert err.startswith(f"signseg {command}: {stage}: {named}frame 1000")
     assert err.endswith(" fps is inf, not a frame index\n"), err
 
 

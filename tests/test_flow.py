@@ -1,14 +1,15 @@
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from signseg.flow import _normalized_hand_block, assemble_features, optical_flow
+from signseg.flow import _normalized_hand_block, assemble_features, check_finite, optical_flow
 from signseg.hands import (
     BONE_LENGTH, I_MCP, M_MCP, P_MCP, WRIST, Handedness, HandPose, hand_normalize,
 )
-from signseg.pose import HAND_POINTS, PoseComponent, make_pose
+from signseg.pose import HAND_POINTS, PoseComponent, component_columns, make_pose
 from signseg.synthetic import hand_template, upper_body_components
 
 
@@ -132,6 +133,30 @@ def hands_pose(frames=2):
     return make_pose(25, comps, coords, np.ones((frames, k)))
 
 
+@pytest.mark.parametrize("include_flow, col, name", [
+    (True, 4 * 2 + 3, "BODY/RIGHT_SHOULDER"),  # the flow of point 2
+    (False, 3 * 49, "normalized LEFT_HAND/WRIST"),
+    (False, 3 * 49 + 63 + 3 * 20 + 2, "normalized RIGHT_HAND/P_TIP"),
+], ids=["flow", "left-wrist", "right-tip"])
+def test_check_finite_names_the_first_frame_and_point(include_flow, col, name):
+    seq = hands_pose(frames=4)
+    values = assemble_features(seq, include_flow, include_hand_norm=True).values
+    values[3, 0] = np.nan  # a later frame
+    values[2, col] = np.inf
+    with pytest.raises(ValueError, match=f"^frame 2, point {name}: value inf is not finite$"):
+        check_finite(values, seq, 4 if include_flow else 3)
+
+
+@pytest.mark.parametrize("include_flow", [True, False])
+def test_a_coordinate_past_float32_is_an_error_without_a_warning(include_flow):
+    seq = hands_pose(frames=3)
+    seq.coords[1, 0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^frame 1, point BODY/NOSE: value inf is not finite$"):
+            assemble_features(seq, include_flow, include_hand_norm=True)
+
+
 def test_hand_norm_block_width_and_anchor():
     seq = hands_pose()
     fm = assemble_features(seq, include_flow=False, include_hand_norm=True)
@@ -232,7 +257,8 @@ def float64_features(seq, include_flow, include_hand_norm):
         points = np.concatenate([points, optical_flow(seq)[:, :, None]], axis=2)
     blocks = [points.reshape(seq.num_frames, -1)]
     if include_hand_norm:
-        blocks += [per_frame_hand_block(seq, seq.component_offset(name), handedness) / BONE_LENGTH
+        blocks += [per_frame_hand_block(seq, component_columns(seq.components, name).start,
+                                        handedness) / BONE_LENGTH
                    for name, handedness in (("LEFT_HAND", Handedness.LEFT),
                                             ("RIGHT_HAND", Handedness.RIGHT))]
     return np.concatenate(blocks, axis=1)

@@ -143,6 +143,16 @@ def test_prepare_pose_matches_resample_normalize_select(data):
         pipeline.named_selector = named_selector
 
 
+@pytest.mark.parametrize("fps", [25.0, 12.5])
+def test_prepare_pose_takes_a_pose_with_no_frames_to_one_with_none(fps):
+    seq, _ = motion_pose(seed=0, num_frames=2)
+    empty = make_pose(25.0, seq.components, np.zeros((0, seq.num_points, 3)),
+                      np.zeros((0, seq.num_points)))
+    out, want = (prepare_pose(s, PipelineOptions(fps)) for s in (empty, seq))
+    assert (out.fps, out.components) == (want.fps, want.components)
+    assert (out.coords.shape, out.conf.shape) == ((0, want.num_points, 3), (0, want.num_points))
+
+
 def write_one_clip(dirpath, stem, seed=0, fps=25.0):
     seq, tiers = motion_pose(seed=seed, fps=fps, num_frames=80)
     save_pose(dirpath / f"{stem}.pose.json", seq)

@@ -1084,7 +1084,7 @@ def test_normalize_drops_leg_points():
     coords[:, 1, 0] = 0.5
     seq = make_pose(25, comp, coords, np.ones((2, 7)))
     out = normalize_pose(seq)
-    assert out.component("BODY").points == ("LEFT_SHOULDER", "RIGHT_SHOULDER")
+    assert points_of(out, "BODY") == ("LEFT_SHOULDER", "RIGHT_SHOULDER")
     assert out.coords.shape == (2, 2, 3)
 
 
@@ -1094,6 +1094,22 @@ def test_normalize_zeroes_missing_points():
     out = normalize_pose(seq)
     np.testing.assert_array_equal(out.coords[0, 2], 0.0)
     assert out.coords[1, 2, 1] != 0.0
+
+
+def points_of(seq, name):
+    """The point names of seq's component name, read through its columns."""
+    names = pose.point_names(seq.components)
+    return tuple(names[col][1] for col in pose.component_columns(seq.components, name))
+
+
+def test_point_index_reads_the_component_columns():
+    seq = full_skeleton_pose(frames=1)
+    assert seq.point_index("BODY", "NOSE") == 0
+    assert seq.point_index("LEFT_HAND", "I_TIP") == 33 + FACE_POINT_COUNT + HAND_POINTS.index("I_TIP")
+    with pytest.raises(ValueError, match="^pose has no component named 'FOOT'$"):
+        seq.point_index("FOOT", "NOSE")
+    with pytest.raises(ValueError, match="^component 'BODY' has no point named 'I_TIP'$"):
+        seq.point_index("BODY", "I_TIP")
 
 
 def full_skeleton_pose(frames=2):
@@ -1113,7 +1129,7 @@ def test_body75_selector_counts():
     sel = select_points(seq, named_selector("body75"))
     assert sel.num_points == 75
     assert [c.name for c in sel.components] == ["BODY", "LEFT_HAND", "RIGHT_HAND"]
-    assert sel.component("BODY").points == BODY_POINTS
+    assert points_of(sel, "BODY") == BODY_POINTS
     # after normalization the same selector keeps the legless body
     norm = select_points(normalize_pose(seq), named_selector("body75"))
     assert norm.num_points == 75 - 10
@@ -1123,10 +1139,10 @@ def test_face_contour_selector():
     seq = full_skeleton_pose()
     sel = select_points(seq, named_selector("face-contour-128"))
     assert sel.num_points == 128
-    assert all(p.startswith("FACE_") for p in sel.component("FACE").points)
+    assert all(p.startswith("FACE_") for p in points_of(sel, "FACE"))
     # selected columns carry the right source data
-    src = seq.component_offset("FACE")
-    first = sel.component("FACE").points[0]
+    src = pose.component_columns(seq.components, "FACE").start
+    first = points_of(sel, "FACE")[0]
     idx = int(first.split("_")[1])
     np.testing.assert_array_equal(sel.coords[:, 0], seq.coords[:, src + idx])
 
