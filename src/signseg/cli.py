@@ -459,7 +459,7 @@ def cmd_hand_bench(args, opts) -> int:
         for f in files:
             with _stage("data"), naming(f):
                 members.append(_load_bench_hand(f))
-        with _stage("bench"):
+        with _stage("bench"), naming(f"group {label!r}"):
             normalized = np.stack([hand_normalize(m).points for m in members])
             results.append((label, files, mean_landmark_std(normalized), cce(members),
                             normalized))

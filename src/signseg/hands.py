@@ -6,6 +6,7 @@ All operations take 21-landmark hands in the standard anatomical order
 (WRIST, thumb, index, middle, ring, pinky; 4 joints per finger).
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,8 +125,13 @@ def hand_normalize(hand: HandPose) -> HandPose:
 
 
 def mean_landmark_std(stacks: np.ndarray) -> float:
-    """Population std of (N, 21, 3) hands per landmark and axis, then the mean of all 63."""
-    return float(stacks.std(axis=0, ddof=0).mean())
+    """Population std of (N, 21, 3) hands per landmark and axis, then the mean
+    of all 63. Raises where that is not finite, as when hands lie too far apart."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(stacks.std(axis=0, ddof=0).mean())
+    if not math.isfinite(std):
+        raise ValueError(f"mean landmark std {std:g} is not finite")
+    return std
 
 
 def mace(members: list[HandPose]) -> float:

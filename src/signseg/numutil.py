@@ -15,13 +15,13 @@ INPUT_ERRORS = (ValueError, RuntimeError, OSError, KeyError, TypeError, Overflow
 
 
 @contextmanager
-def naming(path):
-    """Raises an error of the block as a ValueError whose message names path
-    first: the one input file the block works on."""
+def naming(name):
+    """Raises an error of the block as a ValueError whose message names first
+    what the block works on: one input file's path, or a group of them."""
     try:
         yield
     except INPUT_ERRORS as e:
-        raise ValueError(f"{path}: {e}") from e
+        raise ValueError(f"{name}: {e}") from e
 
 
 def round_half_away(x: float) -> int:

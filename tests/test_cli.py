@@ -909,6 +909,23 @@ def test_hand_bench_member_with_an_untracked_point_is_a_data_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_hand_bench_group_past_float_range_is_a_bench_error(tmp_path, capsys):
+    # a tracked point at 1e200 overflows the group's std, with no numpy warning
+    manifest = make_bench_manifest(tmp_path)
+    path = tmp_path / "g1_m1.pose.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["frames"][0][HAND_POINTS.index("I_TIP")] = [1e200, 1e200, 1e200, 1.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["hand-bench", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "signseg hand-bench: bench: group 'fist': mean landmark std inf is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc", [{"groups": []}, {"groups": "a"}, {}, []],
                          ids=["empty", "string", "no-groups", "list"])
 def test_hand_bench_manifest_without_groups_is_a_manifest_error(tmp_path, capsys, doc):
@@ -1343,6 +1360,49 @@ def test_a_feature_past_float32_range_is_a_stage_error_without_a_warning(checkpo
     assert capsys.readouterr().err == (
         f"signseg {command}: {stage}: {named}frame 5, point BODY/NOSE: value inf is not finite\n")
     assert not (tmp_path / "out").exists()
+
+
+# A number from subnormal to 1e300 in size, of either sign. Written compactly,
+# 1e+99 matches the compact-frame pattern of a cut load and 1e+100 does not.
+_MAGNITUDES = st.builds(lambda m, e, negative: -m * 10.0 ** e if negative else m * 10.0 ** e,
+                        st.floats(1, 9.99), st.integers(-323, 300), st.booleans())
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read each run
+@given(xyz=st.lists(_MAGNITUDES, min_size=3, max_size=3))
+@pytest.mark.parametrize("point", ["NOSE", "LEFT_HIP"], ids=["kept", "dropped"])
+@pytest.mark.parametrize("command", ["segment", "flow-dump", "train"])
+def test_a_point_at_any_magnitude_ends_in_an_output_or_a_stage_error(
+        checkpoint, tmp_path_factory, capsys, command, point, xyz):
+    # golden0 with a LEFT_HIP point, which body75 drops, written compactly;
+    # frame 5's NOSE or LEFT_HIP is at the drawn coordinates
+    tmp_path = tmp_path_factory.mktemp("magnitude")
+    doc = json.loads((GOLDEN_CLIPS / "golden0.pose.json").read_text(encoding="utf-8"))
+    body = doc["components"][0]
+    hip = len(body["points"])
+    body["points"].append("LEFT_HIP")
+    for frame in doc["frames"]:
+        frame.insert(hip, [1.0, 1.95, 0.0, 1.0])
+    doc["frames"][5][body["points"].index(point)][:3] = xyz
+    path = tmp_path / "golden0.pose.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    shutil.copy(GOLDEN_CLIPS / "golden0.segments.json", tmp_path)
+    argv = {"segment": ["segment", str(path), "--checkpoint", checkpoint],
+            "flow-dump": ["flow-dump", str(path)],
+            "train": ["train", "--data-dir", str(tmp_path), "--hidden-dim", "4", "--layers", "1",
+                      "--max-steps", "1"]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if point == "LEFT_HIP":
+        assert rc == 0, err
+    if rc:
+        stage = err.split(": ")[1]
+        assert stage in {"features", "data", "train"} and err.count("\n") == 1, err
+    assert (tmp_path / "out").exists() == (rc == 0)
 
 
 @pytest.mark.parametrize("command", ["train", "tune", "hand-bench"])

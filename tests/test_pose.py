@@ -882,10 +882,76 @@ def test_components_after_cut_frames_are_read_whole(tmp_path):
     assert_cut_load_reads_like_the_full_load(path, columns)
 
 
+@pytest.mark.parametrize("spaced_from", [None, 100], ids=["compact", "spaced-from-frame-100"])
+def test_column_set_load_decodes_only_the_kept_points(holistic_300, tmp_path, monkeypatch,
+                                                      spaced_from):
+    # a compact frame is matched whole and only its 65 kept points are
+    # decoded; from the first frame that does not match, every frame is
+    # decoded whole
+    quads, text = holistic_300
+    if spaced_from is not None:
+        at = text.index('"frames":[') + len('"frames":[')
+        for _ in range(spaced_from):
+            at = text.index("]],[[", at) + 3
+        text = text[:at] + "[ " + text[at + 1:]
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    columns = PipelineOptions().read_columns
+    want = values(cut_after_full_load, path, columns)
+    lengths = []
+    decoder = pose._DECODER
+
+    class CountingDecoder:
+        def raw_decode(self, s, i=0):
+            value, end = decoder.raw_decode(s, i)
+            if type(value) is list:
+                lengths.append(len(value))
+            return value, end
+
+    monkeypatch.setattr(pose, "_DECODER", CountingDecoder())
+    assert values(pose.load_pose, path, columns) == want
+    matched = 300 if spaced_from is None else spaced_from
+    assert lengths.count(65) == matched
+    assert lengths.count(543) == 300 - matched
+
+
 # A small skeleton that body75 and face-contour-128 can both read from
 _SKELETON = [("BODY", ["NOSE", "LEFT_SHOULDER", "RIGHT_SHOULDER", "LEFT_HIP"]),
              ("FACE", ["FACE_0", "FACE_10", "FACE_21"]),
              ("LEFT_HAND", ["WRIST", "T_TIP"]), ("RIGHT_HAND", ["WRIST", "T_TIP"])]
+
+
+# Number text at the edges of the compact-frame pattern's grammar: ints of 16
+# and 17 digits, exponents of 2 and 3 digits, -0 and 0e0, digits that \d
+# matches and json rejects, confidences at 1 and past it, written with an
+# exponent too, and a space.
+_EDGE_NUMBERS = [Token("9999999999999999"), Token("-1234567890123456"),
+                 Token("12345678901234567"), Token("1e99"), Token("-1E+99"), Token("1e-99"),
+                 Token("1e100"), Token("1e400"), Token("5e-324"), Token("-0"), Token("0e0"),
+                 Token("\u0661"), Token("1\u0661"), Token("0.\u0661"), Token("1e\u0661"),
+                 Token("1.0000"), Token("1.00001"), Token("7.5e-05"), Token("9.9e-1"),
+                 Token("1e-0"), Token("2e-0"), Token("1e-100"), Token(" 0.5")]
+
+
+@pytest.mark.parametrize("number", _EDGE_NUMBERS)
+@pytest.mark.parametrize("at", [0, 3], ids=["x", "confidence"])
+@pytest.mark.parametrize("point", ["NOSE", "FACE_10"], ids=["kept", "dropped"])
+def test_column_set_load_reads_edge_numbers_as_the_full_load(tmp_path, number, at, point):
+    # frame 1 of 3 holds the number: frame 0 is matched, and frame 1 is
+    # matched or decoded whole with frame 2
+    names = [p for _, points in _SKELETON for p in points]
+    frames = [[[0.5, 0.25, 0.0, 1.0] for _ in names] for _ in range(3)]
+    frames[1][names.index(point)][at] = number
+    components = [Members([("name", name), ("points", points)]) for name, points in _SKELETON]
+    text = render(Members([("version", pose.FORMAT_VERSION), ("fps", 25),
+                           ("components", components), ("frames", frames)]), lambda: "")
+    path = tmp_path / "clip.pose.json"
+    path.write_text(text, encoding="utf-8")
+    columns = PipelineOptions().read_columns
+    kept = columns(tuple(PoseComponent(name, tuple(points)) for name, points in _SKELETON))
+    assert (names.index(point) in kept) == (point == "NOSE")
+    assert values(pose.load_pose, path) == values(read_whole_file, path)
+    assert_cut_load_reads_like_the_full_load(path, columns)
 
 
 @settings(max_examples=300, deadline=None)
@@ -910,6 +976,9 @@ def test_column_set_load_matches_the_full_load_on_mutated_documents(tmp_path_fac
     k = sum(len(points) for _, points in comps)
     t = draw(st.integers(0, 4))
     frames = [[[draw(st.floats(0, 1)) for _ in range(4)] for _ in range(k)] for _ in range(t)]
+    for _ in range(draw(st.integers(0, 3)) if frames and k else 0):  # in kept or dropped columns
+        point = frames[draw(st.integers(0, t - 1))][draw(st.integers(0, k - 1))]
+        point[draw(st.integers(0, 3))] = draw(st.sampled_from(_EDGE_NUMBERS))
     for _ in range(draw(st.integers(0, 2)) if frames and k else 0):
         _mutate_frames(data, frames, k)
     components = [Members([("name", name), ("points", points)]) for name, points in comps]
@@ -928,6 +997,7 @@ def test_column_set_load_matches_the_full_load_on_mutated_documents(tmp_path_fac
     run_points = pose._RUN_POINTS
     pose._RUN_POINTS = draw(st.sampled_from([run_points, 1, 3, 8]))  # runs that split frames
     try:
+        assert values(pose.load_pose, path) == values(read_whole_file, path)
         assert_cut_load_reads_like_the_full_load(path, opts.read_columns)
         assert_cut_load_reads_like_the_full_load(path, every_other_column)
     finally:

@@ -5,11 +5,12 @@ with the benchmark's generator, perfbench/inputs.py, and an untrained 4x256
 tagger of input width 260 (body75 less the legs, with flow) from
 init_model. Each clip is segmented (`--features flow`, `body75`) in a new
 process that reports its peak resident set (VmHWM, in MiB as the benchmark
-counts MB). Two copies of the longest clip that are no valid pose near
-their end (the comma before the last frame taken out; a 0xFF byte before
-the closing brace) are segmented too: each must fail in the parse stage as a
-malformed pose document, named by its path, and peak no higher than the
-valid clip. Prints one
+counts MB). Three copies of the longest clip that are no valid pose near
+their end are segmented too: the comma before the last frame taken out and
+a 0xFF byte before the closing brace must each fail in the parse stage as a
+malformed pose document, named by its path; a FACE point's confidence of
+1.5 in the last frame, written as compactly as the rest, must fail there as
+out of range. Each must peak no higher than the valid clip. Prints one
 JSON line with the peaks and the slope between the shortest and the longest
 clip in MB per minute, and exits 1 if the slope is above the limit or a
 malformed copy fails otherwise.
@@ -17,7 +18,7 @@ malformed copy fails otherwise.
     python3 tools/segment_memory.py --minutes 1 3 --limit 12
 
 Linux only: it reads /proc/self/status. The clips take about 52 MB of disk
-per minute, and the longest clip's two copies twice as much again, in a
+per minute, and the longest clip's three copies three times as much again, in a
 temporary directory removed at exit.
 """
 
@@ -33,10 +34,12 @@ SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
+from signseg.pose import BODY_POINTS  # noqa: E402
 from signseg.tagger import TaggerConfig, init_model, save_model  # noqa: E402
 
 SEED = 2501
 WIDTH = 260
+FACE_POINT = len(BODY_POINTS) + 7  # a column body75 drops
 
 # Runs in the new process: segment the clip, then print the process's peak.
 CHILD = """
@@ -62,15 +65,26 @@ def peak_mb(clip, checkpoint, out_dir, code=0) -> tuple[float, str]:
 
 
 def malformed_copies(clip) -> dict:
-    """Copies of clip that are no valid pose near their end, by their fault."""
+    """Copies of clip that are no valid pose near their end: each fault maps
+    to its copy's path and the start of the parse error it must raise."""
     with open(clip, "rb") as f:
         raw = f.read()
     at = raw.rindex(b"]],[[") + 2
+    point = at + 2  # the last frame's points, up to FACE_POINT
+    for _ in range(FACE_POINT):
+        point = raw.index(b"],[", point) + 2
+    end = raw.index(b"]", point)
+    conf = raw.rindex(b",", point, end) + 1
     view = memoryview(raw)
+    malformed = "malformed pose document: "
     copies = {}
-    for fault, parts in (("no comma before the last frame", (view[:at], view[at + 1:])),
-                         ("0xFF before the closing brace", (view[:-1], b"\xff}"))):
-        copies[fault] = path = f"{clip}.{len(copies)}"
+    for fault, parts, message in (
+            ("no comma before the last frame", (view[:at], view[at + 1:]), malformed),
+            ("0xFF before the closing brace", (view[:-1], b"\xff}"), malformed),
+            ("a FACE confidence of 1.5 in the last frame", (view[:conf], b"1.5", view[end:]),
+             "confidence values must lie in [0, 1]")):
+        path = f"{clip}.{len(copies)}"
+        copies[fault] = path, message
         with open(path, "wb") as f:
             for part in parts:
                 f.write(part)
@@ -96,11 +110,10 @@ def main(argv=None) -> int:
             clip, _ = inputs.write_holistic(tmp, f"clip{frames}", SEED, frames)
             peaks[m] = peak_mb(clip, checkpoint, out)[0]
             if m == minutes[-1]:
-                for fault, path in malformed_copies(clip).items():
+                for fault, (path, message) in malformed_copies(clip).items():
                     malformed[fault], err = peak_mb(path, checkpoint, out, code=1)
                     os.remove(path)
-                    if not err.startswith(f"signseg segment: parse: {path}: "
-                                          "malformed pose document: "):
+                    if not err.startswith(f"signseg segment: parse: {path}: {message}"):
                         faults.append(f"{fault}: {err.strip()}")
                     if malformed[fault] > peaks[m]:
                         faults.append(f"{fault}: peak {malformed[fault]:.1f} MB is above "
